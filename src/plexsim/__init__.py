@@ -24,7 +24,7 @@ from .core import (
     model_size_bytes,
     save_model,
 )
-from .sampler import aggregator, derive_sample, node_rank_key, sample
+from .sampler import SampleSchedule, aggregator, derive_sample, node_rank_key, sample
 from .protocol import PlexusNode, ProtocolConfig, success_threshold
 from .simnet import Engine, LatencyMatrix, SimulationError, assign_cities, compute_time, maxmin_rates
 from .learning import (

@@ -33,7 +33,7 @@ from .core import (
     average_models,
     message_size_bytes,
 )
-from .sampler import aggregator, sample
+from .sampler import SampleSchedule
 
 logger = logging.getLogger(__name__)
 
@@ -49,8 +49,6 @@ class ProtocolConfig:
     s: int
     sf: float
     max_rounds: int
-    shared_init: bool = True
-    init_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.s < 1:
@@ -85,6 +83,10 @@ class PlexusNode:
 
     ``round_hook(k, theta_agg, now)`` is an observation-only callback fired
     on the aggregator when round k completes; it must not schedule work.
+
+    ``schedule`` supplies S^k and a^k. A run passes one schedule to all its
+    nodes; a node built without one makes its own from ``config.s`` and
+    ``membership``, which gives the same rounds.
     """
 
     def __init__(
@@ -97,9 +99,13 @@ class PlexusNode:
         train_fn: Callable[[int, ModelParameters], ModelParameters],
         compute_seconds: float,
         round_hook: Optional[Callable[[int, ModelParameters, float], None]] = None,
+        schedule: Optional[SampleSchedule] = None,
     ):
+        if schedule is None:
+            schedule = SampleSchedule(config.s, membership)
+        elif schedule.s != config.s or schedule.membership is not membership:
+            raise ValueError("schedule was built for another sample size or membership")
         self.me = me
-        self.membership = membership
         self.config = config
         self.init_model = init_model
         self.train_fn = train_fn
@@ -111,24 +117,14 @@ class PlexusNode:
         self.late_by_round: dict[int, int] = {}
         self.duplicate_trains = 0
         self.duplicate_aggregates = 0
-        self._samples: dict[int, tuple[NodeId, ...]] = {}
-
-    # -- sampler access (memoized; the sample of a round never changes) --
-
-    def _sample(self, k: int) -> tuple[NodeId, ...]:
-        if k not in self._samples:
-            self._samples[k] = sample(k, self.config.s, self.membership.nodes)
-        return self._samples[k]
-
-    def _aggregator(self, k: int) -> NodeId:
-        return aggregator(self._sample(k), self.membership)
+        self.schedule = schedule
 
     # -- entry points --
 
     def bootstrap(self) -> list[Effect]:
         """Round 1 has no previous aggregator; every round-1 participant
         self-delivers Train{1, theta_0} at time zero."""
-        if self.me not in self._sample(1):
+        if self.me not in self.schedule.participant_set(1):
             return []
         msg = Train(1, self.init_model())
         return [Send(self.me, msg, message_size_bytes(msg))]
@@ -153,7 +149,7 @@ class PlexusNode:
             self.duplicate_trains += 1
             logger.warning("%s: duplicate Train for round %d ignored", self.me, k)
             return [Metric("duplicate_train")]
-        if self.me not in self._sample(k):
+        if self.me not in self.schedule.participant_set(k):
             raise ProtocolViolation(
                 f"{self.me} received Train for round {k} but is not a participant"
             )
@@ -162,7 +158,7 @@ class PlexusNode:
 
         def finish_training(k: int = k, model: ModelParameters = model) -> list[Effect]:
             theta_bar = self.train_fn(k, model)
-            dst = self._aggregator(k)
+            dst = self.schedule.aggregator(k)
             out = Aggregate(k, theta_bar, self.me)
             return [Send(dst, out, message_size_bytes(out))]
 
@@ -170,7 +166,7 @@ class PlexusNode:
 
     def _on_aggregate(self, now: float, msg: Aggregate) -> list[Effect]:
         k = msg.k
-        if self._aggregator(k) != self.me:
+        if self.schedule.aggregator(k) != self.me:
             raise ProtocolViolation(
                 f"misrouted aggregate: {self.me} is not the round-{k} aggregator"
             )
@@ -194,7 +190,7 @@ class PlexusNode:
         if self.round_hook is not None:
             self.round_hook(k, theta_agg, now)
         effects: list[Effect] = [Metric("rounds_completed")]
-        for nid in self._sample(k + 1):
+        for nid in self.schedule.participants(k + 1):
             out = Train(k + 1, theta_agg)
             effects.append(Send(nid, out, message_size_bytes(out)))
         return effects

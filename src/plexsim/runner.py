@@ -39,6 +39,7 @@ from .learning import (
 )
 from .metrics import MetricsLedger, cta, mean_excluding_none, round_duration_stats, rta, tta
 from .protocol import PlexusNode, ProtocolConfig, success_threshold
+from .sampler import SampleSchedule
 from .simnet import Engine, LatencyMatrix, compute_time
 from .traces import (
     build_membership,
@@ -143,9 +144,8 @@ def _run_plexus(cfg: ExperimentConfig, world: World, rep: int) -> MetricsLedger:
         s=cfg.sample_size,
         sf=cfg.success_fraction,
         max_rounds=cfg.stop.max_rounds,
-        shared_init=cfg.shared_init,
-        init_seed=cfg.init_seed,
     )
+    schedule = SampleSchedule(pcfg.s, world.membership)
     engine = Engine(world.membership, world.latency)
     should_eval = _eval_cadence(cfg)
     test_X, test_y = world.dataset.X_test, world.dataset.y_test
@@ -170,6 +170,7 @@ def _run_plexus(cfg: ExperimentConfig, world: World, rep: int) -> MetricsLedger:
             train_fn=lambda k, m, nid=nid: train(nid, k, m),
             compute_seconds=compute_time(profile, cfg.trainer.local_steps),
             round_hook=round_hook,
+            schedule=schedule,
         )
         nodes[nid] = node
         engine.register(nid, node)

@@ -4,18 +4,21 @@ Every node can compute the participant set of any round locally, with no
 coordination messages: rank all node ids by SHA-256 over ``id|round`` and take
 the s smallest digests. Because the full node set and all device profiles are
 global knowledge, the round's aggregator (the participant with the highest
-uplink) is equally computable by everyone.
+uplink) is equally computable by everyone. A simulation hosts every node in
+one process, so the nodes of a run share one ``SampleSchedule`` and each
+round is computed once, not once per node.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import Membership, NodeId, validate_node_id
 
-__all__ = ["RankKey", "Sample", "node_rank_key", "sample", "aggregator", "derive_sample"]
+__all__ = ["RankKey", "Sample", "SampleSchedule", "node_rank_key", "sample", "aggregator", "derive_sample"]
 
 
 @dataclass(frozen=True, order=True)
@@ -48,10 +51,18 @@ def sample(k: int, s: int, candidates: Iterable[NodeId]) -> tuple[NodeId, ...]:
     rank keys, in rank order. Independent of the order candidates arrive in."""
     if s < 1:
         raise ValueError(f"sample size must be >= 1, got {s}")
-    ranked = sorted(node_rank_key(nid, k) for nid in candidates)
-    if not ranked:
+    if k < 1:
+        raise ValueError(f"round number must be >= 1, got {k}")
+    # The same (digest, id) order as sorting node_rank_key, without building
+    # a RankKey per candidate or sorting all n of them.
+    suffix = b"|" + str(k).encode()
+    keyed = []
+    for nid in candidates:
+        validate_node_id(nid)
+        keyed.append((hashlib.sha256(nid.encode() + suffix).digest(), nid))
+    if not keyed:
         raise ValueError("no candidates")
-    return tuple(rk.node for rk in ranked[: min(s, len(ranked))])
+    return tuple(nid for _, nid in heapq.nsmallest(s, keyed))
 
 
 def aggregator(participants: Iterable[NodeId], membership: Membership) -> NodeId:
@@ -71,3 +82,35 @@ def aggregator(participants: Iterable[NodeId], membership: Membership) -> NodeId
 def derive_sample(k: int, s: int, membership: Membership) -> Sample:
     participants = sample(k, s, membership.nodes)
     return Sample(k, participants, aggregator(participants, membership))
+
+
+class SampleSchedule:
+    """S^k and a^k of every round of one run, each computed once on first use.
+
+    The sample is a pure function of (k, s, membership), so one schedule can
+    serve every node of a run.
+    """
+
+    def __init__(self, s: int, membership: Membership):
+        self.s = s
+        self.membership = membership
+        self._rounds: dict[int, tuple[Sample, frozenset[NodeId]]] = {}
+
+    def _round(self, k: int) -> tuple[Sample, frozenset[NodeId]]:
+        entry = self._rounds.get(k)
+        if entry is None:
+            drawn = derive_sample(k, self.s, self.membership)
+            entry = self._rounds[k] = (drawn, frozenset(drawn.participants))
+        return entry
+
+    def participants(self, k: int) -> tuple[NodeId, ...]:
+        """S^k in rank order."""
+        return self._round(k)[0].participants
+
+    def participant_set(self, k: int) -> frozenset[NodeId]:
+        """S^k as a set, for membership tests."""
+        return self._round(k)[1]
+
+    def aggregator(self, k: int) -> NodeId:
+        """a^k."""
+        return self._round(k)[0].aggregator

@@ -9,6 +9,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from plexsim.sampler import node_rank_key
+
+
+# ------------------------------------------------------ sample reference --
+
+
+def sample_reference(k: int, s: int, candidates) -> tuple:
+    """The round-k sample by the definition: sort every candidate's rank key
+    and keep the first s."""
+    if s < 1:
+        raise ValueError("sample size must be >= 1")
+    ranked = sorted(node_rank_key(nid, k) for nid in candidates)
+    if not ranked:
+        raise ValueError("no candidates")
+    return tuple(rk.node for rk in ranked[:s])
+
 
 # ------------------------------------------------- fluid max-min transfer --
 

@@ -1,6 +1,8 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
+import yaml
 
 from plexsim.config import (
     DatasetConfig,
@@ -204,3 +206,23 @@ def test_canonical_dict_roundtrips_through_loader():
     again = config_from_dict(cfg.canonical_dict())
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
+
+
+# ------------------------------------------------------------------ README --
+
+
+def _key_paths(d, prefix=()):
+    for key, value in d.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def test_readme_configuration_block_shows_the_defaults():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Configuration"):]
+    block = section[section.index("```yaml\n") + len("```yaml\n"):section.index("```\n", 1)]
+    shown = yaml.safe_load(block)
+    defaults = config_from_dict({"algorithm": "plexus", "n": 100})
+    assert config_from_dict(shown) == defaults
+    assert sorted(_key_paths(shown)) == sorted(_key_paths(defaults.canonical_dict()))

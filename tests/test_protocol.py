@@ -18,7 +18,7 @@ from plexsim.protocol import (
     ProtocolViolation,
     success_threshold,
 )
-from plexsim.sampler import aggregator, sample
+from plexsim.sampler import SampleSchedule, aggregator, sample
 from plexsim.simnet import Engine, LatencyMatrix
 
 from conftest import make_membership
@@ -77,6 +77,17 @@ def test_config_validation():
 
 def cfg(s=3, sf=1.0, rounds=4):
     return ProtocolConfig(s=s, sf=sf, max_rounds=rounds)
+
+
+def test_schedule_must_match_node():
+    m = make_membership(6)
+    other = make_membership(6)
+    kw = dict(init_model=lambda: flat([0.0]), train_fn=bump_train, compute_seconds=1.0)
+    PlexusNode("n000", m, cfg(s=3), schedule=SampleSchedule(3, m), **kw)
+    with pytest.raises(ValueError, match="schedule"):
+        PlexusNode("n000", m, cfg(s=3), schedule=SampleSchedule(4, m), **kw)
+    with pytest.raises(ValueError, match="schedule"):
+        PlexusNode("n000", m, cfg(s=3), schedule=SampleSchedule(3, other), **kw)
 
 
 def setup_round(n=8, s=3, sf=1.0, rounds=4):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +113,26 @@ def test_run_plexus_ledger_shape():
     assert led.final_time_s >= led.accuracy[-1].time_s
     # Ledger snapshots within eval rows never decrease.
     assert led.accuracy[0].bytes_total <= led.accuracy[1].bytes_total
+
+
+def test_run_plexus_samples_each_round_once(monkeypatch):
+    # All nodes of a run share one schedule: sample() runs once for each of
+    # rounds 1..R+1 (the last aggregator pushes Train{R+1}), however many
+    # nodes ask for the round.
+    calls = []
+
+    def counting(k, s, candidates):
+        calls.append(k)
+        return sample(k, s, candidates)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("plexsim") and getattr(mod, "sample", None) is sample:
+            monkeypatch.setattr(mod, "sample", counting)
+    rounds = 4
+    cfg = tiny_cfg(stop=StopConfig(max_rounds=rounds, max_virtual_s=1e7))
+    led = run_single(cfg, build_world(cfg), 0)
+    assert len(led.rounds) == rounds
+    assert sorted(calls) == list(range(1, rounds + 2))
 
 
 def test_run_plexus_partial_rounds_count_late_models():

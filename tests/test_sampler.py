@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plexsim.core import DeviceProfile, Membership
-from plexsim.sampler import aggregator, derive_sample, node_rank_key, sample
+from plexsim.sampler import SampleSchedule, aggregator, derive_sample, node_rank_key, sample
+
+from oracles import sample_reference
 
 
 def members(ids, uplinks=None):
@@ -59,7 +61,37 @@ def test_sample_caps_at_population():
         sample(1, 0, ids)
 
 
+@pytest.mark.parametrize(
+    "k, s, candidates",
+    [
+        (0, 2, ["n1", "n2"]),  # round numbers start at 1
+        (1, 0, ["n1", "n2"]),  # empty sample
+        (1, 2, []),  # no candidates
+        (1, 2, ["n1", ""]),  # empty id
+        (1, 2, ["a|b", "c"]),  # "|" would make the hash input ambiguous
+    ],
+)
+def test_sample_rejects_bad_inputs(k, s, candidates):
+    with pytest.raises(ValueError):
+        sample(k, s, candidates)
+
+
 # ------------------------------------------------------------ properties --
+
+
+node_ids = st.text(min_size=1, max_size=8).filter(lambda nid: "|" not in nid)
+
+
+@given(
+    st.lists(node_ids, min_size=1, max_size=60, unique=True),
+    st.integers(1, 10**6),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sample_matches_reference(ids, k, data):
+    s = data.draw(st.integers(1, len(ids) + 5), label="s")
+    assert sample(k, s, ids) == sample_reference(k, s, ids)
+
 
 
 @given(st.integers(1, 10**6), st.integers(1, 30), st.integers(1, 30))
@@ -137,6 +169,20 @@ def test_aggregator_requires_known_profiles():
     m = members(["n1"])
     with pytest.raises(ValueError, match="unknown bandwidth"):
         aggregator(["ghost"], m)
+
+
+@given(st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0]), min_size=12, max_size=12), st.integers(1, 14))
+@settings(max_examples=30, deadline=None)
+def test_schedule_matches_derive_sample(uplinks, s):
+    # Few distinct uplinks, so aggregator ties are common.
+    ids = [f"m{i:02d}" for i in range(12)]
+    m = members(ids, dict(zip(ids, uplinks)))
+    schedule = SampleSchedule(s, m)
+    for k in list(range(1, 51)) + [3, 1]:  # revisits read the memo
+        want = derive_sample(k, s, m)
+        assert schedule.participants(k) == want.participants
+        assert schedule.participant_set(k) == frozenset(want.participants)
+        assert schedule.aggregator(k) == want.aggregator
 
 
 def test_derive_sample_bundles_round():
