@@ -141,23 +141,18 @@ class RoundStats:
     p50: float
     p95: float
     max: float
-    hist_edges: tuple[float, ...]
-    hist_counts: tuple[int, ...]
 
 
-def round_duration_stats(durations: list[float], bins: int = 20) -> RoundStats:
+def round_duration_stats(durations: list[float]) -> RoundStats:
     if not durations:
         raise ValueError("no round durations recorded")
     arr = np.asarray(durations, dtype=np.float64)
-    counts, edges = np.histogram(arr, bins=bins, range=(0.0, float(arr.max())))
     return RoundStats(
         count=int(arr.size),
         mean=float(arr.mean()),
         p50=float(np.percentile(arr, 50)),
         p95=float(np.percentile(arr, 95)),
         max=float(arr.max()),
-        hist_edges=tuple(float(e) for e in edges),
-        hist_counts=tuple(int(c) for c in counts),
     )
 
 

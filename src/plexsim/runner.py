@@ -11,7 +11,9 @@ algorithms or repetitions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -29,16 +31,14 @@ from .config import ExperimentConfig, resolve_trace_path
 from .core import Membership, ModelParameters, derive_rng
 from .learning import (
     Dataset,
-    DataPartition,
     ModelSpec,
-    TrainerConfig,
     evaluate,
     local_train,
     partition,
     synth_dataset,
 )
 from .metrics import MetricsLedger, cta, mean_excluding_none, round_duration_stats, rta, tta
-from .protocol import PlexusNode, ProtocolConfig, success_threshold
+from .protocol import PlexusNode, ProtocolConfig
 from .sampler import SampleSchedule
 from .simnet import Engine, LatencyMatrix, compute_time
 from .traces import (
@@ -91,7 +91,7 @@ def build_world(cfg: ExperimentConfig, base_dir: str | Path = ".") -> World:
     return World(membership, latency, dataset, cfg.model_spec())
 
 
-# ------------------------------------------------------------ shared bits --
+# ------------------------------------------------------------ repetition --
 
 
 def _init_model(cfg: ExperimentConfig, spec: ModelSpec, rep: int, nid: Optional[str]) -> ModelParameters:
@@ -100,46 +100,63 @@ def _init_model(cfg: ExperimentConfig, spec: ModelSpec, rep: int, nid: Optional[
     return spec.init_model(derive_rng(cfg.init_seed, "init", rep, nid))
 
 
-def _partitions(cfg: ExperimentConfig, world: World, rep: int) -> list[DataPartition]:
-    seed = cfg.protocol_seed * 1_000_003 + rep
-    return _partition_cache(cfg, world, seed)
+def _should_eval(cfg: ExperimentConfig, k: int) -> bool:
+    return k % cfg.eval.every_rounds == 0 or k == cfg.stop.max_rounds
 
 
-def _partition_cache(cfg: ExperimentConfig, world: World, seed: int) -> list[DataPartition]:
-    return partition(world.dataset, cfg.n, cfg.partition, seed)
+class _Repetition:
+    """What every algorithm shares within one repetition: the shards and
+    compute seconds of each node, the training and init streams, the
+    evaluation recorder and the ledger. A driver only moves models."""
+
+    def __init__(self, cfg: ExperimentConfig, world: World, rep: int):
+        self.cfg, self.world, self.rep = cfg, world, rep
+        nodes = world.membership.nodes
+        parts = partition(world.dataset, cfg.n, cfg.partition, cfg.protocol_seed * 1_000_003 + rep)
+        self.shards = dict(zip(nodes, parts))
+        steps = cfg.trainer.local_steps
+        self.compute_s = {nid: compute_time(world.membership.profile(nid), steps) for nid in nodes}
+        self.ledger = MetricsLedger()
+
+    def train(self, stream: str, nid: str, key: int, model: ModelParameters) -> ModelParameters:
+        rng = derive_rng(self.cfg.protocol_seed, stream, self.rep, nid, key)
+        return local_train(model, self.world.spec, self.shards[nid], self.cfg.trainer, rng)
+
+    def init(self, nid: Optional[str]) -> ModelParameters:
+        return _init_model(self.cfg, self.world.spec, self.rep, nid)
+
+    def record_eval(
+        self, at: float, round_no: int, models: list[ModelParameters], totals: MetricsLedger | Engine
+    ) -> None:
+        """Record the mean and std accuracy of ``models`` with the byte and
+        training-second totals ``totals`` (the ledger or the engine) hold now."""
+        ds = self.world.dataset
+        accs = [evaluate(m, self.world.spec, ds.X_test, ds.y_test) for m in models]
+        self.ledger.record_eval(
+            at, round_no, float(np.mean(accs)), float(np.std(accs)),
+            totals.bytes_total, totals.train_seconds_total,
+        )
 
 
-def _make_train_fn(
-    cfg: ExperimentConfig,
-    world: World,
-    parts: list[DataPartition],
-    rep: int,
-) -> Callable[[str, int, ModelParameters], ModelParameters]:
-    index_of = {nid: i for i, nid in enumerate(world.membership.nodes)}
-
-    def train(nid: str, k: int, model: ModelParameters) -> ModelParameters:
-        rng = derive_rng(cfg.protocol_seed, "train", rep, nid, k)
-        return local_train(model, world.spec, parts[index_of[nid]], cfg.trainer, rng)
-
-    return train
-
-
-def _eval_cadence(cfg: ExperimentConfig) -> Callable[[int], bool]:
-    every = cfg.eval.every_rounds
-
-    def should_eval(k: int) -> bool:
-        return k % every == 0 or k == cfg.stop.max_rounds
-
-    return should_eval
+def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable) -> None:
+    """Register ``nodes``, inject each one's ``start(node)`` effects at t=0
+    in membership order, run to the time budget and copy the engine's totals
+    and counters into the ledger."""
+    for node in nodes:
+        engine.register(node.me, node)
+        engine.inject(0.0, node.me, start(node))
+    engine.run(until=r.cfg.stop.max_virtual_s)
+    r.ledger.bytes_total = engine.bytes_total
+    r.ledger.train_seconds_total = engine.train_seconds_total
+    r.ledger.final_time_s = engine.now
+    r.ledger.counters = dict(engine.counters)
 
 
 # ----------------------------------------------------------------- plexus --
 
 
-def _run_plexus(cfg: ExperimentConfig, world: World, rep: int) -> MetricsLedger:
-    ledger = MetricsLedger()
-    parts = _partitions(cfg, world, rep)
-    train = _make_train_fn(cfg, world, parts, rep)
+def _run_plexus(r: _Repetition) -> None:
+    cfg, world = r.cfg, r.world
     pcfg = ProtocolConfig(
         s=cfg.sample_size,
         sf=cfg.success_fraction,
@@ -147,68 +164,45 @@ def _run_plexus(cfg: ExperimentConfig, world: World, rep: int) -> MetricsLedger:
     )
     schedule = SampleSchedule(pcfg.s, world.membership)
     engine = Engine(world.membership, world.latency)
-    should_eval = _eval_cadence(cfg)
-    test_X, test_y = world.dataset.X_test, world.dataset.y_test
-    state = {"last_fire": 0.0}
-    round_rows: list[tuple[int, float]] = []
+    fired: list[tuple[int, float]] = []  # (round, virtual time it fired)
 
     def round_hook(k: int, model: ModelParameters, now: float) -> None:
-        round_rows.append((k, now - state["last_fire"]))
-        state["last_fire"] = now
-        if should_eval(k):
-            acc = evaluate(model, world.spec, test_X, test_y)
-            ledger.record_eval(now, k, acc, 0.0, engine.bytes_total, engine.train_seconds_total)
+        fired.append((k, now))
+        if _should_eval(cfg, k):
+            r.record_eval(now, k, [model], engine)
 
-    nodes: dict[str, PlexusNode] = {}
-    for nid in world.membership.nodes:
-        profile = world.membership.profile(nid)
-        node = PlexusNode(
+    nodes = [
+        PlexusNode(
             nid,
             world.membership,
             pcfg,
-            init_model=lambda nid=nid: _init_model(cfg, world.spec, rep, nid),
-            train_fn=lambda k, m, nid=nid: train(nid, k, m),
-            compute_seconds=compute_time(profile, cfg.trainer.local_steps),
+            init_model=partial(r.init, nid),
+            train_fn=partial(r.train, "train", nid),
+            compute_seconds=r.compute_s[nid],
             round_hook=round_hook,
             schedule=schedule,
         )
-        nodes[nid] = node
-        engine.register(nid, node)
-    for nid, node in nodes.items():
-        engine.inject(0.0, nid, node.bootstrap())
-    engine.run(until=cfg.stop.max_virtual_s)
+        for nid in world.membership.nodes
+    ]
+    _run_on_engine(r, engine, nodes, lambda node: node.bootstrap())
 
-    late_by_round: dict[int, int] = {}
-    models_trained = 0
-    for node in nodes.values():
-        models_trained += len(node.trained_rounds)
-        for k, c in node.late_by_round.items():
-            late_by_round[k] = late_by_round.get(k, 0) + c
-    for k, dur in round_rows:
-        ledger.record_round(k, dur, min(cfg.sample_size, cfg.n), pcfg.threshold, late_by_round.get(k, 0))
-    ledger.bytes_total = engine.bytes_total
-    ledger.train_seconds_total = engine.train_seconds_total
-    ledger.final_time_s = engine.now
-    ledger.counters = dict(engine.counters)
-    ledger.counters["models_trained"] = float(models_trained)
-    return ledger
+    late_by_round: Counter[int] = Counter()
+    for node in nodes:
+        late_by_round.update(node.late_by_round)
+    last = 0.0
+    for k, now in fired:
+        r.ledger.record_round(k, now - last, min(cfg.sample_size, cfg.n), pcfg.threshold, late_by_round[k])
+        last = now
+    r.ledger.counters["models_trained"] = float(sum(len(node.trained_rounds) for node in nodes))
 
 
 # --------------------------------------------------------------------- fl --
 
 
-def _run_fl(cfg: ExperimentConfig, world: World, rep: int) -> MetricsLedger:
-    ledger = MetricsLedger()
-    parts = _partitions(cfg, world, rep)
-    train = _make_train_fn(cfg, world, parts, rep)
-    should_eval = _eval_cadence(cfg)
-    select = uniform_selector(world.membership, derive_rng(cfg.protocol_seed, "fl-select", rep))
-    steps = cfg.trainer.local_steps
-    model = _init_model(cfg, world.spec, rep, None)
-    t = 0.0
-    bytes_total = 0
-    train_seconds = 0.0
-    models_trained = 0
+def _run_fl(r: _Repetition) -> None:
+    cfg, world, ledger = r.cfg, r.world, r.ledger
+    select = uniform_selector(world.membership, derive_rng(cfg.protocol_seed, "fl-select", r.rep))
+    model = r.init(None)
     for k in range(1, cfg.stop.max_rounds + 1):
         res = fl_round(
             model,
@@ -217,64 +211,38 @@ def _run_fl(cfg: ExperimentConfig, world: World, rep: int) -> MetricsLedger:
             cfg.sample_size,
             cfg.success_fraction,
             select_fn=select,
-            train_fn=train,
-            compute_seconds=lambda nid: compute_time(world.membership.profile(nid), steps),
+            train_fn=partial(r.train, "train"),
+            compute_seconds=r.compute_s.__getitem__,
         )
-        if t + res.duration_s > cfg.stop.max_virtual_s:
+        if ledger.final_time_s + res.duration_s > cfg.stop.max_virtual_s:
             break
-        t += res.duration_s
-        bytes_total += res.bytes
-        train_seconds += res.train_seconds
-        models_trained += len(res.participants)
+        ledger.final_time_s += res.duration_s
+        ledger.bytes_total += res.bytes
+        ledger.train_seconds_total += res.train_seconds
         model = res.model
         ledger.record_round(k, res.duration_s, len(res.participants), res.aggregated, res.late)
-        if should_eval(k):
-            acc = evaluate(model, world.spec, world.dataset.X_test, world.dataset.y_test)
-            ledger.record_eval(t, k, acc, 0.0, bytes_total, train_seconds)
-    ledger.bytes_total = bytes_total
-    ledger.train_seconds_total = train_seconds
-    ledger.final_time_s = t
+        if _should_eval(cfg, k):
+            r.record_eval(ledger.final_time_s, k, [model], ledger)
     ledger.counters = {
-        "models_trained": float(models_trained),
-        "late_models": float(sum(r.late_models for r in ledger.rounds)),
+        "models_trained": float(sum(rec.participants for rec in ledger.rounds)),
+        "late_models": float(sum(rec.late_models for rec in ledger.rounds)),
     }
-    return ledger
 
 
 # ------------------------------------------------------------------ dpsgd --
 
 
-def _run_dpsgd(cfg: ExperimentConfig, world: World, rep: int) -> MetricsLedger:
-    ledger = MetricsLedger()
-    parts = _partitions(cfg, world, rep)
-    train = _make_train_fn(cfg, world, parts, rep)
+def _run_dpsgd(r: _Repetition) -> None:
+    cfg, world, ledger = r.cfg, r.world, r.ledger
     n = cfg.n
     if cfg.topology.kind == "regular":
         topology = make_regular_topology(n, cfg.topology.degree, cfg.topology.seed)
     else:
         topology = OnePeerExponential(n)
-    steps = cfg.trainer.local_steps
-    compute_secs = [
-        compute_time(world.membership.profile(nid), steps) for nid in world.membership.nodes
-    ]
-    models = [
-        _init_model(cfg, world.spec, rep, nid if not cfg.shared_init else None)
-        for nid in world.membership.nodes
-    ]
     node_ids = world.membership.nodes
-    t = 0.0
-    bytes_total = 0
-    train_seconds = 0.0
+    compute_secs = [r.compute_s[nid] for nid in node_ids]
+    models = [r.init(nid) for nid in node_ids]
     next_cp = cfg.eval.every_seconds
-
-    def eval_all(at: float, current: list[ModelParameters], round_no: int) -> None:
-        accs = [
-            evaluate(m, world.spec, world.dataset.X_test, world.dataset.y_test) for m in current
-        ]
-        ledger.record_eval(
-            at, round_no, float(np.mean(accs)), float(np.std(accs)), bytes_total, train_seconds
-        )
-
     for k in range(1, cfg.stop.max_rounds + 1):
         res = dpsgd_round(
             models,
@@ -282,86 +250,61 @@ def _run_dpsgd(cfg: ExperimentConfig, world: World, rep: int) -> MetricsLedger:
             topology,
             k,
             world.latency,
-            train_fn=lambda i, k, m: train(node_ids[i], k, m),
+            train_fn=lambda i, k, m: r.train("train", node_ids[i], k, m),
             compute_seconds=compute_secs,
         )
-        t_end = t + res.duration_s
+        t_end = ledger.final_time_s + res.duration_s
         # Checkpoints inside this round observe the models committed before it.
         while next_cp <= min(t_end, cfg.stop.max_virtual_s):
-            eval_all(next_cp, models, k - 1)
+            r.record_eval(next_cp, k - 1, models, ledger)
             next_cp += cfg.eval.every_seconds
         if t_end > cfg.stop.max_virtual_s:
             break
-        t = t_end
+        ledger.final_time_s = t_end
         models = res.models
-        bytes_total += res.bytes
-        train_seconds += res.train_seconds
+        ledger.bytes_total += res.bytes
+        ledger.train_seconds_total += res.train_seconds
         ledger.record_round(k, res.duration_s, n, n, 0)
-    ledger.bytes_total = bytes_total
-    ledger.train_seconds_total = train_seconds
-    ledger.final_time_s = t
     ledger.counters = {"models_trained": float(n * len(ledger.rounds))}
-    return ledger
 
 
 # --------------------------------------------------------------------- gl --
 
 
-def _run_gl(cfg: ExperimentConfig, world: World, rep: int) -> MetricsLedger:
-    ledger = MetricsLedger()
-    parts = _partitions(cfg, world, rep)
-    index_of = {nid: i for i, nid in enumerate(world.membership.nodes)}
+def _run_gl(r: _Repetition) -> None:
+    cfg, world = r.cfg, r.world
     engine = Engine(world.membership, world.latency)
-    steps = cfg.trainer.local_steps
-    train_calls: dict[str, int] = {}
+    train_calls: Counter[str] = Counter()
 
-    def make_train(nid: str) -> Callable[[ModelParameters], ModelParameters]:
-        def train(model: ModelParameters) -> ModelParameters:
-            train_calls[nid] = train_calls.get(nid, 0) + 1
-            rng = derive_rng(cfg.protocol_seed, "gl-train", rep, nid, train_calls[nid])
-            return local_train(model, world.spec, parts[index_of[nid]], cfg.trainer, rng)
+    def train(nid: str, model: ModelParameters) -> ModelParameters:
+        train_calls[nid] += 1
+        return r.train("gl-train", nid, train_calls[nid], model)
 
-        return train
-
-    nodes: dict[str, GossipNode] = {}
-    for nid in world.membership.nodes:
-        profile = world.membership.profile(nid)
-        node = GossipNode(
+    nodes = [
+        GossipNode(
             nid,
             world.membership,
-            model=_init_model(cfg, world.spec, rep, nid if not cfg.shared_init else None),
+            model=r.init(nid),
             timeout_s=cfg.gl_timeout_s,
-            train_fn=make_train(nid),
-            compute_seconds=compute_time(profile, steps),
-            peer_rng=derive_rng(cfg.protocol_seed, "gl-peer", rep, nid),
+            train_fn=partial(train, nid),
+            compute_seconds=r.compute_s[nid],
+            peer_rng=derive_rng(cfg.protocol_seed, "gl-peer", r.rep, nid),
         )
-        nodes[nid] = node
-        engine.register(nid, node)
+        for nid in world.membership.nodes
+    ]
+
+    def start(node: GossipNode) -> list:
         stagger = float(
-            derive_rng(cfg.protocol_seed, "gl-stagger", rep, nid).uniform(0.0, cfg.gl_timeout_s)
+            derive_rng(cfg.protocol_seed, "gl-stagger", r.rep, node.me).uniform(0.0, cfg.gl_timeout_s)
         )
-        engine.inject(0.0, nid, node.initial_effects(stagger))
+        return node.initial_effects(stagger)
 
-    def checkpoint(at: float) -> None:
-        accs = [
-            evaluate(node.model, world.spec, world.dataset.X_test, world.dataset.y_test)
-            for node in nodes.values()
-        ]
-        ledger.record_eval(
-            at, 0, float(np.mean(accs)), float(np.std(accs)),
-            engine.bytes_total, engine.train_seconds_total,
-        )
-
-    horizon = cfg.stop.max_virtual_s
-    cps = [t for t in _multiples(cfg.eval.every_seconds, horizon)]
-    engine.add_checkpoints(cps, checkpoint)
-    engine.run(until=horizon)
-    ledger.bytes_total = engine.bytes_total
-    ledger.train_seconds_total = engine.train_seconds_total
-    ledger.final_time_s = engine.now
-    ledger.counters = dict(engine.counters)
-    ledger.counters["models_trained"] = float(sum(train_calls.values()))
-    return ledger
+    engine.add_checkpoints(
+        _multiples(cfg.eval.every_seconds, cfg.stop.max_virtual_s),
+        lambda at: r.record_eval(at, 0, [node.model for node in nodes], engine),
+    )
+    _run_on_engine(r, engine, nodes, start)
+    r.ledger.counters["models_trained"] = float(sum(train_calls.values()))
 
 
 def _multiples(step: float, horizon: float) -> list[float]:
@@ -385,7 +328,9 @@ _RUNNERS = {
 
 
 def run_single(cfg: ExperimentConfig, world: World, rep: int) -> MetricsLedger:
-    return _RUNNERS[cfg.algorithm](cfg, world, rep)
+    r = _Repetition(cfg, world, rep)
+    _RUNNERS[cfg.algorithm](r)
+    return r.ledger
 
 
 def run_experiment(
@@ -419,13 +364,7 @@ def run_experiment(
                 "train_seconds_total": ledger.train_seconds_total,
                 "rounds_completed": len(ledger.rounds),
                 "round_stats": (
-                    None
-                    if not durations
-                    else {
-                        k: v
-                        for k, v in round_duration_stats(durations).__dict__.items()
-                        if not k.startswith("hist")
-                    }
+                    None if not durations else asdict(round_duration_stats(durations))
                 ),
                 "targets": per_target,
             }

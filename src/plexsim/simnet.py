@@ -101,7 +101,6 @@ class TransferRecord:
     bytes_done: float = 0.0
     rate: float = 0.0
     epoch: int = 0
-    est_completion: float = float("inf")
 
 
 # -------------------------------------------------------------- latency --
@@ -214,6 +213,8 @@ class Engine:
         self._last_advance = 0.0
         self._checkpoints: list[float] = []
         self._checkpoint_cb: Optional[Callable[[float], None]] = None
+        self._uplink = {nid: membership.profile(nid).uplink_bps for nid in membership.nodes}
+        self._downlink = {nid: membership.profile(nid).downlink_bps for nid in membership.nodes}
         for nid in membership.nodes:
             if membership.profile(nid).city_index >= len(latency.cities):
                 raise ValueError(f"node {nid} assigned to a city outside the matrix")
@@ -375,17 +376,15 @@ class Engine:
         flows = [(rec.tid, rec.src, rec.dst) for rec in self._transfers.values()]
         if not flows:
             return
-        up = {nid: self.membership.profile(nid).uplink_bps for nid in self.membership.nodes}
-        down = {nid: self.membership.profile(nid).downlink_bps for nid in self.membership.nodes}
-        rates = maxmin_rates(flows, up, down)
+        rates = maxmin_rates(flows, self._uplink, self._downlink)
         for rec in self._transfers.values():
             rec.rate = rates[rec.tid]
             if rec.rate <= 0:
                 raise SimulationError(f"transfer {rec.tid} got zero rate")
             rec.epoch += 1
             remaining = max(0.0, rec.total_bytes - rec.bytes_done)
-            rec.est_completion = self.now + remaining / rec.rate
-            self._schedule(rec.est_completion, TransferRateRecompute(rec.tid, rec.epoch))
+            est_completion = self.now + remaining / rec.rate
+            self._schedule(est_completion, TransferRateRecompute(rec.tid, rec.epoch))
 
     def _on_transfer_event(self, ev: TransferRateRecompute) -> None:
         rec = self._transfers.get(ev.tid)
@@ -405,9 +404,3 @@ class Engine:
             Deliver(rec.dst, rec.src, rec.msg, int(rec.total_bytes)),
         )
         self._recompute_rates()
-
-    # -- introspection used by tests and the metrics layer --
-
-    @property
-    def active_transfers(self) -> list[TransferRecord]:
-        return list(self._transfers.values())

@@ -79,10 +79,6 @@ def test_round_duration_stats():
     assert st.p50 == pytest.approx(1.5)
     assert st.max == 10.0
     assert st.p95 >= 2.0
-    assert len(st.hist_counts) == 20
-    assert len(st.hist_edges) == 21
-    assert st.hist_edges[0] == 0.0 and st.hist_edges[-1] == 10.0
-    assert sum(st.hist_counts) == 100
     with pytest.raises(ValueError):
         round_duration_stats([])
 

@@ -262,6 +262,37 @@ def test_every_runner_is_deterministic(algorithm):
     assert fingerprint() == fingerprint()
 
 
+@pytest.mark.parametrize("algorithm", ["plexus", "fl", "dpsgd", "gl"])
+def test_every_runner_keeps_totals_consistent(algorithm):
+    # The shared repetition skeleton owns evaluation and totals: each
+    # accuracy row snapshots totals that only grow, the final totals cover
+    # the last snapshot, and a single global model has no spread.
+    kw = dict(
+        stop=StopConfig(max_rounds=6, max_virtual_s=1e7),
+        eval=EvalConfig(every_rounds=1, every_seconds=2.0),
+    )
+    if algorithm == "dpsgd":
+        kw["topology"] = TopologyConfig(kind="regular", degree=2, seed=1)
+    if algorithm == "gl":
+        kw["gl_timeout_s"] = 30.0
+        kw["stop"] = StopConfig(max_rounds=6, max_virtual_s=200.0)
+        kw["eval"] = EvalConfig(every_rounds=1, every_seconds=50.0)
+    cfg = tiny_cfg(algorithm=algorithm, **kw)
+    led = run_single(cfg, build_world(cfg), 0)
+    assert len(led.accuracy) >= 2
+    last = led.accuracy[-1]
+    assert led.final_time_s >= last.time_s
+    assert led.bytes_total >= last.bytes_total
+    assert led.train_seconds_total >= last.train_seconds_total
+    for a, b in zip(led.accuracy, led.accuracy[1:]):
+        assert a.time_s <= b.time_s
+        assert a.bytes_total <= b.bytes_total
+        assert a.train_seconds_total <= b.train_seconds_total
+    assert led.counters["models_trained"] > 0
+    if algorithm in ("plexus", "fl"):
+        assert all(p.accuracy_std == 0.0 for p in led.accuracy)
+
+
 def test_repetitions_differ_but_seeds_pin_them():
     cfg = tiny_cfg()
     world = build_world(cfg)
