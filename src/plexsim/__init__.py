@@ -34,6 +34,7 @@ from .learning import (
     PartitionScheme,
     TrainerConfig,
     evaluate,
+    evaluate_many,
     local_train,
     partition,
     synth_dataset,

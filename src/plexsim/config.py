@@ -17,6 +17,9 @@ from .learning import ModelSpec, PartitionScheme, TrainerConfig
 from .protocol import success_threshold
 
 ALGORITHMS = ("plexus", "fl", "dpsgd", "gl")
+# The families with class logits; ModelSpec's ``squared`` family is for
+# gradient checks only and cannot be evaluated.
+MODEL_FAMILIES = ("linear", "mlp")
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.model_family not in MODEL_FAMILIES:
+            raise ValueError(
+                f"unknown model_family {self.model_family!r}; pick from {MODEL_FAMILIES}"
+            )
         if self.algorithm in ("plexus", "fl"):
             if not (1 <= self.sample_size <= self.n):
                 raise ValueError(

@@ -32,7 +32,7 @@ from .core import Membership, ModelParameters, derive_rng
 from .learning import (
     Dataset,
     ModelSpec,
-    evaluate,
+    evaluate_many,
     local_train,
     partition,
     synth_dataset,
@@ -131,7 +131,7 @@ class _Repetition:
         """Record the mean and std accuracy of ``models`` with the byte and
         training-second totals ``totals`` (the ledger or the engine) hold now."""
         ds = self.world.dataset
-        accs = [evaluate(m, self.world.spec, ds.X_test, ds.y_test) for m in models]
+        accs = evaluate_many(models, self.world.spec, ds.X_test, ds.y_test)
         self.ledger.record_eval(
             at, round_no, float(np.mean(accs)), float(np.std(accs)),
             totals.bytes_total, totals.train_seconds_total,

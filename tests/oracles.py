@@ -134,6 +134,57 @@ def fedavg_reference(theta0, rounds, participants_fn, train_fn):
     return history
 
 
+# ------------------------------------------------------------ evaluation --
+
+
+def evaluate_reference(models, spec, X, y) -> list:
+    """Top-1 accuracy of each model in turn: unpack its vector, compute its
+    logits over all of X with one matrix product per layer and take the
+    first maximal class of every row."""
+    if y.size == 0:
+        raise ValueError("empty test set")
+    c, d, h = spec.classes, spec.d_in, spec.hidden
+    accs = []
+    for model in models:
+        theta = model.values
+        if spec.family == "linear":
+            W, b = theta[: c * d].reshape(c, d), theta[c * d:]
+            z = X @ W.T + b
+        elif spec.family == "mlp":
+            o = h * d
+            W1, b1 = theta[:o].reshape(h, d), theta[o : o + h]
+            W2, b2 = theta[o + h : o + h + c * h].reshape(c, h), theta[o + h + c * h:]
+            z = np.tanh(X @ W1.T + b1) @ W2.T + b2
+        else:
+            raise ValueError("squared family has no class logits")
+        accs.append(float(np.mean(z.argmax(axis=1) == y)))
+    return accs
+
+
+# --------------------------------------------------------------- training --
+
+
+def local_train_reference(model, spec, part, cfg, rng):
+    """Minibatch SGD with a momentum buffer on every step, taking the
+    gradient from ``loss_grad`` and dropping the loss."""
+    if len(part) == 0:
+        raise ValueError("cannot train on an empty shard")
+    theta = model.values.copy()
+    velocity = np.zeros_like(theta)
+    m = len(part)
+    for _ in range(cfg.local_steps):
+        if m >= cfg.batch_size:
+            idx = rng.choice(m, size=cfg.batch_size, replace=False)
+        else:
+            idx = rng.integers(0, m, size=cfg.batch_size)
+        _, grad = spec.loss_grad(theta, part.X[idx], part.y[idx])
+        velocity = cfg.momentum * velocity + grad
+        theta = theta - cfg.eta * velocity
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("divergence: reduce eta")
+    return model.with_values(theta, age=model.age + cfg.local_steps)
+
+
 # ------------------------------------------------------------- gradients --
 
 

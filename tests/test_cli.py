@@ -57,6 +57,17 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("family", ["squared", "foo"])
+def test_run_validate_rejects_unknown_model_family(tmp_path, capsys, family):
+    cfg = write_cfg(tmp_path, model_family=family)
+    rc = main(["run", cfg, "--validate"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "model_family" in captured.err
+
+
 def test_run_missing_config(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.yaml")])
     assert rc == 2

@@ -88,6 +88,22 @@ def test_section_validation_bubbles_up():
         TopologyConfig(kind="star")
 
 
+@pytest.mark.parametrize("family", ["squared", "foo", "Linear", ""])
+def test_model_family_must_be_evaluable(family):
+    # squared is a ModelSpec family for gradient checks; it has no class
+    # logits, so a run with it could not record a single accuracy.
+    with pytest.raises(ValueError, match="model_family"):
+        minimal(model_family=family)
+    with pytest.raises(ValueError, match="model_family"):
+        config_from_dict({"algorithm": "dpsgd", "n": 4, "model_family": family,
+                          "topology": {"degree": 2}})
+
+
+@pytest.mark.parametrize("family", ["linear", "mlp"])
+def test_model_family_accepts_the_classifiers(family):
+    assert minimal(model_family=family).model_spec().family == family
+
+
 def test_model_spec_inherits_dataset_shape():
     cfg = minimal(
         model_family="mlp",

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from plexsim import learning
 from plexsim.core import ModelParameters, derive_rng
 from plexsim.learning import (
     DataPartition,
@@ -8,12 +11,13 @@ from plexsim.learning import (
     PartitionScheme,
     TrainerConfig,
     evaluate,
+    evaluate_many,
     local_train,
     partition,
     synth_dataset,
 )
 
-from oracles import finite_difference_grad
+from oracles import evaluate_reference, finite_difference_grad, local_train_reference
 
 
 LINEAR = ModelSpec("linear", d_in=4, classes=3)
@@ -146,6 +150,81 @@ def test_local_train_rejects_empty_shard_and_divergence():
             TrainerConfig(eta=1e9, batch_size=1, local_steps=50),
             derive_rng(0),
         )
+
+
+def bits(a):
+    """The raw 64-bit patterns, so -0.0 and +0.0 compare unequal."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def training_inputs(family, shard, scale, zero_share, seed):
+    """A 3-input spec, a parameter vector with a share of -0.0 entries (a
+    large scale saturates the mlp's tanh units) and a shard whose inputs and
+    squared-family targets hold zeros too."""
+    spec = ModelSpec(family, d_in=3, classes=3, hidden=4)
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(0.0, scale, spec.dim)
+    theta[rng.random(spec.dim) < zero_share] = -0.0
+    X = rng.normal(size=(shard, 3))
+    X[rng.random(X.shape) < zero_share / 2] = 0.0
+    if family == "squared":
+        y = np.where(rng.random(shard) < zero_share, 0.0, rng.normal(size=shard))
+    else:
+        y = rng.integers(0, 3, shard)
+    return spec, theta, X, y
+
+
+training_cases = dict(
+    family=st.sampled_from(["linear", "mlp", "squared"]),
+    shard=st.integers(1, 12),
+    scale=st.sampled_from([0.0, 0.1, 1.0, 40.0]),
+    zero_share=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(**training_cases)
+@example(family="mlp", shard=1, scale=40.0, zero_share=0.5, seed=3)
+@settings(max_examples=150, deadline=None)
+def test_grad_is_loss_grad_without_the_loss(family, shard, scale, zero_share, seed):
+    spec, theta, X, y = training_inputs(family, shard, scale, zero_share, seed)
+    with np.errstate(all="ignore"):
+        grad = spec.grad(theta, X, y)
+        _, want = spec.loss_grad(theta, X, y)
+    assert np.array_equal(bits(grad), bits(want))
+
+
+@given(
+    momentum=st.sampled_from([0.0, 0.9]),
+    eta=st.sampled_from([0.0, 0.05, 0.5]),
+    batch_size=st.integers(1, 8),
+    local_steps=st.integers(0, 4),
+    **training_cases,
+)
+@example(momentum=0.0, eta=0.05, batch_size=1, local_steps=3,
+         family="mlp", shard=1, scale=40.0, zero_share=0.5, seed=3)
+@settings(max_examples=200, deadline=None)
+def test_local_train_matches_the_reference_bit_for_bit(
+    momentum, eta, batch_size, local_steps, family, shard, scale, zero_share, seed
+):
+    spec, theta, X, y = training_inputs(family, shard, scale, zero_share, seed)
+    part = DataPartition(X, y)
+    cfg = TrainerConfig(eta=eta, momentum=momentum, batch_size=batch_size, local_steps=local_steps)
+    model = ModelParameters(theta, age=2)
+    outcomes = []
+    for train in (local_train, local_train_reference):
+        with np.errstate(all="ignore"):
+            try:
+                outcomes.append(train(model, spec, part, cfg, derive_rng(seed, "sgd")))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(bits(got.values), bits(want.values))
+        assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+        assert got.age == want.age == 2 + local_steps
 
 
 def test_training_reduces_loss_on_separable_data():
@@ -302,3 +381,125 @@ def test_evaluate_counts_top1():
     assert acc == pytest.approx(0.75)
     with pytest.raises(ValueError, match="empty test set"):
         evaluate(ModelParameters(theta), spec, X[:0], y[:0])
+
+
+def with_tied_classes(spec, theta, src, dst, ulps=0):
+    """Copy class ``src``'s output weights and bias onto class ``dst``, so
+    the two classes' logits tie on every row; ``ulps`` then moves the bias of
+    ``dst`` that many steps away, which leaves a near tie that rounding may
+    turn either way."""
+    c, d, h = spec.classes, spec.d_in, spec.hidden
+    width, start = (d, 0) if spec.family == "linear" else (h, h * d + h)
+    rows = theta[start : start + c * width].reshape(c, width)
+    bias = theta[start + c * width : start + c * width + c]
+    rows[dst] = rows[src]
+    bias[dst] = bias[src]
+    for _ in range(abs(ulps)):
+        bias[dst] = np.nextafter(bias[dst], np.inf if ulps > 0 else -np.inf)
+    return theta
+
+
+def block_models(spec):
+    return learning._EVAL_COLS // (spec.classes if spec.family == "linear" else spec.hidden)
+
+
+@given(
+    family=st.sampled_from(["linear", "mlp"]),
+    d_in=st.integers(1, 40),
+    classes=st.integers(2, 5),
+    hidden=st.integers(1, 6),
+    n_models=st.sampled_from(["none", "one", "block-1", "block", "block+1", "blocks"]),
+    rows=st.sampled_from([1, 2, learning._EVAL_ROWS - 1, learning._EVAL_ROWS,
+                          learning._EVAL_ROWS + 1, 2 * learning._EVAL_ROWS + 1])
+    | st.integers(1, 3 * learning._EVAL_ROWS),
+    ties=st.sampled_from(["none", "duplicate", "near", "zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_evaluate_many_equals_the_per_model_loop(
+    family, d_in, classes, hidden, n_models, rows, ties, seed
+):
+    spec = ModelSpec(family, d_in=d_in, classes=classes, hidden=hidden)
+    per = block_models(spec)
+    count = {"none": 0, "one": 1, "block-1": max(per - 1, 1), "block": per,
+             "block+1": per + 1, "blocks": 2 * per + 3}[n_models]
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(rows, d_in))
+    X[rng.random(rows) < 0.1] = 0.0
+    y = rng.integers(0, classes, rows)
+    thetas = rng.normal(size=(count, spec.dim))
+    for theta in thetas[::2]:
+        if ties in ("duplicate", "near"):
+            src, dst = rng.choice(classes, size=2, replace=False)
+            ulps = int(rng.integers(-3, 4)) if ties == "near" else 0
+            with_tied_classes(spec, theta, src, dst, ulps)
+        elif ties == "zero":
+            theta[:] = 0.0
+    models = [ModelParameters(theta) for theta in thetas]
+    assert evaluate_many(models, spec, X, y) == evaluate_reference(models, spec, X, y)
+
+
+def count_solo_scores(monkeypatch):
+    calls = []
+    solo = ModelSpec.logits
+
+    def counting(self, theta, X):
+        calls.append(theta.shape)
+        return solo(self, theta, X)
+
+    monkeypatch.setattr(ModelSpec, "logits", counting)
+    return calls
+
+
+def test_evaluate_many_breaks_ties_at_the_first_class(monkeypatch):
+    spec = ModelSpec("linear", d_in=2, classes=4)
+    X = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, -1.0], [0.5, 0.5], [1.0, 2.0]])
+    y = np.array([0, 1, 2, 3, 2])
+    zero = ModelParameters(np.zeros(spec.dim))
+    # Classes 3 and 2 lead together on every row with x0 > 0: class 2 wins.
+    lead = np.zeros(spec.dim)
+    lead[3 * 2] = 5.0
+    lead = ModelParameters(with_tied_classes(spec, lead, 3, 2))
+    plain = ModelParameters(np.random.default_rng(0).normal(size=spec.dim))
+    calls = count_solo_scores(monkeypatch)
+    accs = evaluate_many([zero, plain, lead], spec, X, y)
+    assert accs[0] == 1 / 5 and accs[2] == 2 / 5
+    assert accs == evaluate_reference([zero, plain, lead], spec, X, y)
+    assert len(calls) == 2  # only the two tied models were rescored alone
+
+
+def test_evaluate_many_scores_desk_shaped_models_in_blocks(monkeypatch):
+    # The desk world's shapes: no row is near a tie, so no model is
+    # rescored alone, and every accuracy equals the per-model loop's.
+    ds = synth_dataset(seed=1, n_samples=2000, d_in=256, classes=10, class_sep=0.185)
+    spec = ModelSpec("linear", d_in=256, classes=10)
+    part = DataPartition(ds.X_train, ds.y_train)
+    models = [
+        local_train(spec.init_model(derive_rng(i, "init")), spec, part, TrainerConfig(), derive_rng(i))
+        for i in range(block_models(spec) + 5)
+    ]
+    calls = count_solo_scores(monkeypatch)
+    accs = evaluate_many(models, spec, ds.X_test, ds.y_test)
+    assert calls == []
+    assert accs == evaluate_reference(models, spec, ds.X_test, ds.y_test)
+
+
+def test_evaluate_many_rejects_squared_and_empty_test_sets():
+    X, y = toy_batch(LINEAR)
+    model = LINEAR.init_model(derive_rng(0))
+    for models in ([], [model]):
+        with pytest.raises(ValueError, match="no class logits"):
+            evaluate_many(models, SQUARED, X[:, :2], y)
+        with pytest.raises(ValueError, match="empty test set"):
+            evaluate_many(models, LINEAR, X[:0], y[:0])
+    with pytest.raises(ValueError, match="no class logits"):
+        evaluate(ModelParameters(np.zeros(2)), SQUARED, X[:, :2], y)
+
+
+@pytest.mark.parametrize("label", [-1, LINEAR.classes])
+def test_evaluate_many_rejects_labels_outside_the_classes(label):
+    # A label no class index can match would otherwise be read as a class.
+    X, y = toy_batch(LINEAR)
+    y[3] = label
+    with pytest.raises(ValueError, match="labels"):
+        evaluate_many([LINEAR.init_model(derive_rng(0))], LINEAR, X, y)

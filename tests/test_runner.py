@@ -13,7 +13,14 @@ from plexsim.config import (
     TracesConfig,
 )
 from plexsim.core import derive_rng
-from plexsim.learning import PartitionScheme, TrainerConfig, evaluate, local_train, partition
+from plexsim.learning import (
+    PartitionScheme,
+    TrainerConfig,
+    evaluate,
+    evaluate_many,
+    local_train,
+    partition,
+)
 from plexsim.runner import (
     _init_model,
     build_membership_from_config,
@@ -133,6 +140,43 @@ def test_run_plexus_samples_each_round_once(monkeypatch):
     led = run_single(cfg, build_world(cfg), 0)
     assert len(led.rounds) == rounds
     assert sorted(calls) == list(range(1, rounds + 2))
+
+
+@pytest.mark.parametrize("algorithm", ["dpsgd", "gl"])
+def test_runners_score_all_models_of_a_checkpoint_in_one_call(monkeypatch, algorithm):
+    # Every checkpoint scores all n models with one evaluate_many call;
+    # nothing scores a model alone through evaluate.
+    batches = []
+
+    def counting(models, spec, X, y):
+        batches.append(len(models))
+        return evaluate_many(models, spec, X, y)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-model evaluate called")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("plexsim"):
+            if getattr(mod, "evaluate_many", None) is evaluate_many:
+                monkeypatch.setattr(mod, "evaluate_many", counting)
+            if getattr(mod, "evaluate", None) is evaluate:
+                monkeypatch.setattr(mod, "evaluate", forbidden)
+    if algorithm == "dpsgd":
+        cfg = tiny_cfg(
+            algorithm="dpsgd",
+            topology=TopologyConfig(kind="regular", degree=2, seed=1),
+            eval=EvalConfig(every_rounds=2, every_seconds=1.0),
+        )
+    else:
+        cfg = tiny_cfg(
+            algorithm="gl",
+            gl_timeout_s=30.0,
+            stop=StopConfig(max_rounds=4, max_virtual_s=300.0),
+            eval=EvalConfig(every_rounds=2, every_seconds=100.0),
+        )
+    led = run_single(cfg, build_world(cfg), 0)
+    assert len(led.accuracy) >= 3
+    assert batches == [cfg.n] * len(led.accuracy)
 
 
 def test_run_plexus_partial_rounds_count_late_models():
