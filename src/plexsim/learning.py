@@ -80,12 +80,11 @@ class ModelSpec:
 
     def _unpack_mlp(self, theta: np.ndarray):
         h, d, c = self.hidden, self.d_in, self.classes
-        lead = theta.shape[:-1]
         o = 0
-        W1 = theta[..., o : o + h * d].reshape(*lead, h, d); o += h * d
-        b1 = theta[..., o : o + h]; o += h
-        W2 = theta[..., o : o + c * h].reshape(*lead, c, h); o += c * h
-        b2 = theta[..., o : o + c]
+        W1 = theta[o : o + h * d].reshape(h, d); o += h * d
+        b1 = theta[o : o + h]; o += h
+        W2 = theta[o : o + c * h].reshape(c, h); o += c * h
+        b2 = theta[o : o + c]
         return W1, b1, W2, b2
 
     def logits(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -98,58 +97,6 @@ class ModelSpec:
             hidden = np.tanh(X @ W1.T + b1)
             return hidden @ W2.T + b2
         raise ValueError("squared family has no class logits")
-
-    def _stacked_logits(self, thetas: np.ndarray, X: np.ndarray, chunk: int):
-        """Class logits of a (models, dim) stack of linear or mlp parameter
-        vectors on X, yielded per chunk of ``chunk`` rows as (first row, logits shaped
-        (classes, models, rows)). The stacked weights are built once; each
-        chunk's first layer is one GEMM against all of them, so a logit may
-        differ in its last bits from ``logits``, by at most
-        ``_logit_error_bound``."""
-        B = thetas.shape[0]
-        if self.family == "linear":
-            W, b = self._unpack_linear(thetas)
-            # Class-major stacking: row j * B + i holds class j of model i.
-            W = W.transpose(1, 0, 2).reshape(-1, self.d_in)
-            b = b.T.reshape(-1, 1)
-            for lo in range(0, X.shape[0], chunk):
-                z = W @ X[lo : lo + chunk].T
-                z += b
-                yield lo, z.reshape(self.classes, B, -1)
-        else:
-            W1, b1, W2, b2 = self._unpack_mlp(thetas)
-            W1, b1, b2 = W1.reshape(-1, self.d_in), b1.reshape(-1, 1), b2[:, :, None]
-            for lo in range(0, X.shape[0], chunk):
-                a = W1 @ X[lo : lo + chunk].T
-                a += b1
-                z = W2 @ np.tanh(a).reshape(B, self.hidden, -1) + b2
-                yield lo, z.transpose(1, 0, 2)
-
-    def _logit_error_bound(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per model, (slope, offset) such that two ``logits`` evaluations of
-        a row x that sum in different orders lie at most slope * |x| + offset
-        apart. A length-n dot product plus a bias is off by at most
-        gamma_{n+2} = (n+2)u/(1-(n+2)u) times sum |x_k w_k| + |b| <= |x| |w| + |b|
-        in any order (Higham, Accuracy and Stability of Numerical Algorithms,
-        2002, section 3.1), plus (n+2)u times the least normal number for
-        products that underflow; the bound doubles that twice, for the two
-        evaluations and for slack. tanh is 1-Lipschitz and |tanh| <= 1, and
-        numpy's loops for it may differ by a few ulps."""
-        u, least = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny
-
-        def slack(n: int) -> float:
-            return 4.0 * (n + 2) * u
-
-        if self.family == "linear":
-            W, b = self._unpack_linear(thetas)
-            w = np.linalg.norm(W, axis=2).max(axis=1)
-            return slack(self.d_in) * w, slack(self.d_in) * (np.abs(b).max(axis=1) + least)
-        W1, b1, W2, b2 = self._unpack_mlp(thetas)
-        w1 = np.linalg.norm(W1, axis=2).max(axis=1)
-        w2 = np.abs(W2).sum(axis=2).max(axis=1)  # the largest row 1-norm
-        hidden_offset = slack(self.d_in) * (np.abs(b1).max(axis=1) + least) + 16 * u
-        out_offset = slack(self.hidden) * (w2 + np.abs(b2).max(axis=1) + least)
-        return w2 * slack(self.d_in) * w1, w2 * hidden_offset + out_offset
 
     def loss_grad(self, theta: np.ndarray, X: np.ndarray, y: np.ndarray):
         """Mean loss over the batch and its gradient as a flat vector.
@@ -393,10 +340,10 @@ def evaluate(model: ModelParameters, spec: ModelSpec, X: np.ndarray, y: np.ndarr
     return evaluate_many([model], spec, X, y)[0]
 
 
-# Evaluation tiles: one GEMM multiplies the stacked first-layer weight rows
-# of as many models as fit in _EVAL_COLS by at most _EVAL_ROWS test rows.
-# On the desk shapes (256 inputs, 10 classes) a block's weights, logits and
-# masks stay near 1 MB; larger tiles were no faster.
+# Evaluation tiles: one GEMM multiplies the stacked weight rows of as many
+# linear models as fit in _EVAL_COLS by at most _EVAL_ROWS test rows. On the
+# desk shapes (256 inputs, 10 classes) a block's weights, logits and masks
+# stay near 1 MB; larger tiles were no faster.
 _EVAL_ROWS = 256
 _EVAL_COLS = 128
 
@@ -407,31 +354,42 @@ def evaluate_many(
     """Top-1 accuracy of each model on the given split, equal float for float
     to scoring each model alone with ``logits`` over all of X.
 
-    The models are scored in blocks with ``_stacked_logits``, one GEMM per
-    chunk of test rows. A row's prediction is certain when one class leads
-    every other by more than twice ``_logit_error_bound``: no summation order
-    can then change it. A model with an uncertain row (a near tie or a
-    non-finite logit) is rescored alone with ``logits``, so ties break as
-    they always did, at the first maximal class. Correct predictions are
-    counted as integers and divided by the row count once."""
+    Linear models are scored in blocks, one GEMM per chunk of test rows. A
+    row's prediction is certain when one class leads every other by more
+    than twice ``_linear_logit_error_bound``: no summation order can then
+    change it. A model with an uncertain row (a near tie or a non-finite
+    logit) is rescored alone with ``logits``, so ties break as they always
+    did, at the first maximal class. MLP models are always scored alone.
+    Correct predictions are counted as integers and divided by the row
+    count once."""
     if spec.family == "squared":
         raise ValueError("squared family has no class logits")
     if y.size == 0:
         raise ValueError("empty test set")
     if y.min() < 0 or y.max() >= spec.classes:
         raise ValueError(f"test labels must lie in [0, {spec.classes})")
-    width = spec.classes if spec.family == "linear" else spec.hidden
-    per_block = max(1, _EVAL_COLS // width)
+    if spec.family != "linear":
+        return [_count_correct(spec, m.values, X, y) / y.size for m in models]
+    c = spec.classes
+    per_block = max(1, _EVAL_COLS // c)
     row_norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     accs: list[float] = []
     for first in range(0, len(models), per_block):
         thetas = np.stack([m.values for m in models[first : first + per_block]])
+        B = len(thetas)
+        W, b = spec._unpack_linear(thetas)
         # Within a bound each, a rival class may gain while the leader loses.
-        slope, offset = (2.0 * v for v in spec._logit_error_bound(thetas))
-        correct = np.zeros(len(thetas), dtype=np.int64)
-        unsure = np.zeros(len(thetas), dtype=bool)
-        for lo, z in spec._stacked_logits(thetas, X, _EVAL_ROWS):
-            hi = lo + z.shape[2]
+        slope, offset = (2.0 * v for v in _linear_logit_error_bound(W, b))
+        # Class-major stacking: row j * B + i holds class j of model i.
+        W = W.transpose(1, 0, 2).reshape(c * B, spec.d_in)
+        b = b.T.reshape(c * B, 1)
+        correct = np.zeros(B, dtype=np.int64)
+        unsure = np.zeros(B, dtype=bool)
+        for lo in range(0, X.shape[0], _EVAL_ROWS):
+            hi = min(lo + _EVAL_ROWS, X.shape[0])
+            z = W @ X[lo:hi].T
+            z += b
+            z = z.reshape(c, B, hi - lo)
             top = z.max(axis=0)
             floor = top - np.outer(slope, row_norms[lo:hi]) - offset[:, None]
             leaders = np.count_nonzero(z >= floor, axis=0)
@@ -439,7 +397,27 @@ def evaluate_many(
             correct += np.count_nonzero(hit & (leaders == 1), axis=1)
             unsure |= np.any((leaders != 1) | ~np.isfinite(top), axis=1)
         for i in np.flatnonzero(unsure):
-            pred = spec.logits(thetas[i], X).argmax(axis=1)
-            correct[i] = np.count_nonzero(pred == y)
-        accs.extend(int(c) / y.size for c in correct)
+            correct[i] = _count_correct(spec, thetas[i], X, y)
+        accs.extend(int(k) / y.size for k in correct)
     return accs
+
+
+def _count_correct(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> int:
+    """Rows of X whose first maximal class under ``logits`` is their label."""
+    return int(np.count_nonzero(spec.logits(theta, X).argmax(axis=1) == y))
+
+
+def _linear_logit_error_bound(W: np.ndarray, b: np.ndarray):
+    """Per model of a stack of linear weights W (models, classes, inputs)
+    and biases b (models, classes), (slope, offset) such that two
+    evaluations of a logit of row x that sum in different orders lie at most
+    slope * |x| + offset apart. A length-n dot product plus a bias is off by
+    at most gamma_{n+2} = (n+2)u/(1-(n+2)u) times sum |x_k w_k| + |b| <=
+    |x| |w| + |b| in any order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.1), plus (n+2)u times the least normal
+    number for products that underflow; the bound doubles that twice, for
+    the two evaluations and for slack."""
+    u, least = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny
+    slack = 4.0 * (W.shape[2] + 2) * u
+    w = np.linalg.norm(W, axis=2).max(axis=1)
+    return slack * w, slack * (np.abs(b).max(axis=1) + least)

@@ -164,9 +164,42 @@ def evaluate_reference(models, spec, X, y) -> list:
 # --------------------------------------------------------------- training --
 
 
+def loss_grad_reference(spec, theta, X, y):
+    """Mean batch loss and its gradient, each layer unpacked and
+    differentiated inline: cross-entropy of the softmax for classifiers,
+    0.5*(Xw - y)^2 for squared."""
+    m = X.shape[0]
+    if spec.family == "squared":
+        resid = X @ theta - y
+        return 0.5 * float(np.mean(resid**2)), X.T @ resid / m
+    c, d, h = spec.classes, spec.d_in, spec.hidden
+    if spec.family == "linear":
+        W, b = theta[: c * d].reshape(c, d), theta[c * d:]
+        z = X @ W.T + b
+    else:
+        o = h * d
+        W1, b1 = theta[:o].reshape(h, d), theta[o : o + h]
+        W2, b2 = theta[o + h : o + h + c * h].reshape(c, h), theta[o + h + c * h:]
+        hidden = np.tanh(X @ W1.T + b1)
+        z = hidden @ W2.T + b2
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(-np.log(p[np.arange(m), y] + 1e-300)))
+    delta = p
+    delta[np.arange(m), y] -= 1.0
+    delta /= m
+    if spec.family == "linear":
+        return loss, np.concatenate([(delta.T @ X).ravel(), delta.sum(axis=0)])
+    dh = (delta @ W2) * (1.0 - hidden**2)
+    return loss, np.concatenate(
+        [(dh.T @ X).ravel(), dh.sum(axis=0), (delta.T @ hidden).ravel(), delta.sum(axis=0)]
+    )
+
+
 def local_train_reference(model, spec, part, cfg, rng):
     """Minibatch SGD with a momentum buffer on every step, taking the
-    gradient from ``loss_grad`` and dropping the loss."""
+    gradient from ``loss_grad_reference`` and dropping the loss."""
     if len(part) == 0:
         raise ValueError("cannot train on an empty shard")
     theta = model.values.copy()
@@ -177,7 +210,7 @@ def local_train_reference(model, spec, part, cfg, rng):
             idx = rng.choice(m, size=cfg.batch_size, replace=False)
         else:
             idx = rng.integers(0, m, size=cfg.batch_size)
-        _, grad = spec.loss_grad(theta, part.X[idx], part.y[idx])
+        _, grad = loss_grad_reference(spec, theta, part.X[idx], part.y[idx])
         velocity = cfg.momentum * velocity + grad
         theta = theta - cfg.eta * velocity
     if not np.all(np.isfinite(theta)):

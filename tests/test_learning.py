@@ -17,7 +17,12 @@ from plexsim.learning import (
     synth_dataset,
 )
 
-from oracles import evaluate_reference, finite_difference_grad, local_train_reference
+from oracles import (
+    evaluate_reference,
+    finite_difference_grad,
+    local_train_reference,
+    loss_grad_reference,
+)
 
 
 LINEAR = ModelSpec("linear", d_in=4, classes=3)
@@ -186,12 +191,15 @@ training_cases = dict(
 @given(**training_cases)
 @example(family="mlp", shard=1, scale=40.0, zero_share=0.5, seed=3)
 @settings(max_examples=150, deadline=None)
-def test_grad_is_loss_grad_without_the_loss(family, shard, scale, zero_share, seed):
+def test_grad_and_loss_grad_match_the_reference(family, shard, scale, zero_share, seed):
     spec, theta, X, y = training_inputs(family, shard, scale, zero_share, seed)
     with np.errstate(all="ignore"):
+        want_loss, want = loss_grad_reference(spec, theta, X, y)
         grad = spec.grad(theta, X, y)
-        _, want = spec.loss_grad(theta, X, y)
+        loss, loss_grad = spec.loss_grad(theta, X, y)
     assert np.array_equal(bits(grad), bits(want))
+    assert np.array_equal(bits(loss_grad), bits(want))
+    assert bits(loss) == bits(want_loss)
 
 
 @given(
@@ -400,7 +408,7 @@ def with_tied_classes(spec, theta, src, dst, ulps=0):
 
 
 def block_models(spec):
-    return learning._EVAL_COLS // (spec.classes if spec.family == "linear" else spec.hidden)
+    return learning._EVAL_COLS // spec.classes
 
 
 @given(
@@ -482,6 +490,14 @@ def test_evaluate_many_scores_desk_shaped_models_in_blocks(monkeypatch):
     accs = evaluate_many(models, spec, ds.X_test, ds.y_test)
     assert calls == []
     assert accs == evaluate_reference(models, spec, ds.X_test, ds.y_test)
+
+
+def test_evaluate_many_scores_mlp_models_alone(monkeypatch):
+    X, y = toy_batch(MLP)
+    models = [MLP.init_model(derive_rng(i)) for i in range(3)]
+    calls = count_solo_scores(monkeypatch)
+    assert evaluate_many(models, MLP, X, y) == evaluate_reference(models, MLP, X, y)
+    assert len(calls) == 3
 
 
 def test_evaluate_many_rejects_squared_and_empty_test_sets():
