@@ -17,12 +17,8 @@ from .core import (
     NodeId,
     Train,
     average_models,
-    decode_model,
     derive_rng,
-    encode_model,
-    load_model,
     model_size_bytes,
-    save_model,
 )
 from .sampler import SampleSchedule, aggregator, derive_sample, node_rank_key, sample
 from .protocol import PlexusNode, ProtocolConfig, success_threshold

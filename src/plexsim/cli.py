@@ -16,8 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config
-from .metrics import round_duration_stats
+from .config import load_config
 from .runner import build_membership_from_config, run_experiment
 from .sampler import derive_sample
 from .traces import synth_device_profiles, synth_latency_matrix, write_latency_csv, write_profiles_csv

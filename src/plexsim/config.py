@@ -130,8 +130,13 @@ class ExperimentConfig:
                 raise ValueError("topology degree must be smaller than n")
             if (self.topology.degree * self.n) % 2 != 0:
                 raise ValueError("n * degree must be even for a regular graph")
-        if self.algorithm == "gl" and self.gl_timeout_s <= 0:
-            raise ValueError("gl_timeout_s must be positive")
+        if self.algorithm == "dpsgd" and self.topology.kind == "one_peer_exp" and self.n < 2:
+            raise ValueError("one-peer topology needs n >= 2")
+        if self.algorithm == "gl":
+            if self.n < 2:
+                raise ValueError("gossip learning needs n >= 2: a node pushes to another")
+            if self.gl_timeout_s <= 0:
+                raise ValueError("gl_timeout_s must be positive")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for t in self.targets:
@@ -215,14 +220,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return cfg
 
 
-def _check_paths(cfg: ExperimentConfig, base: Path) -> None:
+def _check_paths(cfg: ExperimentConfig, base_dir: Path) -> None:
     for attr in ("latency_path", "profiles_path"):
         p = getattr(cfg.traces, attr)
-        if p is not None and not (base / p).exists() and not Path(p).exists():
+        if p is not None and not resolve_trace_path(base_dir, p).exists():
             raise ValueError(f"trace file not found: {p}")
 
 
-def resolve_trace_path(cfg_path: str | Path, trace_path: str) -> Path:
-    """Trace paths are relative to the config file first, then the cwd."""
-    rel = Path(cfg_path).parent / trace_path
+def resolve_trace_path(base_dir: str | Path, trace_path: str) -> Path:
+    """Trace paths are relative to the config's directory first, then the cwd."""
+    rel = Path(base_dir) / trace_path
     return rel if rel.exists() else Path(trace_path)

@@ -9,8 +9,7 @@ the clock directly; they return effects and the simulator interprets them.
 from __future__ import annotations
 
 import hashlib
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -18,9 +17,6 @@ import numpy as np
 # A node identity is a short printable string. The sampler feeds ids into a
 # hash with "|" as the field separator, so ids must never contain one.
 NodeId = str
-
-CHECKPOINT_MAGIC = b"PLXM"
-_CHECKPOINT_HEADER = struct.Struct("<4sIQ")  # magic, u32 dim, u64 age
 
 
 def validate_node_id(node_id: NodeId) -> None:
@@ -92,36 +88,6 @@ def model_size_bytes(model: ModelParameters) -> int:
     """Wire size of a model transfer: 8 bytes per parameter plus a
     16-byte header (dimension and age)."""
     return 8 * model.dim + 16
-
-
-def encode_model(model: ModelParameters) -> bytes:
-    """Binary checkpoint: magic ``PLXM``, u32 dim, u64 age, little-endian
-    float64 payload. Round-trips bit-exactly."""
-    header = _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, model.dim, model.age)
-    return header + model.values.astype("<f8", copy=False).tobytes()
-
-
-def decode_model(blob: bytes) -> ModelParameters:
-    if len(blob) < _CHECKPOINT_HEADER.size:
-        raise ValueError("checkpoint too short")
-    magic, dim, age = _CHECKPOINT_HEADER.unpack_from(blob)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic: {magic!r}")
-    payload = blob[_CHECKPOINT_HEADER.size:]
-    if len(payload) != 8 * dim:
-        raise ValueError(f"checkpoint payload length {len(payload)} != 8*{dim}")
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return ModelParameters(values, age=age)
-
-
-def save_model(path: str, model: ModelParameters) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_model(model))
-
-
-def load_model(path: str) -> ModelParameters:
-    with open(path, "rb") as fh:
-        return decode_model(fh.read())
 
 
 # -------------------------------------------------------------- topology --
@@ -245,11 +211,11 @@ class Send:
 @dataclass(frozen=True)
 class ScheduleCompute:
     """Occupy the node for ``duration`` seconds of virtual compute, then run
-    ``continuation`` and apply the effects it returns."""
+    ``continuation`` and apply the effects it returns. The duration counts
+    toward the engine's training seconds."""
 
     duration: float
     continuation: Callable[[], list]
-    is_training: bool = True
 
 
 @dataclass(frozen=True)

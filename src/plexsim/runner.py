@@ -63,11 +63,11 @@ def build_membership_from_config(
 ) -> tuple[Membership, LatencyMatrix]:
     tr = cfg.traces
     if tr.latency_path is not None:
-        latency = load_latency_matrix(resolve_trace_path(Path(base_dir) / "x", tr.latency_path))
+        latency = load_latency_matrix(resolve_trace_path(base_dir, tr.latency_path))
     else:
         latency = synth_latency_matrix(tr.cities, tr.seed, tr.median_rtt_ms, tr.rtt_sigma)
     if tr.profiles_path is not None:
-        profiles = load_device_profiles(resolve_trace_path(Path(base_dir) / "x", tr.profiles_path))
+        profiles = load_device_profiles(resolve_trace_path(base_dir, tr.profiles_path))
         if len(profiles) != cfg.n:
             raise ValueError(
                 f"config asks for n={cfg.n} nodes but the profile trace has {len(profiles)}"

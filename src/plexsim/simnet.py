@@ -1,8 +1,10 @@
 """Single-threaded discrete-event network simulator.
 
-Virtual time is a float64 number of seconds. Every state change is an event;
-events are processed in strict (time, insertion-sequence) order, so a run is
-a deterministic function of its inputs.
+Virtual time is a float64 number of seconds. Every state change is an event:
+a heap entry ``(time, seq, call)`` whose ``call`` is bound when the event is
+scheduled. Events run in strict (time, insertion-sequence) order; ``seq`` is
+unique, so calls are never compared and a run is a deterministic function of
+its inputs.
 
 Transfers share bandwidth under max-min fairness with progressive filling:
 a transfer is constrained by its sender's uplink and its receiver's downlink,
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -54,40 +57,12 @@ class Handler(Protocol):
 
 
 @dataclass(frozen=True)
-class Deliver:
-    dst: NodeId
-    src: NodeId
-    msg: Message
-    nbytes: int
-
-
-@dataclass(frozen=True)
-class ComputeDone:
-    node: NodeId
-    cont_id: int
-
-
-@dataclass(frozen=True)
-class TimerFire:
-    node: NodeId
-    timer_id: str
-
-
-@dataclass(frozen=True)
 class TransferRateRecompute:
     """Scheduled at a transfer's estimated completion. Stale copies (the
     transfer was re-rated since) are recognised by ``epoch`` and ignored."""
 
     tid: int
     epoch: int
-
-
-@dataclass(frozen=True)
-class _Inject:
-    """Apply externally supplied effects as if ``src`` emitted them."""
-
-    src: NodeId
-    effects: tuple
 
 
 @dataclass
@@ -97,7 +72,6 @@ class TransferRecord:
     dst: NodeId
     msg: Message
     total_bytes: float
-    start_time: float
     bytes_done: float = 0.0
     rate: float = 0.0
     epoch: int = 0
@@ -208,8 +182,6 @@ class Engine:
         self._seq = 0
         self._transfers: dict[int, TransferRecord] = {}
         self._next_tid = 0
-        self._conts: dict[int, tuple[float, Callable[[], list], bool, NodeId]] = {}
-        self._next_cont = 0
         self._last_advance = 0.0
         self._checkpoints: list[float] = []
         self._checkpoint_cb: Optional[Callable[[float], None]] = None
@@ -235,7 +207,7 @@ class Engine:
 
     def inject(self, at: float, src: NodeId, effects: list[Effect]) -> None:
         """Apply ``effects`` on behalf of ``src`` at virtual time ``at``."""
-        self._schedule(at, _Inject(src, tuple(effects)))
+        self._schedule(at, partial(self._apply, src, list(effects)))
 
     def send_at(self, at: float, src: NodeId, dst: NodeId, msg: Message, nbytes: int) -> None:
         if src == dst:
@@ -252,9 +224,9 @@ class Engine:
             if until is not None and t > until:
                 break
             self._fire_checkpoints(t)
-            t, _, ev = heapq.heappop(self._heap)
+            t, _, call = heapq.heappop(self._heap)
             self.now = t
-            self._dispatch(ev)
+            call()
         if until is not None:
             # Whether the queue drained or paused, probes through `until`
             # still fire: state is constant past the last event, so they are
@@ -272,12 +244,12 @@ class Engine:
 
     # -- internals --
 
-    def _schedule(self, at: float, ev) -> None:
+    def _schedule(self, at: float, call: Callable[[], None]) -> None:
         if at < self.now - _EPS:
             raise SimulationError(
-                f"event scheduled in the past: {at} < {self.now} ({ev})"
+                f"event scheduled in the past: {at} < {self.now} ({call})"
             )
-        heapq.heappush(self._heap, (at, self._seq, ev))
+        heapq.heappush(self._heap, (at, self._seq, call))
         self._seq += 1
 
     def _fire_checkpoints(self, upto: float) -> None:
@@ -286,30 +258,21 @@ class Engine:
         while self._checkpoints and self._checkpoints[0] <= upto + _EPS:
             self._checkpoint_cb(self._checkpoints.pop(0))
 
-    def _dispatch(self, ev) -> None:
-        if isinstance(ev, Deliver):
-            if self._record_deliveries:
-                self.delivery_log.append((self.now, ev.src, ev.dst, ev.nbytes))
-            handler = self._handlers.get(ev.dst)
-            if handler is None:
-                return
-            self._apply(ev.dst, handler.on_message(self.now, ev.src, ev.msg))
-        elif isinstance(ev, ComputeDone):
-            duration, cont, is_training, node = self._conts.pop(ev.cont_id)
-            if is_training:
-                self.train_seconds_total += duration
-            self._apply(node, cont())
-        elif isinstance(ev, TimerFire):
-            handler = self._handlers.get(ev.node)
-            if handler is None:
-                return
-            self._apply(ev.node, handler.on_timer(self.now, ev.timer_id))
-        elif isinstance(ev, TransferRateRecompute):
-            self._on_transfer_event(ev)
-        elif isinstance(ev, _Inject):
-            self._apply(ev.src, list(ev.effects))
-        else:
-            raise SimulationError(f"unknown event {ev!r}")
+    def _deliver(self, dst: NodeId, src: NodeId, msg: Message, nbytes: int) -> None:
+        if self._record_deliveries:
+            self.delivery_log.append((self.now, src, dst, nbytes))
+        handler = self._handlers.get(dst)
+        if handler is not None:
+            self._apply(dst, handler.on_message(self.now, src, msg))
+
+    def _finish_compute(self, node: NodeId, eff: ScheduleCompute) -> None:
+        self.train_seconds_total += eff.duration
+        self._apply(node, eff.continuation())
+
+    def _fire_timer(self, node: NodeId, timer_id: str) -> None:
+        handler = self._handlers.get(node)
+        if handler is not None:
+            self._apply(node, handler.on_timer(self.now, timer_id))
 
     def _apply(self, src: NodeId, effects: list[Effect]) -> None:
         opened = False
@@ -319,14 +282,11 @@ class Engine:
             elif isinstance(eff, ScheduleCompute):
                 if eff.duration < 0:
                     raise SimulationError("negative compute duration")
-                cont_id = self._next_cont
-                self._next_cont += 1
-                self._conts[cont_id] = (eff.duration, eff.continuation, eff.is_training, src)
-                self._schedule(self.now + eff.duration, ComputeDone(src, cont_id))
+                self._schedule(self.now + eff.duration, partial(self._finish_compute, src, eff))
             elif isinstance(eff, SetTimer):
                 if eff.delay < 0:
                     raise SimulationError("negative timer delay")
-                self._schedule(self.now + eff.delay, TimerFire(src, eff.timer_id))
+                self._schedule(self.now + eff.delay, partial(self._fire_timer, src, eff.timer_id))
             elif isinstance(eff, Metric):
                 self.counters[eff.name] += eff.value
             elif isinstance(eff, Terminal):
@@ -344,20 +304,18 @@ class Engine:
             raise SimulationError(f"send to unknown node {eff.dst!r}")
         if eff.dst == src:
             # Local hand-off: free and instant, never touches the network.
-            self._schedule(self.now, Deliver(eff.dst, src, eff.msg, 0))
+            self._schedule(self.now, partial(self._deliver, eff.dst, src, eff.msg, 0))
             return False
         if eff.nbytes == 0:
             self._schedule(
                 self.now + self._one_way(src, eff.dst),
-                Deliver(eff.dst, src, eff.msg, 0),
+                partial(self._deliver, eff.dst, src, eff.msg, 0),
             )
             return False
         self._advance(self.now)
         tid = self._next_tid
         self._next_tid += 1
-        self._transfers[tid] = TransferRecord(
-            tid, src, eff.dst, eff.msg, float(eff.nbytes), self.now
-        )
+        self._transfers[tid] = TransferRecord(tid, src, eff.dst, eff.msg, float(eff.nbytes))
         return True
 
     def _one_way(self, a: NodeId, b: NodeId) -> float:
@@ -384,7 +342,10 @@ class Engine:
             rec.epoch += 1
             remaining = max(0.0, rec.total_bytes - rec.bytes_done)
             est_completion = self.now + remaining / rec.rate
-            self._schedule(est_completion, TransferRateRecompute(rec.tid, rec.epoch))
+            self._schedule(
+                est_completion,
+                partial(self._on_transfer_event, TransferRateRecompute(rec.tid, rec.epoch)),
+            )
 
     def _on_transfer_event(self, ev: TransferRateRecompute) -> None:
         rec = self._transfers.get(ev.tid)
@@ -401,6 +362,6 @@ class Engine:
         self.bytes_total += int(rec.total_bytes)
         self._schedule(
             self.now + self._one_way(rec.src, rec.dst),
-            Deliver(rec.dst, rec.src, rec.msg, int(rec.total_bytes)),
+            partial(self._deliver, rec.dst, rec.src, rec.msg, int(rec.total_bytes)),
         )
         self._recompute_rates()

@@ -68,6 +68,23 @@ def test_run_validate_rejects_unknown_model_family(tmp_path, capsys, family):
     assert "model_family" in captured.err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"algorithm": "gl", "n": 1},
+        {"algorithm": "dpsgd", "n": 1, "topology": {"kind": "one_peer_exp"}},
+    ],
+    ids=["gl", "dpsgd-one-peer"],
+)
+def test_run_validate_rejects_single_node_peer_to_peer(tmp_path, capsys, overrides):
+    cfg = write_cfg(tmp_path, **overrides)
+    rc = main(["run", cfg, "--validate"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n >= 2" in captured.err
+
+
 def test_run_missing_config(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.yaml")])
     assert rc == 2

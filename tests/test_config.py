@@ -65,9 +65,21 @@ def test_dpsgd_topology_constraints():
     ExperimentConfig(algorithm="dpsgd", n=100, topology=TopologyConfig(kind="one_peer_exp"))
 
 
+def test_one_peer_topology_needs_two_nodes():
+    with pytest.raises(ValueError, match="n >= 2"):
+        ExperimentConfig(algorithm="dpsgd", n=1, topology=TopologyConfig(kind="one_peer_exp"))
+    ExperimentConfig(algorithm="dpsgd", n=2, topology=TopologyConfig(kind="one_peer_exp"))
+
+
 def test_gl_timeout_positive():
     with pytest.raises(ValueError, match="gl_timeout"):
         ExperimentConfig(algorithm="gl", n=10, gl_timeout_s=0.0)
+
+
+def test_gl_needs_two_nodes():
+    with pytest.raises(ValueError, match="n >= 2"):
+        ExperimentConfig(algorithm="gl", n=1)
+    ExperimentConfig(algorithm="gl", n=2)
 
 
 def test_targets_validated():

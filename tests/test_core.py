@@ -10,9 +10,7 @@ from plexsim.core import (
     ModelParameters,
     Train,
     average_models,
-    decode_model,
     derive_rng,
-    encode_model,
     message_size_bytes,
     model_size_bytes,
     validate_node_id,
@@ -104,7 +102,7 @@ def test_average_permutation_invariant_and_bounded(seed, count, dim):
     assert np.all(base >= stacked.min(axis=0) - 1e-12)
 
 
-# ---------------------------------------------------------- serialization --
+# ------------------------------------------------------------- wire size --
 
 
 def test_model_size_formula():
@@ -112,44 +110,6 @@ def test_model_size_formula():
     assert model_size_bytes(m) == 8016
     assert message_size_bytes(Train(1, m)) == 8016
     assert message_size_bytes(Aggregate(1, m, "a")) == 8016
-
-
-@given(st.integers(0, 10**6), st.integers(1, 64), st.integers(0, 2**40))
-@settings(max_examples=50, deadline=None)
-def test_checkpoint_roundtrip_bit_exact(seed, dim, age):
-    rng = np.random.default_rng(seed)
-    values = rng.normal(scale=10.0 ** rng.integers(-30, 30), size=dim)
-    values[rng.random(dim) < 0.1] = -0.0  # negative zero must survive
-    m = ModelParameters(values, age=age)
-    blob = encode_model(m)
-    back = decode_model(blob)
-    assert back.age == m.age
-    assert back.values.tobytes() == m.values.tobytes()
-    assert encode_model(back) == blob
-
-
-def test_checkpoint_header():
-    m = vec(1.5)
-    blob = encode_model(m)
-    assert blob[:4] == b"PLXM"
-    assert len(blob) == 16 + 8 * m.dim
-    with pytest.raises(ValueError, match="magic"):
-        decode_model(b"XXXX" + blob[4:])
-    with pytest.raises(ValueError):
-        decode_model(blob[:-3])
-    with pytest.raises(ValueError):
-        decode_model(b"PL")
-
-
-def test_checkpoint_file_roundtrip(tmp_path):
-    from plexsim.core import load_model, save_model
-
-    m = ModelParameters(np.array([1.0, -0.0, 3.5e-300]), age=7)
-    path = str(tmp_path / "m.bin")
-    save_model(path, m)
-    back = load_model(path)
-    assert back.values.tobytes() == m.values.tobytes()
-    assert back.age == 7
 
 
 # ------------------------------------------------------------------- rng --

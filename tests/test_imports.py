@@ -1,0 +1,33 @@
+"""No plexsim module imports a name it never uses.
+
+``__init__.py`` is exempt: its imports are the package's public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import plexsim
+
+PACKAGE = Path(plexsim.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """(bound name, line) for every import outside ``__future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

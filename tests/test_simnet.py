@@ -286,8 +286,8 @@ def test_timer_and_compute_effects():
         def on_timer(self, now, timer_id):
             fired.append((now, timer_id))
             return [
-                ScheduleCompute(2.5, lambda: [Metric("trained", 1.0)], is_training=True),
-                ScheduleCompute(0.5, lambda: [], is_training=False),
+                ScheduleCompute(2.5, lambda: [Metric("trained", 1.0)]),
+                ScheduleCompute(0.5, lambda: []),
             ]
 
     eng.register("n000", Node())
@@ -295,7 +295,7 @@ def test_timer_and_compute_effects():
     eng.run()
     assert fired == [(1.0, "tick")]
     assert eng.counters["trained"] == 1.0
-    assert eng.train_seconds_total == pytest.approx(2.5)  # only is_training accrues
+    assert eng.train_seconds_total == pytest.approx(3.0)  # every compute accrues
     assert eng.now == pytest.approx(3.5)
 
 
@@ -374,3 +374,46 @@ def test_same_time_events_fire_in_insertion_order():
     eng.inject(1.0, "n000", [Send("n001", ping(), 0)])
     eng.run()
     assert order == ["first", "second"]
+
+
+def test_same_time_events_keep_effect_order_across_kinds():
+    # At t=1 n000's handler returns a self-send, a zero-length compute and a
+    # zero-delay timer; an inject issued afterwards at the same instant must
+    # run after all three, whatever their kinds.
+    eng, _ = engine_pair()
+    order = []
+
+    def record(kind):
+        order.append((kind, eng.now, eng.counters["injected"]))
+
+    class Worker:
+        def on_message(self, now, src, msg):
+            record("deliver")
+            return []
+
+        def on_timer(self, now, timer_id):
+            if timer_id != "go":
+                record(timer_id)
+                return []
+            return [
+                Send("n000", ping(), 0),
+                ScheduleCompute(0.0, lambda: record("compute") or []),
+                SetTimer(0.0, "tick"),
+            ]
+
+    class Injector:
+        def on_message(self, now, src, msg):
+            return []
+
+        def on_timer(self, now, timer_id):
+            eng.inject(now, "n001", [Metric("injected")])
+            return []
+
+    eng.register("n000", Worker())
+    eng.register("n001", Injector())
+    eng.inject(1.0, "n000", [SetTimer(0.0, "go")])
+    eng.inject(1.0, "n001", [SetTimer(0.0, "late")])
+    eng.run()
+    assert order == [("deliver", 1.0, 0.0), ("compute", 1.0, 0.0), ("tick", 1.0, 0.0)]
+    assert eng.counters["injected"] == 1.0
+    assert eng.now == 1.0
