@@ -206,14 +206,10 @@ def dpsgd_round(
     trained = [train_fn(i, k, models[i]) for i in range(n)]
     profiles = [membership.profile(nid) for nid in membership.nodes]
 
-    out_done = []
-    send_done = {}  # (src, dst) -> when the last byte left src
+    out_done = []  # when the last byte of each node's uploads left it
     for i in range(n):
-        outs = topology.out_neighbors(i, k)
-        batch = len(outs) * nbytes / profiles[i].uplink_bps
+        batch = len(topology.out_neighbors(i, k)) * nbytes / profiles[i].uplink_bps
         out_done.append(compute_seconds[i] + batch)
-        for j in outs:
-            send_done[(i, j)] = compute_seconds[i] + batch
     in_done = []
     for i in range(n):
         ins = topology.in_neighbors(i, k)
@@ -221,7 +217,7 @@ def dpsgd_round(
         first_possible = []
         for j in ins:
             lat = latency.one_way_s(profiles[j].city_index, profiles[i].city_index)
-            arrivals.append(send_done[(j, i)] + lat)
+            arrivals.append(out_done[j] + lat)
             first_possible.append(compute_seconds[j] + lat)
         downlink_bound = min(first_possible) + len(ins) * nbytes / profiles[i].downlink_bps
         in_done.append(max(max(arrivals), downlink_bound))

@@ -11,7 +11,7 @@ algorithms or repetitions.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -138,14 +138,20 @@ class _Repetition:
         )
 
 
-def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable) -> None:
+def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable, checkpoint=None) -> None:
     """Register ``nodes``, inject each one's ``start(node)`` effects at t=0
     in membership order, run to the time budget and copy the engine's totals
-    and counters into the ledger."""
+    and counters into the ledger. A ``checkpoint(t)`` runs at each multiple t
+    of ``eval.every_seconds``, with the engine paused after every event <= t."""
     for node in nodes:
         engine.register(node.me, node)
         engine.inject(0.0, node.me, start(node))
-    engine.run(until=r.cfg.stop.max_virtual_s)
+    horizon = r.cfg.stop.max_virtual_s
+    if checkpoint is not None:
+        for at in _multiples(r.cfg.eval.every_seconds, horizon):
+            engine.run(until=min(at, horizon))
+            checkpoint(at)
+    engine.run(until=horizon)
     r.ledger.bytes_total = engine.bytes_total
     r.ledger.train_seconds_total = engine.train_seconds_total
     r.ledger.final_time_s = engine.now
@@ -242,7 +248,7 @@ def _run_dpsgd(r: _Repetition) -> None:
     node_ids = world.membership.nodes
     compute_secs = [r.compute_s[nid] for nid in node_ids]
     models = [r.init(nid) for nid in node_ids]
-    next_cp = cfg.eval.every_seconds
+    checkpoints = deque(_multiples(cfg.eval.every_seconds, cfg.stop.max_virtual_s))
     for k in range(1, cfg.stop.max_rounds + 1):
         res = dpsgd_round(
             models,
@@ -255,9 +261,8 @@ def _run_dpsgd(r: _Repetition) -> None:
         )
         t_end = ledger.final_time_s + res.duration_s
         # Checkpoints inside this round observe the models committed before it.
-        while next_cp <= min(t_end, cfg.stop.max_virtual_s):
-            r.record_eval(next_cp, k - 1, models, ledger)
-            next_cp += cfg.eval.every_seconds
+        while checkpoints and checkpoints[0] <= t_end:
+            r.record_eval(checkpoints.popleft(), k - 1, models, ledger)
         if t_end > cfg.stop.max_virtual_s:
             break
         ledger.final_time_s = t_end
@@ -299,11 +304,10 @@ def _run_gl(r: _Repetition) -> None:
         )
         return node.initial_effects(stagger)
 
-    engine.add_checkpoints(
-        _multiples(cfg.eval.every_seconds, cfg.stop.max_virtual_s),
-        lambda at: r.record_eval(at, 0, [node.model for node in nodes], engine),
+    _run_on_engine(
+        r, engine, nodes, start,
+        checkpoint=lambda at: r.record_eval(at, 0, [node.model for node in nodes], engine),
     )
-    _run_on_engine(r, engine, nodes, start)
     r.ledger.counters["models_trained"] = float(sum(train_calls.values()))
 
 

@@ -11,7 +11,12 @@ a transfer is constrained by its sender's uplink and its receiver's downlink,
 all concurrent transfers at a port get equal shares, and capacity freed by a
 bottlenecked transfer is redistributed to the others. Rates are recomputed
 only when a transfer starts or finishes, so between recomputations every rate
-is constant and completion times are exact.
+is constant and completion times are exact. Each recomputation schedules one
+completion event, for the transfer that finishes first (ties go to the
+earliest sent); the next recomputation makes it stale.
+
+``run(until=t)`` pauses after every event at or before ``t`` and can be
+resumed; an observer reads the state between runs.
 
 One-way propagation delay between two nodes is half the RTT between their
 cities; it is charged after the last byte leaves the sender. Zero-byte
@@ -58,11 +63,12 @@ class Handler(Protocol):
 
 @dataclass(frozen=True)
 class TransferRateRecompute:
-    """Scheduled at a transfer's estimated completion. Stale copies (the
-    transfer was re-rated since) are recognised by ``epoch`` and ignored."""
+    """Scheduled at the estimated completion of the transfer that finishes
+    first under rate solve ``solve_no``. Once a later solve has run, the
+    event is stale and ignored."""
 
     tid: int
-    epoch: int
+    solve_no: int
 
 
 @dataclass
@@ -74,7 +80,6 @@ class TransferRecord:
     total_bytes: float
     bytes_done: float = 0.0
     rate: float = 0.0
-    epoch: int = 0
 
 
 # -------------------------------------------------------------- latency --
@@ -183,8 +188,7 @@ class Engine:
         self._transfers: dict[int, TransferRecord] = {}
         self._next_tid = 0
         self._last_advance = 0.0
-        self._checkpoints: list[float] = []
-        self._checkpoint_cb: Optional[Callable[[float], None]] = None
+        self._solves = 0
         self._uplink = {nid: membership.profile(nid).uplink_bps for nid in membership.nodes}
         self._downlink = {nid: membership.profile(nid).downlink_bps for nid in membership.nodes}
         for nid in membership.nodes:
@@ -197,13 +201,6 @@ class Engine:
         if node_id not in self.membership:
             raise ValueError(f"cannot register unknown node {node_id!r}")
         self._handlers[node_id] = handler
-
-    def add_checkpoints(self, times: list[float], callback: Callable[[float], None]) -> None:
-        """Observation-only probes: ``callback(t)`` runs once virtual time
-        reaches each t. Callbacks must not touch the event queue; they exist
-        so that evaluation can never perturb the simulation."""
-        self._checkpoints = sorted(times)
-        self._checkpoint_cb = callback
 
     def inject(self, at: float, src: NodeId, effects: list[Effect]) -> None:
         """Apply ``effects`` on behalf of ``src`` at virtual time ``at``."""
@@ -218,25 +215,16 @@ class Engine:
 
     def run(self, until: Optional[float] = None) -> float:
         """Process events in (time, seq) order until the queue drains or the
-        next event lies beyond ``until``. Returns the final virtual time."""
-        while self._heap:
-            t = self._heap[0][0]
-            if until is not None and t > until:
-                break
-            self._fire_checkpoints(t)
+        next event lies beyond ``until``. Returns the final virtual time:
+        ``until`` if events remain, else the time of the last event."""
+        if until is not None and until < self.now:
+            raise SimulationError(f"cannot run until {until}: the clock is at {self.now}")
+        while self._heap and (until is None or self._heap[0][0] <= until):
             t, _, call = heapq.heappop(self._heap)
             self.now = t
             call()
-        if until is not None:
-            # Whether the queue drained or paused, probes through `until`
-            # still fire: state is constant past the last event, so they are
-            # exact. The clock only advances to `until` when events remain;
-            # a drained queue means the run truly ended at the last event.
-            self._fire_checkpoints(until)
-            if self._heap:
-                self.now = until
-        else:
-            self._fire_checkpoints(self.now)
+        if self._heap:
+            self.now = until
         return self.now
 
     def quiescent(self) -> bool:
@@ -251,12 +239,6 @@ class Engine:
             )
         heapq.heappush(self._heap, (at, self._seq, call))
         self._seq += 1
-
-    def _fire_checkpoints(self, upto: float) -> None:
-        if self._checkpoint_cb is None:
-            return
-        while self._checkpoints and self._checkpoints[0] <= upto + _EPS:
-            self._checkpoint_cb(self._checkpoints.pop(0))
 
     def _deliver(self, dst: NodeId, src: NodeId, msg: Message, nbytes: int) -> None:
         if self._record_deliveries:
@@ -335,29 +317,28 @@ class Engine:
         if not flows:
             return
         rates = maxmin_rates(flows, self._uplink, self._downlink)
+        self._solves += 1
+        estimates = []
         for rec in self._transfers.values():
             rec.rate = rates[rec.tid]
             if rec.rate <= 0:
                 raise SimulationError(f"transfer {rec.tid} got zero rate")
-            rec.epoch += 1
             remaining = max(0.0, rec.total_bytes - rec.bytes_done)
-            est_completion = self.now + remaining / rec.rate
-            self._schedule(
-                est_completion,
-                partial(self._on_transfer_event, TransferRateRecompute(rec.tid, rec.epoch)),
-            )
+            estimates.append((self.now + remaining / rec.rate, rec.tid))
+        # Ties go to the lowest tid: the transfer sent first.
+        at, tid = min(estimates)
+        self._schedule(at, partial(self._on_transfer_event, TransferRateRecompute(tid, self._solves)))
 
     def _on_transfer_event(self, ev: TransferRateRecompute) -> None:
-        rec = self._transfers.get(ev.tid)
-        if rec is None or rec.epoch != ev.epoch:
-            return  # superseded by a later re-rating
+        if ev.solve_no != self._solves:
+            return  # superseded by a later rate solve
+        rec = self._transfers[ev.tid]
         self._advance(self.now)
         drift = abs(rec.total_bytes - rec.bytes_done)
         if drift > 1e-6 * max(1.0, rec.total_bytes):
             raise SimulationError(
                 f"transfer {rec.tid} byte conservation off by {drift}"
             )
-        rec.bytes_done = rec.total_bytes
         del self._transfers[rec.tid]
         self.bytes_total += int(rec.total_bytes)
         self._schedule(

@@ -4,8 +4,11 @@ from pathlib import Path
 import pytest
 
 from plexsim.cli import main
+from plexsim.config import load_config
 from plexsim.traces import load_device_profiles, load_latency_matrix
 
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 TINY = {
     "algorithm": "plexus",
@@ -48,6 +51,13 @@ def test_run_validate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("ok ")
     assert cfg in out
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_committed_configs_load_and_validate(path, capsys):
+    load_config(path)  # raises on a malformed or invalid config
+    assert main(["run", str(path), "--validate"]) == 0
+    assert capsys.readouterr().out.startswith("ok ")
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):

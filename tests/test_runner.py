@@ -337,6 +337,26 @@ def test_every_runner_keeps_totals_consistent(algorithm):
         assert all(p.accuracy_std == 0.0 for p in led.accuracy)
 
 
+def test_dpsgd_and_gl_checkpoint_on_the_same_grid(tmp_path):
+    # Both evaluate at k * every_seconds; summing every_seconds instead
+    # drifts (0.1 added 30 times overshoots 3.0) and loses the last row.
+    columns = {}
+    for algorithm in ("dpsgd", "gl"):
+        cfg = tiny_cfg(
+            algorithm=algorithm,
+            topology=TopologyConfig(kind="regular", degree=2, seed=1),
+            gl_timeout_s=1.0,
+            stop=StopConfig(max_rounds=1000, max_virtual_s=3.0),
+            eval=EvalConfig(every_rounds=1, every_seconds=0.1),
+        )
+        run_experiment(cfg, tmp_path / algorithm)
+        rows = (tmp_path / algorithm / "rep0" / "accuracy.csv").read_text().splitlines()[1:]
+        columns[algorithm] = [row.split(",")[0] for row in rows]
+    assert columns["dpsgd"] == columns["gl"]
+    assert columns["gl"] == [repr(k * 0.1) for k in range(1, 31)]
+    assert columns["gl"][-1] == "3.0"
+
+
 def test_repetitions_differ_but_seeds_pin_them():
     cfg = tiny_cfg()
     world = build_world(cfg)

@@ -321,18 +321,66 @@ def test_run_until_pauses_without_losing_events():
 
 
 def test_checkpoints_fire_in_order_and_do_not_perturb():
+    # Observing between paused runs must not move the delivery, and a
+    # drained queue leaves the clock at the last event, not at `until`.
     eng, _ = engine_pair(uplink=1e6, downlink=2e6)
     rec = Recorder()
     eng.register("n001", rec)
     eng.send_at(0.0, "n000", "n001", ping(), 8_000_000)
     seen = []
-    eng.add_checkpoints([2.0, 4.0, 100.0], lambda t: seen.append((t, eng.bytes_total)))
-    eng.run(until=200.0)
-    assert [t for t, _ in seen] == [2.0, 4.0, 100.0]
-    assert seen[0][1] == 0 and seen[1][1] == 0  # before completion
-    assert seen[2][1] == 8_000_000
+    for t in (2.0, 4.0, 100.0):
+        eng.run(until=t)
+        seen.append((t, eng.bytes_total))
+    assert seen == [(2.0, 0), (4.0, 0), (100.0, 8_000_000)]
     assert rec.messages[0][0] == pytest.approx(8.05)  # unchanged by probes
     assert eng.now == pytest.approx(8.05)  # drained: the run ended here
+
+
+def test_run_until_refuses_to_move_the_clock_back():
+    eng, _ = engine_pair()
+    eng.register("n001", Recorder())
+    eng.send_at(5.0, "n000", "n001", ping(), 0)
+    assert eng.run(until=2.0) == 2.0
+    assert eng.run(until=2.0) == 2.0  # pausing again at the same time is fine
+    with pytest.raises(SimulationError, match="clock"):
+        eng.run(until=1.0)
+    assert eng.now == 2.0
+
+
+def test_simultaneous_completions_deliver_in_send_order():
+    # Two equal transfers on disjoint ports, started at one instant, finish
+    # together; the one sent first is delivered first.
+    m = make_membership(4, uplink=1e6, downlink=1e6)
+    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
+    for nid in m.nodes:
+        eng.register(nid, Recorder())
+    eng.inject(0.0, "n002", [Send("n003", ping("b"), 3_000_000)])
+    eng.inject(0.0, "n000", [Send("n001", ping("a"), 3_000_000)])
+    eng.run()
+    assert [(src, dst) for _, src, dst, _ in eng.delivery_log] == [("n002", "n003"), ("n000", "n001")]
+    assert [t for t, _, _, _ in eng.delivery_log] == [pytest.approx(3.0)] * 2
+
+
+def test_a_rate_solve_schedules_one_completion_event():
+    # Three live transfers, one rate solve: one pending completion, for the
+    # transfer that finishes first.
+    m = make_membership(4, uplink=1e6, downlink=1e6)
+    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
+    for nid in m.nodes:
+        eng.register(nid, Recorder())
+    eng.inject(0.0, "n000", [
+        Send("n001", ping("a"), 3_000_000),
+        Send("n002", ping("b"), 1_000_000),
+        Send("n003", ping("c"), 2_000_000),
+    ])
+    eng.run(until=0.0)
+    assert len(eng._transfers) == 3
+    assert [t for t, _, _ in eng._heap] == [pytest.approx(3.0)]  # 1 MB at a third of 1 MB/s
+    eng.run()
+    assert [dst for _, _, dst, _ in eng.delivery_log] == ["n002", "n003", "n001"]
+    assert [t for t, _, _, _ in eng.delivery_log] == [
+        pytest.approx(3.0), pytest.approx(5.0), pytest.approx(6.0)
+    ]
 
 
 def test_past_scheduling_is_rejected():
