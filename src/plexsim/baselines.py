@@ -264,7 +264,10 @@ class GossipNode:
     Every ``timeout_s`` the node pushes its current model to one uniformly
     random other node. On receipt it merges (age-weighted), then trains for
     one invocation; while training it drops incoming models, so merges and
-    training commits never interleave."""
+    training commits never interleave.
+
+    ``train_fn(count, model)`` trains; ``count`` is ``merges`` after the merge
+    it follows, so a dropped model does not advance it and training j gets j."""
 
     def __init__(
         self,
@@ -273,7 +276,7 @@ class GossipNode:
         *,
         model: ModelParameters,
         timeout_s: float,
-        train_fn: Callable[[ModelParameters], ModelParameters],
+        train_fn: Callable[[int, ModelParameters], ModelParameters],
         compute_seconds: float,
         peer_rng: np.random.Generator,
     ):
@@ -286,7 +289,6 @@ class GossipNode:
         self.peer_rng = peer_rng
         self.busy = False
         self.merges = 0
-        self.busy_drops = 0
         self._my_index = membership.index_of(me)
 
     def initial_effects(self, stagger_s: float) -> list[Effect]:
@@ -311,15 +313,14 @@ class GossipNode:
         if not isinstance(msg, GossipModel):
             raise ValueError(f"gossip node got {type(msg).__name__}")
         if self.busy:
-            self.busy_drops += 1
             return [Metric("gl_busy_drop")]
         merged = gl_merge(self.model, msg.model)
         self.model = merged
         self.merges += 1
         self.busy = True
 
-        def finish(merged: ModelParameters = merged) -> list[Effect]:
-            self.model = self.train_fn(merged)
+        def finish(count: int = self.merges, merged: ModelParameters = merged) -> list[Effect]:
+            self.model = self.train_fn(count, merged)
             self.busy = False
             return []
 

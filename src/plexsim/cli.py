@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import TracesConfig, load_config
 from .runner import build_membership_from_config, run_experiment
 from .sampler import derive_sample
 from .traces import synth_device_profiles, synth_latency_matrix, write_latency_csv, write_profiles_csv
@@ -205,17 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sweep)
 
+    tr = TracesConfig()
     p = sub.add_parser("traces-gen", help="generate synthetic latency and device traces")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--cities", type=int, default=8)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--median-rtt-ms", type=float, default=80.0)
-    p.add_argument("--rtt-sigma", type=float, default=0.5)
-    p.add_argument("--uplink-median", type=float, default=30_000.0)
-    p.add_argument("--downlink-median", type=float, default=60_000.0)
-    p.add_argument("--step-median", type=float, default=0.4)
-    p.add_argument("--sigma", type=float, default=0.6)
+    p.add_argument("--cities", type=int, default=tr.cities)
+    p.add_argument("--seed", type=int, default=tr.seed)
+    p.add_argument("--median-rtt-ms", type=float, default=tr.median_rtt_ms)
+    p.add_argument("--rtt-sigma", type=float, default=tr.rtt_sigma)
+    p.add_argument("--uplink-median", type=float, default=tr.uplink_median_bps)
+    p.add_argument("--downlink-median", type=float, default=tr.downlink_median_bps)
+    p.add_argument("--step-median", type=float, default=tr.sec_per_step_median)
+    p.add_argument("--sigma", type=float, default=tr.profile_sigma)
     p.set_defaults(fn=cmd_traces_gen)
 
     p = sub.add_parser("report", help="tabulate summaries from experiment directories")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -174,6 +174,16 @@ _SECTION_TYPES = {
 }
 
 
+def _check_types(cls: type, values: dict[str, Any], prefix: str = "") -> None:
+    """YAML reads ``20.0``, ``true`` and ``"20"`` as float, bool and str; a
+    dataclass would take one for a count and the run would fail deep inside."""
+    for f in fields(cls):
+        want = {"int": int, "bool": bool}.get(f.type)
+        if want is not None and f.name in values and type(values[f.name]) is not want:
+            kind = "an integer" if want is int else "true or false"
+            raise ValueError(f"config key {prefix + f.name!r} must be {kind}, got {values[f.name]!r}")
+
+
 def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
@@ -181,6 +191,7 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _check_types(ExperimentConfig, raw)
     kwargs: dict[str, Any] = {}
     for key, value in raw.items():
         if key in _SECTION_TYPES:
@@ -193,6 +204,7 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
                 raise ValueError(
                     f"unknown keys in config section {key!r}: {sorted(section_unknown)}"
                 )
+            _check_types(section_cls, value, f"{key}.")
             kwargs[key] = section_cls(**value)
         elif key == "targets":
             kwargs[key] = tuple(float(t) for t in value)

@@ -115,8 +115,6 @@ class PlexusNode:
         self.rounds_aggregated: set[int] = set()
         self.trained_rounds: set[int] = set()
         self.late_by_round: dict[int, int] = {}
-        self.duplicate_trains = 0
-        self.duplicate_aggregates = 0
         self.schedule = schedule
 
     # -- entry points --
@@ -146,7 +144,6 @@ class PlexusNode:
         if k > self.config.max_rounds:
             return [Terminal("experiment complete")]
         if k in self.trained_rounds:
-            self.duplicate_trains += 1
             logger.warning("%s: duplicate Train for round %d ignored", self.me, k)
             return [Metric("duplicate_train")]
         if self.me not in self.schedule.participant_set(k):
@@ -176,7 +173,6 @@ class PlexusNode:
             return [Metric("late_models")]
         bucket = self.pending.setdefault(k, [])
         if any(sender == msg.sender for sender, _ in bucket):
-            self.duplicate_aggregates += 1
             return [Metric("duplicate_aggregate")]
         bucket.append((msg.sender, msg.model))
         if len(bucket) < self.config.threshold:
@@ -189,14 +185,6 @@ class PlexusNode:
         del self.pending[k]
         if self.round_hook is not None:
             self.round_hook(k, theta_agg, now)
-        effects: list[Effect] = [Metric("rounds_completed")]
-        for nid in self.schedule.participants(k + 1):
-            out = Train(k + 1, theta_agg)
-            effects.append(Send(nid, out, message_size_bytes(out)))
-        return effects
-
-    # -- introspection --
-
-    @property
-    def late_models(self) -> int:
-        return sum(self.late_by_round.values())
+        out = Train(k + 1, theta_agg)
+        nbytes = message_size_bytes(out)
+        return [Send(nid, out, nbytes) for nid in self.schedule.participants(k + 1)]

@@ -149,7 +149,7 @@ def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable,
     horizon = r.cfg.stop.max_virtual_s
     if checkpoint is not None:
         for at in _multiples(r.cfg.eval.every_seconds, horizon):
-            engine.run(until=min(at, horizon))
+            engine.run(until=at)
             checkpoint(at)
     engine.run(until=horizon)
     r.ledger.bytes_total = engine.bytes_total
@@ -279,19 +279,13 @@ def _run_dpsgd(r: _Repetition) -> None:
 def _run_gl(r: _Repetition) -> None:
     cfg, world = r.cfg, r.world
     engine = Engine(world.membership, world.latency)
-    train_calls: Counter[str] = Counter()
-
-    def train(nid: str, model: ModelParameters) -> ModelParameters:
-        train_calls[nid] += 1
-        return r.train("gl-train", nid, train_calls[nid], model)
-
     nodes = [
         GossipNode(
             nid,
             world.membership,
             model=r.init(nid),
             timeout_s=cfg.gl_timeout_s,
-            train_fn=partial(train, nid),
+            train_fn=partial(r.train, "gl-train", nid),
             compute_seconds=r.compute_s[nid],
             peer_rng=derive_rng(cfg.protocol_seed, "gl-peer", r.rep, nid),
         )
@@ -308,14 +302,16 @@ def _run_gl(r: _Repetition) -> None:
         r, engine, nodes, start,
         checkpoint=lambda at: r.record_eval(at, 0, [node.model for node in nodes], engine),
     )
-    r.ledger.counters["models_trained"] = float(sum(train_calls.values()))
+    # A node drops models while it trains: trainings are merges, less any still running.
+    r.ledger.counters["models_trained"] = float(sum(node.merges - node.busy for node in nodes))
 
 
 def _multiples(step: float, horizon: float) -> list[float]:
+    """Multiples of ``step`` up to ``horizon``, clamped to it (3 * 0.1 > 0.3)."""
     out = []
     k = 1
     while k * step <= horizon + 1e-9:
-        out.append(k * step)
+        out.append(min(k * step, horizon))
         k += 1
     return out
 

@@ -332,7 +332,7 @@ def gossip_node(me, m, timeout=60.0, compute=1.0, seed=0, model=None):
         m,
         model=model or flat(0.0),
         timeout_s=timeout,
-        train_fn=lambda theta: theta.with_values(theta.values + 1.0, age=theta.age + 5),
+        train_fn=lambda count, theta: theta.with_values(theta.values + 1.0, age=theta.age + 5),
         compute_seconds=compute,
         peer_rng=np.random.default_rng(seed),
     )
@@ -376,8 +376,26 @@ def test_gossip_busy_drop():
     node.on_message(0.0, "n001", GossipModel(flat(1.0), "n001"))
     effects = node.on_message(0.1, "n002", GossipModel(flat(9.0), "n002"))
     assert effects == [Metric("gl_busy_drop")]
-    assert node.busy_drops == 1
     assert node.merges == 1
+
+
+def test_gossip_train_fn_gets_the_training_count():
+    m = make_membership(4)
+    node = gossip_node("n000", m)
+    counts = []
+
+    def train(count, theta):
+        counts.append(count)
+        return theta
+
+    node.train_fn = train
+    for i in range(3):
+        (comp,) = node.on_message(float(i), "n001", GossipModel(flat(1.0), "n001"))
+        # A model that arrives mid-training is dropped and not counted.
+        dropped = node.on_message(i + 0.5, "n002", GossipModel(flat(9.0), "n002"))
+        assert dropped == [Metric("gl_busy_drop")]
+        comp.continuation()
+    assert counts == [1, 2, 3]
 
 
 def test_gossip_rejects_foreign_messages():
@@ -387,9 +405,9 @@ def test_gossip_rejects_foreign_messages():
         node.on_message(0.0, "n001", "not a gossip message")
 
 
-def run_gossip(n=4, timeout=10.0, compute=1.0, horizon=200.0, seed=1):
+def run_gossip(n=4, timeout=10.0, compute=1.0, horizon=200.0, seed=1, record_deliveries=False):
     m = make_membership(n, uplink=1e4, downlink=1e4)
-    eng = Engine(m, LatencyMatrix.zero())
+    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=record_deliveries)
     nodes = {}
     stag = np.random.default_rng(seed)
     for i, nid in enumerate(m.nodes):
@@ -411,9 +429,11 @@ def test_gossip_engine_run_spreads_models():
 def test_gossip_engine_busy_drops_under_pressure():
     # Training takes almost the whole gossip period, so concurrent
     # arrivals are common and must be dropped, not queued.
-    eng, nodes = run_gossip(n=8, timeout=10.0, compute=9.5, horizon=500.0)
+    eng, nodes = run_gossip(n=8, timeout=10.0, compute=9.5, horizon=500.0, record_deliveries=True)
     assert eng.counters["gl_busy_drop"] > 0
-    assert eng.counters["gl_busy_drop"] == sum(n.busy_drops for n in nodes.values())
+    # Every delivered model is either merged or dropped.
+    merges = sum(n.merges for n in nodes.values())
+    assert len(eng.delivery_log) == merges + eng.counters["gl_busy_drop"]
 
 
 def test_gossip_engine_is_deterministic():

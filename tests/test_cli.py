@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plexsim.cli import main
-from plexsim.config import load_config
+from plexsim.config import config_from_dict, load_config
+from plexsim.runner import build_membership_from_config
 from plexsim.traces import load_device_profiles, load_latency_matrix
 
 
@@ -42,6 +44,23 @@ def test_traces_gen(tmp_path, capsys):
     assert len(lm.cities) == 4
     profs = load_device_profiles(tmp_path / "tr" / "profiles.csv")
     assert len(profs) == 12
+
+
+def test_traces_gen_defaults_are_the_config_defaults(tmp_path):
+    # With only --n, traces-gen writes the traces a config without a
+    # traces section synthesizes.
+    assert main(["traces-gen", "--out", str(tmp_path), "--n", "100"]) == 0
+    synth = config_from_dict({"algorithm": "plexus", "n": 100})
+    files = config_from_dict(
+        {"algorithm": "plexus", "n": 100,
+         "traces": {"latency_path": "latency.csv", "profiles_path": "profiles.csv"}}
+    )
+    m_synth, lat_synth = build_membership_from_config(synth)
+    m_files, lat_files = build_membership_from_config(files, tmp_path)
+    assert m_files.nodes == m_synth.nodes
+    assert m_files.profiles == m_synth.profiles
+    assert lat_files.cities == lat_synth.cities
+    assert np.array_equal(lat_files.rtt_ms, lat_synth.rtt_ms)
 
 
 def test_run_validate(tmp_path, capsys):
@@ -93,6 +112,20 @@ def test_run_validate_rejects_single_node_peer_to_peer(tmp_path, capsys, overrid
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "n >= 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"n": 20.0}, {"repetitions": 1.5}, {"stop": {"max_rounds": 2.5, "max_virtual_s": 1e7}}],
+    ids=["n", "repetitions", "stop.max_rounds"],
+)
+def test_run_validate_rejects_non_integer_counts(tmp_path, capsys, overrides):
+    cfg = write_cfg(tmp_path, **overrides)
+    rc = main(["run", cfg, "--validate"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be an integer" in captured.err
 
 
 def test_run_missing_config(tmp_path, capsys):

@@ -163,6 +163,37 @@ def test_config_from_dict_rejects_unknowns():
         config_from_dict(["not", "a", "dict"])
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"n": 20.0}, "'n'"),
+        ({"n": True}, "'n'"),
+        ({"n": "20"}, "'n'"),
+        ({"repetitions": 1.5}, "'repetitions'"),
+        ({"stop": {"max_rounds": 2.5}}, "'stop.max_rounds'"),
+        ({"trainer": {"local_steps": 5.0}}, "'trainer.local_steps'"),
+        ({"dataset": {"classes": False}}, "'dataset.classes'"),
+        ({"shared_init": 1}, "'shared_init'"),
+        ({"shared_init": "yes"}, "'shared_init'"),
+    ],
+    ids=["n-float", "n-bool", "n-str", "repetitions", "stop.max_rounds",
+         "trainer.local_steps", "dataset.classes", "shared_init-int", "shared_init-str"],
+)
+def test_config_from_dict_rejects_mistyped_integers_and_bools(overrides, key):
+    # The dataclasses would take these and the run would fail, or run with
+    # a float round budget, long after validation said ok.
+    with pytest.raises(ValueError, match=key):
+        config_from_dict({"algorithm": "plexus", "n": 20, **overrides})
+
+
+def test_float_keys_still_take_integers():
+    cfg = config_from_dict(
+        {"algorithm": "plexus", "n": 20, "success_fraction": 1, "stop": {"max_virtual_s": 100}}
+    )
+    same = minimal(success_fraction=1, stop=StopConfig(max_virtual_s=100))
+    assert cfg.config_hash() == same.config_hash()
+
+
 # ------------------------------------------------------------ yaml loading --
 
 

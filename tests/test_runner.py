@@ -113,7 +113,6 @@ def test_run_plexus_ledger_shape():
     assert all(r.duration_s > 0 for r in led.rounds)
     # eval cadence: rounds 2 and 4.
     assert [p.round for p in led.accuracy] == [2, 4]
-    assert led.counters["rounds_completed"] == 4.0
     assert led.counters["models_trained"] == 12.0  # 4 rounds x 3 participants
     assert led.bytes_total > 0
     assert led.train_seconds_total > 0
@@ -337,24 +336,26 @@ def test_every_runner_keeps_totals_consistent(algorithm):
         assert all(p.accuracy_std == 0.0 for p in led.accuracy)
 
 
-def test_dpsgd_and_gl_checkpoint_on_the_same_grid(tmp_path):
+@pytest.mark.parametrize("horizon, count", [(3.0, 30), (0.3, 3)], ids=["3.0", "0.3"])
+def test_dpsgd_and_gl_checkpoint_on_the_same_grid(tmp_path, horizon, count):
     # Both evaluate at k * every_seconds; summing every_seconds instead
     # drifts (0.1 added 30 times overshoots 3.0) and loses the last row.
+    # A multiple that rounding puts past the budget (3 * 0.1 > 0.3) is
+    # clamped to it, so no row lies beyond final_time_s.
     columns = {}
     for algorithm in ("dpsgd", "gl"):
         cfg = tiny_cfg(
             algorithm=algorithm,
             topology=TopologyConfig(kind="regular", degree=2, seed=1),
             gl_timeout_s=1.0,
-            stop=StopConfig(max_rounds=1000, max_virtual_s=3.0),
+            stop=StopConfig(max_rounds=1000, max_virtual_s=horizon),
             eval=EvalConfig(every_rounds=1, every_seconds=0.1),
         )
         run_experiment(cfg, tmp_path / algorithm)
         rows = (tmp_path / algorithm / "rep0" / "accuracy.csv").read_text().splitlines()[1:]
         columns[algorithm] = [row.split(",")[0] for row in rows]
     assert columns["dpsgd"] == columns["gl"]
-    assert columns["gl"] == [repr(k * 0.1) for k in range(1, 31)]
-    assert columns["gl"][-1] == "3.0"
+    assert columns["gl"] == [repr(k * 0.1) for k in range(1, count)] + [repr(horizon)]
 
 
 def test_repetitions_differ_but_seeds_pin_them():
