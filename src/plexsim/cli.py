@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import TracesConfig, load_config
-from .runner import build_membership_from_config, run_experiment
+from .runner import build_membership_from_config, build_world, run_experiment
 from .sampler import derive_sample
 from .traces import synth_device_profiles, synth_latency_matrix, write_latency_csv, write_profiles_csv
 
@@ -40,8 +40,11 @@ def _fail(msg: str) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    base_dir = Path(args.config).parent
     try:
         cfg = load_config(args.config)
+        if args.validate:
+            build_world(cfg, base_dir)  # the dataset and trace checks run here
     except ValueError as exc:
         return _fail(str(exc))
     if args.validate:
@@ -49,7 +52,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
     out = Path(args.out) if args.out else _results_root() / Path(args.config).stem
     try:
-        summary = run_experiment(cfg, out, base_dir=Path(args.config).parent)
+        summary = run_experiment(cfg, out, base_dir=base_dir)
     except ValueError as exc:
         return _fail(str(exc))
     print(f"wrote {out}/summary.json")

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, get_type_hints
 
 import yaml
 
@@ -163,54 +163,52 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
-_SECTION_TYPES = {
-    "trainer": TrainerConfig,
-    "dataset": DatasetConfig,
-    "partition": PartitionScheme,
-    "topology": TopologyConfig,
-    "traces": TracesConfig,
-    "stop": StopConfig,
-    "eval": EvalConfig,
+def _is_number(v: Any) -> bool:
+    return type(v) in (int, float)
+
+
+# What a config value of each declared field type may be, and how an error
+# names it. An int for a float key loads as given, so its hash is unchanged.
+_ACCEPTS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    float: (_is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    Optional[str]: (lambda v: v is None or isinstance(v, str), "a string or null"),
+    tuple[float, ...]: (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "a list of numbers"
+    ),
 }
 
 
-def _check_types(cls: type, values: dict[str, Any], prefix: str = "") -> None:
-    """YAML reads ``20.0``, ``true`` and ``"20"`` as float, bool and str; a
-    dataclass would take one for a count and the run would fail deep inside."""
-    for f in fields(cls):
-        want = {"int": int, "bool": bool}.get(f.type)
-        if want is not None and f.name in values and type(values[f.name]) is not want:
-            kind = "an integer" if want is int else "true or false"
-            raise ValueError(f"config key {prefix + f.name!r} must be {kind}, got {values[f.name]!r}")
+def _typed_kwargs(cls: type, values: Any, section: str = "") -> dict[str, Any]:
+    """``values`` checked against the annotations of ``cls``, with each
+    section built. YAML reads ``20.0``, ``true`` and ``"20"`` as float, bool
+    and str; a dataclass would take one for a count or a path and the run
+    would fail deep inside."""
+    if not isinstance(values, dict):
+        raise ValueError(f"config {f'section {section!r}' if section else 'root'} must be a mapping")
+    hints = get_type_hints(cls)
+    unknown = set(values) - set(hints)
+    if unknown:
+        where = f" in section {section!r}" if section else ""
+        raise ValueError(f"unknown config keys{where}: {sorted(unknown)}")
+    kwargs: dict[str, Any] = {}
+    for key, value in values.items():
+        hint = hints[key]
+        if is_dataclass(hint):
+            kwargs[key] = hint(**_typed_kwargs(hint, value, key))
+            continue
+        accepts, kind = _ACCEPTS[hint]
+        if not accepts(value):
+            name = f"{section}.{key}" if section else key
+            raise ValueError(f"config key {name!r} must be {kind}, got {value!r}")
+        kwargs[key] = tuple(float(t) for t in value) if key == "targets" else value
+    return kwargs
 
 
 def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ValueError("config root must be a mapping")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    _check_types(ExperimentConfig, raw)
-    kwargs: dict[str, Any] = {}
-    for key, value in raw.items():
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ValueError(f"config section {key!r} must be a mapping")
-            section_cls = _SECTION_TYPES[key]
-            section_known = set(section_cls.__dataclass_fields__)
-            section_unknown = set(value) - section_known
-            if section_unknown:
-                raise ValueError(
-                    f"unknown keys in config section {key!r}: {sorted(section_unknown)}"
-                )
-            _check_types(section_cls, value, f"{key}.")
-            kwargs[key] = section_cls(**value)
-        elif key == "targets":
-            kwargs[key] = tuple(float(t) for t in value)
-        else:
-            kwargs[key] = value
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**_typed_kwargs(ExperimentConfig, raw))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

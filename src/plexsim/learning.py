@@ -97,18 +97,9 @@ class ModelSpec:
             return hidden @ W2.T + b2
         raise ValueError("squared family has no class logits")
 
-    def loss_grad(self, theta: np.ndarray, X: np.ndarray, y: np.ndarray):
-        """Mean loss over the batch and its gradient as a flat vector.
-        Cross-entropy for classifiers, 0.5*(Xw - y)^2 for squared."""
-        if self.family == "squared":
-            loss = 0.5 * float(np.mean((X @ theta - y) ** 2))
-        else:
-            p = _softmax(self.logits(theta, X))
-            loss = float(np.mean(-np.log(p[np.arange(y.size), y] + 1e-300)))
-        return loss, self.grad(theta, X, y)
-
     def grad(self, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient of the mean batch loss, as a flat vector."""
+        """Gradient of the mean batch loss, as a flat vector: cross-entropy
+        for classifiers, 0.5*(Xw - y)^2 for squared."""
         m = X.shape[0]
         if self.family == "squared":
             return X.T @ (X @ theta - y) / m
@@ -142,10 +133,6 @@ class Dataset:
     X_test: np.ndarray
     y_test: np.ndarray
     classes: int
-
-    @property
-    def d_in(self) -> int:
-        return int(self.X_train.shape[1])
 
 
 def synth_dataset(

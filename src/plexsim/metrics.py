@@ -52,31 +52,6 @@ class MetricsLedger:
     final_time_s: float = 0.0
     counters: dict[str, float] = field(default_factory=dict)
 
-    def record_eval(
-        self,
-        time_s: float,
-        round_no: int,
-        accuracy: float,
-        accuracy_std: float,
-        bytes_total: int,
-        train_seconds_total: float,
-    ) -> None:
-        self.accuracy.append(
-            AccuracyPoint(time_s, round_no, accuracy, accuracy_std, bytes_total, train_seconds_total)
-        )
-
-    def record_round(
-        self,
-        round_no: int,
-        duration_s: float,
-        participants: int,
-        models_aggregated: int,
-        late_models: int = 0,
-    ) -> None:
-        self.rounds.append(
-            RoundRecord(round_no, duration_s, participants, models_aggregated, late_models)
-        )
-
     @property
     def final_accuracy(self) -> Optional[float]:
         return self.accuracy[-1].accuracy if self.accuracy else None

@@ -37,7 +37,9 @@ from .learning import (
     partition,
     synth_dataset,
 )
-from .metrics import MetricsLedger, cta, mean_excluding_none, round_duration_stats, rta, tta
+from .metrics import (
+    AccuracyPoint, MetricsLedger, RoundRecord, cta, mean_excluding_none, round_duration_stats, rta, tta,
+)
 from .protocol import PlexusNode, ProtocolConfig
 from .sampler import SampleSchedule
 from .simnet import Engine, LatencyMatrix, compute_time
@@ -132,10 +134,10 @@ class _Repetition:
         training-second totals ``totals`` (the ledger or the engine) hold now."""
         ds = self.world.dataset
         accs = evaluate_many(models, self.world.spec, ds.X_test, ds.y_test)
-        self.ledger.record_eval(
+        self.ledger.accuracy.append(AccuracyPoint(
             at, round_no, float(np.mean(accs)), float(np.std(accs)),
             totals.bytes_total, totals.train_seconds_total,
-        )
+        ))
 
 
 def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable, checkpoint=None) -> None:
@@ -197,7 +199,7 @@ def _run_plexus(r: _Repetition) -> None:
         late_by_round.update(node.late_by_round)
     last = 0.0
     for k, now in fired:
-        r.ledger.record_round(k, now - last, min(cfg.sample_size, cfg.n), pcfg.threshold, late_by_round[k])
+        r.ledger.rounds.append(RoundRecord(k, now - last, cfg.sample_size, pcfg.threshold, late_by_round[k]))
         last = now
     r.ledger.counters["models_trained"] = float(sum(len(node.trained_rounds) for node in nodes))
 
@@ -226,7 +228,7 @@ def _run_fl(r: _Repetition) -> None:
         ledger.bytes_total += res.bytes
         ledger.train_seconds_total += res.train_seconds
         model = res.model
-        ledger.record_round(k, res.duration_s, len(res.participants), res.aggregated, res.late)
+        ledger.rounds.append(RoundRecord(k, res.duration_s, len(res.participants), res.aggregated, res.late))
         if _should_eval(cfg, k):
             r.record_eval(ledger.final_time_s, k, [model], ledger)
     ledger.counters = {
@@ -269,7 +271,7 @@ def _run_dpsgd(r: _Repetition) -> None:
         models = res.models
         ledger.bytes_total += res.bytes
         ledger.train_seconds_total += res.train_seconds
-        ledger.record_round(k, res.duration_s, n, n, 0)
+        ledger.rounds.append(RoundRecord(k, res.duration_s, n, n, 0))
     ledger.counters = {"models_trained": float(n * len(ledger.rounds))}
 
 
@@ -342,11 +344,9 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     world = build_world(cfg, base_dir)
     reps = []
-    ledgers = []
     for rep in range(cfg.repetitions):
         ledger = run_single(cfg, world, rep)
         ledger.write_csvs(out / f"rep{rep}")
-        ledgers.append(ledger)
         per_target = {}
         for target in cfg.targets:
             per_target[repr(target)] = {

@@ -135,11 +135,11 @@ def maxmin_rates(
         cap[down] = downlink[dst]
 
     rates: dict[int, float] = {}
-    unfrozen = {tid for tid, _, _ in flows}
-    while unfrozen:
+    ports = sorted(members)
+    while len(rates) < len(flow_ports):
         bottleneck = None
         share = float("inf")
-        for port in sorted(members):
+        for port in ports:
             live = len(members[port])
             if live == 0:
                 continue
@@ -150,11 +150,9 @@ def maxmin_rates(
             raise SimulationError("no live port while flows remain unfrozen")
         for tid in sorted(members[bottleneck]):
             rates[tid] = share
-            unfrozen.discard(tid)
             for port in flow_ports[tid]:
                 members[port].discard(tid)
                 cap[port] = max(0.0, cap[port] - share)
-        members[bottleneck].clear()
     return rates
 
 

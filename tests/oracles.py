@@ -7,9 +7,12 @@ never checks code against itself.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
 from plexsim.sampler import node_rank_key
+from plexsim.simnet import SimulationError
 
 
 # ------------------------------------------------------ sample reference --
@@ -24,6 +27,48 @@ def sample_reference(k: int, s: int, candidates) -> tuple:
     if not ranked:
         raise ValueError("no candidates")
     return tuple(rk.node for rk in ranked[:s])
+
+
+# ------------------------------------------------- max-min rate reference --
+
+
+def maxmin_reference(flows, uplink: dict, downlink: dict) -> dict:
+    """Progressive filling as first written: each step sorts every port
+    again, keeps the unfrozen flows in their own set and clears the
+    bottleneck's members after freezing them. ``maxmin_rates`` must match it
+    bit for bit."""
+    members: dict = defaultdict(set)
+    flow_ports: dict = {}
+    cap: dict = {}
+    for tid, src, dst in flows:
+        up, down = ("u", src), ("d", dst)
+        members[up].add(tid)
+        members[down].add(tid)
+        flow_ports[tid] = (up, down)
+        cap[up] = uplink[src]
+        cap[down] = downlink[dst]
+    rates: dict = {}
+    unfrozen = {tid for tid, _, _ in flows}
+    while unfrozen:
+        bottleneck = None
+        share = float("inf")
+        for port in sorted(members):
+            live = len(members[port])
+            if live == 0:
+                continue
+            port_share = cap[port] / live
+            if port_share < share - 1e-9:
+                bottleneck, share = port, port_share
+        if bottleneck is None:
+            raise SimulationError("no live port while flows remain unfrozen")
+        for tid in sorted(members[bottleneck]):
+            rates[tid] = share
+            unfrozen.discard(tid)
+            for port in flow_ports[tid]:
+                members[port].discard(tid)
+                cap[port] = max(0.0, cap[port] - share)
+        members[bottleneck].clear()
+    return rates
 
 
 # ------------------------------------------------- fluid max-min transfer --

@@ -1,8 +1,10 @@
-"""No plexsim module keeps state that nothing reads.
+"""No plexsim module keeps state or code that nothing reads.
 
 An attribute assigned on ``self`` must be read, as ``anything.name``,
 somewhere in the package. ``self.count += 1`` alone is not a read: a counter
-that only counts is a second home for a fact kept elsewhere.
+that only counts is a second home for a fact kept elsewhere. Likewise every
+function, method, property and class must be referenced by name somewhere
+in the package.
 """
 
 import ast
@@ -40,3 +42,50 @@ def test_module_reads_every_attribute_it_assigns(path):
         if on_self and name not in READ
     )
     assert not unread, f"{path.name} assigns attributes nothing reads: {unread}"
+
+
+# Definitions that nothing in the package references, and what keeps each.
+KEPT_UNREFERENCED = {
+    "evaluate": "perfbench/layertrace.py wraps it",
+    "Engine.send_at": "the acceptance gate uses it",
+    "LatencyMatrix.zero": "the acceptance gate uses it",
+    "Engine.quiescent": "ROADMAP item 3 reports a drained queue with it",
+    "ModelParameters.with_values": "tests/oracles.py uses it",
+    "node_rank_key": "tests/oracles.py uses it",
+}
+
+# Names used as a variable or an attribute anywhere in the package. The
+# exports in __init__.py do not count as a use.
+REFERENCED = {
+    node.id if isinstance(node, ast.Name) else node.attr
+    for path in MODULES
+    if path.name != "__init__.py"
+    for node in ast.walk(ast.parse(path.read_text()))
+    if isinstance(node, (ast.Name, ast.Attribute))
+}
+
+
+def definitions(tree, prefix=""):
+    """(qualified name, name, line) of every function, method and class."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node.name, node.lineno
+            yield from definitions(node, f"{prefix}{node.name}.")
+        else:
+            yield from definitions(node, prefix)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_nothing_unreferenced(path):
+    """The match is by name only, so a definition whose name something else
+    uses passes: a ``Dataset.d_in`` property would slip through on
+    ``spec.d_in``. Dunder methods are exempt, because Python calls them
+    itself."""
+    unreferenced = sorted(
+        f"{qualname} (line {line})"
+        for qualname, name, line in definitions(ast.parse(path.read_text()))
+        if name not in REFERENCED
+        and qualname not in KEPT_UNREFERENCED
+        and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert not unreferenced, f"{path.name} defines names nothing references: {unreferenced}"

@@ -128,6 +128,35 @@ def test_run_validate_rejects_non_integer_counts(tmp_path, capsys, overrides):
     assert "must be an integer" in captured.err
 
 
+def test_run_validate_rejects_a_number_for_a_trace_path(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, traces={"latency_path": 5})
+    rc = main(["run", cfg, "--validate"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'traces.latency_path' must be a string or null" in captured.err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"dataset": {"n_samples": 20, "classes": 3}}, "need at least 30 samples for 3 classes"),
+        ({"traces": {"profiles_path": "prof.csv"}}, "n=8 nodes but the profile trace has 2"),
+    ],
+    ids=["dataset", "profiles"],
+)
+def test_run_validate_builds_the_world(tmp_path, capsys, overrides, message):
+    (tmp_path / "prof.csv").write_text(
+        "node_id,uplink_bps,downlink_bps,sec_per_local_step\na,1,1,1\nb,1,1,1\n"
+    )
+    cfg = write_cfg(tmp_path, **overrides)
+    rc = main(["run", cfg, "--validate"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_run_missing_config(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.yaml")])
     assert rc == 2

@@ -175,9 +175,13 @@ def test_config_from_dict_rejects_unknowns():
         ({"dataset": {"classes": False}}, "'dataset.classes'"),
         ({"shared_init": 1}, "'shared_init'"),
         ({"shared_init": "yes"}, "'shared_init'"),
+        ({"stop": {"max_virtual_s": True}}, "'stop.max_virtual_s'"),
+        ({"success_fraction": True}, "'success_fraction'"),
+        ({"targets": [True]}, "'targets'"),
     ],
     ids=["n-float", "n-bool", "n-str", "repetitions", "stop.max_rounds",
-         "trainer.local_steps", "dataset.classes", "shared_init-int", "shared_init-str"],
+         "trainer.local_steps", "dataset.classes", "shared_init-int", "shared_init-str",
+         "stop.max_virtual_s-bool", "success_fraction-bool", "targets-bool"],
 )
 def test_config_from_dict_rejects_mistyped_integers_and_bools(overrides, key):
     # The dataclasses would take these and the run would fail, or run with

@@ -72,12 +72,10 @@ def test_init_model_shape_and_determinism():
 
 def test_squared_gradient_by_hand():
     # One sample, X = [[1, 2]], y = [1], w = 0: residual -1,
-    # loss 0.5, gradient X^T * resid = [-1, -2].
+    # gradient X^T * resid = [-1, -2].
     X = np.array([[1.0, 2.0]])
     y = np.array([1.0])
-    loss, grad = SQUARED.loss_grad(np.zeros(2), X, y)
-    assert loss == pytest.approx(0.5)
-    assert np.allclose(grad, [-1.0, -2.0])
+    assert np.allclose(SQUARED.grad(np.zeros(2), X, y), [-1.0, -2.0])
 
 
 def test_squared_sgd_step_by_hand():
@@ -97,8 +95,8 @@ def test_analytic_gradient_matches_finite_differences(spec):
     X, y = toy_batch(spec, seed=3)
     if spec.family == "squared":
         y = rng.normal(size=X.shape[0])
-    _, grad = spec.loss_grad(theta, X, y)
-    num = finite_difference_grad(lambda th: spec.loss_grad(th, X, y)[0], theta)
+    grad = spec.grad(theta, X, y)
+    num = finite_difference_grad(lambda th: loss_grad_reference(spec, th, X, y)[0], theta)
     assert np.max(np.abs(grad - num)) <= 1e-6
 
 
@@ -112,7 +110,7 @@ def test_momentum_accumulates():
     theta = np.zeros(2)
     v = np.zeros(2)
     for _ in range(3):
-        _, g = SQUARED.loss_grad(theta, part.X, part.y)
+        g = SQUARED.grad(theta, part.X, part.y)
         v = 0.9 * v + g
         theta = theta - 0.1 * v
     assert np.allclose(out.values, theta, atol=1e-12)
@@ -194,12 +192,9 @@ training_cases = dict(
 def test_grad_and_loss_grad_match_the_reference(family, shard, scale, zero_share, seed):
     spec, theta, X, y = training_inputs(family, shard, scale, zero_share, seed)
     with np.errstate(all="ignore"):
-        want_loss, want = loss_grad_reference(spec, theta, X, y)
+        _, want = loss_grad_reference(spec, theta, X, y)
         grad = spec.grad(theta, X, y)
-        loss, loss_grad = spec.loss_grad(theta, X, y)
     assert np.array_equal(bits(grad), bits(want))
-    assert np.array_equal(bits(loss_grad), bits(want))
-    assert bits(loss) == bits(want_loss)
 
 
 @given(
@@ -239,9 +234,9 @@ def test_training_reduces_loss_on_separable_data():
     ds = synth_dataset(seed=5, n_samples=400, d_in=6, classes=3, class_sep=3.0)
     part = DataPartition(ds.X_train, ds.y_train)
     theta0 = LINEAR_DS.init_model(derive_rng(0, "init"))
-    l0, _ = LINEAR_DS.loss_grad(theta0.values, ds.X_train, ds.y_train)
+    l0, _ = loss_grad_reference(LINEAR_DS, theta0.values, ds.X_train, ds.y_train)
     out = local_train(theta0, LINEAR_DS, part, TrainerConfig(eta=0.2, local_steps=60, batch_size=64), derive_rng(3))
-    l1, _ = LINEAR_DS.loss_grad(out.values, ds.X_train, ds.y_train)
+    l1, _ = loss_grad_reference(LINEAR_DS, out.values, ds.X_train, ds.y_train)
     assert l1 < 0.5 * l0
     assert evaluate(out, LINEAR_DS, ds.X_test, ds.y_test) > 0.85
 
@@ -256,7 +251,7 @@ def test_synth_dataset_shapes_and_split():
     ds = synth_dataset(seed=1, n_samples=500, d_in=8, classes=4)
     assert ds.X_train.shape == (400, 8)
     assert ds.X_test.shape == (100, 8)
-    assert ds.d_in == 8
+    assert ds.X_train.shape[1] == 8
     assert set(np.unique(ds.y_train)) <= set(range(4))
     assert ds.y_train.dtype == np.int64
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from plexsim.metrics import (
+    AccuracyPoint,
     MetricsLedger,
+    RoundRecord,
     cta,
     mean_excluding_none,
     round_duration_stats,
@@ -16,7 +18,7 @@ from plexsim.metrics import (
 def ledger_with(points):
     led = MetricsLedger()
     for time_s, rnd, acc, b, train_s in points:
-        led.record_eval(time_s, rnd, acc, 0.0, b, train_s)
+        led.accuracy.append(AccuracyPoint(time_s, rnd, acc, 0.0, b, train_s))
     return led
 
 
@@ -85,8 +87,8 @@ def test_round_duration_stats():
 
 def test_write_csvs(tmp_path):
     led = ledger_with([(10.0, 1, 0.5, 100, 1.5), (20.0, 2, 0.75, 200, 3.25)])
-    led.record_round(1, 10.0, 13, 10, 3)
-    led.record_round(2, 10.0, 13, 10, 3)
+    led.rounds.append(RoundRecord(1, 10.0, 13, 10, 3))
+    led.rounds.append(RoundRecord(2, 10.0, 13, 10, 3))
     led.bytes_total = 250
     led.train_seconds_total = 4.0
     led.final_time_s = 25.0

@@ -60,7 +60,7 @@ def test_build_world_synth():
     world = build_world(cfg)
     assert len(world.membership) == 8
     assert len(world.latency.cities) == 3
-    assert world.dataset.d_in == 4
+    assert world.dataset.X_train.shape[1] == 4
     assert world.spec.dim == 3 * 4 + 3
     cities = {world.membership.profile(nid).city_index for nid in world.membership.nodes}
     assert cities == {0, 1, 2}

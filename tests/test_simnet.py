@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plexsim.core import (
     Metric,
@@ -20,7 +22,7 @@ from plexsim.simnet import (
 )
 
 from conftest import make_membership
-from oracles import fluid_completions, fluid_rates
+from oracles import fluid_completions, fluid_rates, maxmin_reference
 
 
 class Recorder:
@@ -142,6 +144,36 @@ def test_maxmin_is_feasible_and_saturating(seed):
         up_sat = load_up[s] >= up[s] * (1 - 1e-9)
         down_sat = load_down[d] >= down[d] * (1 - 1e-9)
         assert up_sat or down_sat
+
+
+# Tie-prone capacities: a few repeated values, some 1e-10 apart, so equal
+# shares and near-equal ones within the solver's tolerance both occur.
+_TIE_CAPS = st.sampled_from([1e6, 1e6 + 1e-10, 2e6, 3e6, 3e6 - 1e-10, 5e5])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_maxmin_matches_the_reference_bit_for_bit(data):
+    n = data.draw(st.integers(2, 5))
+    nodes = [f"n{i}" for i in range(n)]
+    up = {nid: data.draw(_TIE_CAPS) for nid in nodes}
+    down = {nid: data.draw(_TIE_CAPS) for nid in nodes}
+    # Few nodes, so pairs repeat and several flows share both their ports.
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=12))
+    flows = [(tid, nodes[a], nodes[(a + b) % n]) for tid, (a, b) in enumerate(pairs)]
+    got = maxmin_rates(flows, up, down)
+    want = maxmin_reference(flows, up, down)
+    assert {t: r.hex() for t, r in got.items()} == {t: r.hex() for t, r in want.items()}
+
+
+def test_maxmin_infinite_capacity_raises():
+    # inf / k is never below inf, so no port is a bottleneck; without the
+    # error the filling loop would never end.
+    up = {"a": float("inf"), "b": float("inf")}
+    down = {"a": float("inf"), "b": float("inf")}
+    with pytest.raises(SimulationError, match="no live port"):
+        maxmin_rates([(0, "a", "b")], up, down)
 
 
 # ------------------------------------------------------------- the engine --
