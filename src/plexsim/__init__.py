@@ -26,6 +26,7 @@ from .simnet import Engine, LatencyMatrix, SimulationError, assign_cities, compu
 from .learning import (
     Dataset,
     DataPartition,
+    EvalSplit,
     ModelSpec,
     PartitionScheme,
     TrainerConfig,

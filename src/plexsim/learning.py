@@ -178,11 +178,15 @@ def synth_dataset(
 
 @dataclass(frozen=True)
 class DataPartition:
+    """One node's shard: rows ``rows`` of the split X, y. Every shard of a
+    partition holds the same X and y, so no row is copied."""
+
     X: np.ndarray
     y: np.ndarray
+    rows: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.y.size)
+        return int(self.rows.size)
 
 
 @dataclass(frozen=True)
@@ -203,9 +207,9 @@ class PartitionScheme:
 def partition(
     dataset: Dataset, n_nodes: int, scheme: PartitionScheme, seed: int
 ) -> list[DataPartition]:
-    """Split the train set into one shard per node. Every node ends up with
-    at least one sample; draws that would leave a node empty are re-dealt a
-    bounded number of times before erroring out."""
+    """Split the train set into one shard of row indices per node. Every
+    node ends up with at least one sample; draws that would leave a node
+    empty are re-dealt a bounded number of times before erroring out."""
     if n_nodes < 1:
         raise ValueError("need at least one node")
     N = dataset.y_train.size
@@ -218,10 +222,7 @@ def partition(
         index_lists = _split_dirichlet(dataset, n_nodes, scheme.alpha, rng)
     else:
         index_lists = _split_label_shards(dataset, n_nodes, scheme.shards_per_node, rng)
-    return [
-        DataPartition(dataset.X_train[idx], dataset.y_train[idx])
-        for idx in index_lists
-    ]
+    return [DataPartition(dataset.X_train, dataset.y_train, idx) for idx in index_lists]
 
 
 def _split_iid(N: int, n_nodes: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -314,40 +315,73 @@ def local_train(
             idx = rng.choice(m, size=cfg.batch_size, replace=False)
         else:
             idx = rng.integers(0, m, size=cfg.batch_size)
-        velocity = cfg.momentum * velocity + spec.grad(theta, part.X[idx], part.y[idx])
+        batch = part.rows[idx]
+        velocity = cfg.momentum * velocity + spec.grad(theta, part.X[batch], part.y[batch])
         theta = theta - cfg.eta * velocity
     if not np.all(np.isfinite(theta)):
         raise ValueError("divergence: reduce eta")
     return ModelParameters(theta, age=model.age + cfg.local_steps)
 
 
+class EvalSplit:
+    """A labelled split X, y as ``evaluate_many`` reads it. It also keeps the
+    rows in label order (``order``): their labels, a float32 copy with a
+    trailing 1 that multiplies the bias, and each row's Euclidean norm,
+    which the rounding bounds scale with. In label order a tile of rows
+    holds few runs of one label, and each run's logits are a plain slice.
+    Build it once and score every checkpoint against it."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X, self.y = X, y
+        self.order = np.argsort(y, kind="stable")
+        self.labels = y[self.order]
+        X32 = np.ones((y.size, X.shape[1] + 1), dtype=np.float32)
+        X32[:, :-1] = X
+        self.X32 = X32[self.order]
+        self.norms = np.sqrt(np.einsum("ij,ij->i", X, X))[self.order]
+
+
 def evaluate(model: ModelParameters, spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> float:
     """Top-1 accuracy on the given split."""
-    return evaluate_many([model], spec, X, y)[0]
+    return evaluate_many([model], spec, EvalSplit(X, y))[0]
 
 
-# Evaluation tiles: one GEMM multiplies the stacked weight rows of as many
-# linear models as fit in _EVAL_COLS by at most _EVAL_ROWS test rows. On the
-# desk shapes (256 inputs, 10 classes) a block's weights, logits and masks
-# stay near 1 MB; larger tiles were no faster.
-_EVAL_ROWS = 256
-_EVAL_COLS = 128
+# Evaluation tiles: one float32 GEMM multiplies at most _EVAL_ROWS test rows
+# by the stacked weight rows of as many linear models as fit in _EVAL_COLS.
+# On the desk shapes (256 inputs, 10 classes) a tile's logits take 1 MB;
+# 256 to 1024 rows by 256 to 1024 columns were no faster.
+_EVAL_ROWS = 512
+_EVAL_COLS = 512
 
 
-def evaluate_many(
-    models: list[ModelParameters], spec: ModelSpec, X: np.ndarray, y: np.ndarray
-) -> list[float]:
-    """Top-1 accuracy of each model on the given split, equal float for float
-    to scoring each model alone with ``logits`` over all of X.
+def evaluate_many(models: list[ModelParameters], spec: ModelSpec, split: EvalSplit) -> list[float]:
+    """Top-1 accuracy of each model on ``split``, equal float for float to
+    scoring each model alone with ``logits`` over all of its rows.
 
-    Linear models are scored in blocks, one GEMM per chunk of test rows. A
-    row's prediction is certain when one class leads every other by more
-    than twice ``_linear_logit_error_bound``: no summation order can then
-    change it. A model with an uncertain row (a near tie or a non-finite
-    logit) is rescored alone with ``logits``, so ties break as they always
-    did, at the first maximal class. MLP models are always scored alone.
-    Correct predictions are counted as integers and divided by the row
-    count once."""
+    Linear models are scored in blocks, one float32 GEMM per tile of rows,
+    and each (model, row) pair is decided from certified margins. Let z* be
+    the exact logits of the float64 inputs and z those that ``logits``
+    computes, in whatever order its BLAS sums. ``_linear_logit_error_bound``
+    gives e64 with |z - z*| <= e64 / 2, and ``_float32_logit_error_bound``
+    gives e32 with |z32 - z*| <= e32 for the float32 logits z32 of the tile,
+    whenever z32 is finite. If the label's z32 leads every rival by more
+    than T = 2 (e32 + e64), its z* leads by more than 2 e64 and its z by
+    more than e64 >= 0, so ``logits`` predicts the label, whichever class
+    comes first. If a rival's z32 leads the label's by more than T, ``logits``
+    does not predict the label. A lead is a difference of floats taken in
+    float64 and compared with T, itself rounded up; rounding is monotone, so
+    a computed lead above T means an exact lead above T. A row with a
+    non-finite logit (a NaN or infinite operand, or an overflow) is
+    undecided, as is a pair whose T is not finite.
+
+    The undecided rows of a block are rechecked with one float64 product
+    of the block's weights and T = 2 e64, which decides them by the same
+    argument, since that product's logits lie within e64 / 2 of z*. A model
+    with a pair still undecided (a near tie) is rescored alone with
+    ``logits``, so ties break as they always did, at the first maximal
+    class. MLP models are always scored alone. Correct predictions are
+    counted as integers and divided by the row count once."""
+    y = split.y
     if spec.family == "squared":
         raise ValueError("squared family has no class logits")
     if y.size == 0:
@@ -355,37 +389,65 @@ def evaluate_many(
     if y.min() < 0 or y.max() >= spec.classes:
         raise ValueError(f"test labels must lie in [0, {spec.classes})")
     if spec.family != "linear":
-        return [_count_correct(spec, m.values, X, y) / y.size for m in models]
-    c = spec.classes
+        return [_count_correct(spec, m.values, split.X, y) / y.size for m in models]
+    c, N = spec.classes, y.size
     per_block = max(1, _EVAL_COLS // c)
-    row_norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     accs: list[float] = []
     for first in range(0, len(models), per_block):
         thetas = np.stack([m.values for m in models[first : first + per_block]])
         B = len(thetas)
         W, b = spec._unpack_linear(thetas)
-        # Within a bound each, a rival class may gain while the leader loses.
-        slope, offset = (2.0 * v for v in _linear_logit_error_bound(W, b))
-        # Class-major stacking: row j * B + i holds class j of model i.
+        w, bias = np.sqrt(np.einsum("mcd,mcd->mc", W, W)).max(axis=1), np.abs(b).max(axis=1)
+        s64, o64 = _linear_logit_error_bound(w, bias, spec.d_in)
+        s32, o32 = _float32_logit_error_bound(w, bias, spec.d_in)
+        # Within a bound each, a rival class may gain while the label loses.
+        slope, offset = 2.0 * (s32 + s64), 2.0 * (o32 + o64)
+        # Class-major stacking: row j * B + i holds class j of model i, its
+        # float32 copy ends in the bias.
         W = W.transpose(1, 0, 2).reshape(c * B, spec.d_in)
         b = b.T.reshape(c * B, 1)
+        W32 = np.empty((c * B, spec.d_in + 1), dtype=np.float32)
+        W32[:, :-1], W32[:, -1:] = W, b
         correct = np.zeros(B, dtype=np.int64)
-        unsure = np.zeros(B, dtype=bool)
-        for lo in range(0, X.shape[0], _EVAL_ROWS):
-            hi = min(lo + _EVAL_ROWS, X.shape[0])
-            z = W @ X[lo:hi].T
-            z += b
-            z = z.reshape(c, B, hi - lo)
-            top = z.max(axis=0)
-            floor = top - np.outer(slope, row_norms[lo:hi]) - offset[:, None]
-            leaders = np.count_nonzero(z >= floor, axis=0)
-            hit = z[y[lo:hi], :, np.arange(hi - lo)].T >= floor
-            correct += np.count_nonzero(hit & (leaders == 1), axis=1)
-            unsure |= np.any((leaders != 1) | ~np.isfinite(top), axis=1)
-        for i in np.flatnonzero(unsure):
-            correct[i] = _count_correct(spec, thetas[i], X, y)
-        accs.extend(int(k) / y.size for k in correct)
+        unsure = np.empty((B, N), dtype=bool)
+        for lo in range(0, N, _EVAL_ROWS):
+            hi = min(lo + _EVAL_ROWS, N)
+            z = W32 @ split.X32[lo:hi].T
+            hit, unsure[:, lo:hi] = _certify(
+                z.reshape(c, B, hi - lo), split.labels[lo:hi], split.norms[lo:hi], slope, offset
+            )
+            correct += np.count_nonzero(hit, axis=1)
+        rows = np.flatnonzero(unsure.any(axis=0))
+        if rows.size:
+            z = W @ split.X[split.order[rows]].T + b
+            z = z.reshape(c, B, rows.size)
+            hit, still = _certify(z, split.labels[rows], split.norms[rows], 2.0 * s64, 2.0 * o64)
+            pending = unsure[:, rows]
+            correct += np.count_nonzero(hit & pending, axis=1)
+            for i in np.flatnonzero((still & pending).any(axis=1)):
+                correct[i] = _count_correct(spec, thetas[i], split.X, y)
+        accs.extend(int(k) / N for k in correct)
     return accs
+
+
+def _certify(z: np.ndarray, labels: np.ndarray, norms: np.ndarray, slope: np.ndarray, offset: np.ndarray):
+    """Decide the pairs of a tile of logits z (classes, models, rows), which
+    it overwrites, given each row's label and norm |x| and each model's
+    tolerance slope * |x| + offset. Rows of one label are read as a run, so
+    few long runs are fast. Returns (correct, undecided), each (models,
+    rows): a pair is decided when every logit of its row is finite and the
+    label's lead over its best rival clears the tolerance, either way."""
+    finite = np.isfinite(z.sum(axis=0))
+    lead = np.empty(z.shape[1:])
+    starts = [0, *(np.flatnonzero(np.diff(labels)) + 1)]
+    for lo, hi in zip(starts, [*starts[1:], labels.size]):
+        lead[:, lo:hi] = z[labels[lo], :, lo:hi]
+        z[labels[lo], :, lo:hi] = -np.inf
+    lead -= z.max(axis=0)
+    lead[~finite] = np.nan
+    tol = np.outer(slope, norms)
+    tol += offset[:, None]
+    return lead > tol, ~(np.abs(lead) > tol)
 
 
 def _count_correct(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> int:
@@ -393,17 +455,44 @@ def _count_correct(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndar
     return int(np.count_nonzero(spec.logits(theta, X).argmax(axis=1) == y))
 
 
-def _linear_logit_error_bound(W: np.ndarray, b: np.ndarray):
-    """Per model of a stack of linear weights W (models, classes, inputs)
-    and biases b (models, classes), (slope, offset) such that two
-    evaluations of a logit of row x that sum in different orders lie at most
-    slope * |x| + offset apart. A length-n dot product plus a bias is off by
-    at most gamma_{n+2} = (n+2)u/(1-(n+2)u) times sum |x_k w_k| + |b| <=
-    |x| |w| + |b| in any order (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 3.1), plus (n+2)u times the least normal
-    number for products that underflow; the bound doubles that twice, for
-    the two evaluations and for slack."""
+def _linear_logit_error_bound(w: np.ndarray, bias: np.ndarray, n: int):
+    """Per model of a stack of linear models over n inputs, with largest
+    class weight norm w and largest bias magnitude ``bias``, (slope, offset)
+    such that two float64 evaluations of a logit of row x that sum in
+    different orders lie at most slope * |x| + offset apart. A length-n dot
+    product plus a bias is off by at most gamma_{n+2} = (n+2)u/(1-(n+2)u)
+    times sum |x_k w_k| + |b| <= |x| |w| + |b| in any order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 3.1), plus
+    (n+2)u times the least normal number for products that underflow; the
+    bound doubles that twice, for the two evaluations and for slack."""
     u, least = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny
-    slack = 4.0 * (W.shape[2] + 2) * u
-    w = np.linalg.norm(W, axis=2).max(axis=1)
-    return slack * w, slack * (np.abs(b).max(axis=1) + least)
+    slack = 4.0 * (n + 2) * u
+    return slack * w, slack * (bias + least)
+
+
+def _float32_logit_error_bound(w: np.ndarray, bias: np.ndarray, n: int):
+    """Per model of a stack of linear models over n inputs, with largest
+    class weight norm w and largest bias magnitude ``bias``, (slope, offset)
+    such that a finite float32 logit of row x, computed from float32 copies
+    of x, the weights and the bias, lies within slope * |x| + offset of the
+    exact logit of the float64 inputs, whatever order and fused
+    multiply-adds the BLAS uses.
+
+    With u = 2^-24 and a = u * (least normal float32) = 2^-150, rounding an
+    entry t to float32 moves it by at most u|t| + a, so the rounded row x^
+    lies within u|x| + a sqrt(n) of x, and likewise w^ and b^. A finite
+    result means nothing overflowed. Summing n products and a bias in any
+    order then errs by at most gamma_{n+1} (sum |x^_k w^_k| + |b^|), plus
+    (n+1) a (1 + gamma_n) for products that underflow (Higham, 2002,
+    section 3.1). With Cauchy-Schwarz and (1+u)^2 (1+gamma_{n+1}) <=
+    1 + gamma_{n+3}, the whole error is at most gamma_{n+4} (|x| |w| + |b|)
+    + 2a (sqrt(n) (|x| + |w|) + n + 3), for (n+4)u <= 1/2; beyond that the
+    bound is infinite. Both parts are rounded up by 2^-20 relative, more
+    than the float64 arithmetic of the norms and the bound can lose."""
+    u = float(np.finfo(np.float32).eps) / 2
+    a = u * float(np.finfo(np.float32).tiny)
+    if (n + 4) * u > 0.5:
+        return np.full_like(w, np.inf), np.full_like(w, np.inf)
+    g = (n + 4) * u / (1 - (n + 4) * u)
+    up, root = 1 + 2.0**-20, math.sqrt(n)
+    return up * (g * w + 2 * a * root), up * (g * bias + 2 * a * (root * w + n + 3))

@@ -31,6 +31,7 @@ from .config import ExperimentConfig, resolve_trace_path
 from .core import Membership, ModelParameters, derive_rng
 from .learning import (
     Dataset,
+    EvalSplit,
     ModelSpec,
     evaluate_many,
     local_train,
@@ -108,14 +109,16 @@ def _should_eval(cfg: ExperimentConfig, k: int) -> bool:
 
 class _Repetition:
     """What every algorithm shares within one repetition: the shards and
-    compute seconds of each node, the training and init streams, the
-    evaluation recorder and the ledger. A driver only moves models."""
+    compute seconds of each node, the training and init streams, the test
+    split and its evaluation recorder, and the ledger. Each algorithm's run
+    function only moves models."""
 
     def __init__(self, cfg: ExperimentConfig, world: World, rep: int):
         self.cfg, self.world, self.rep = cfg, world, rep
         nodes = world.membership.nodes
         parts = partition(world.dataset, cfg.n, cfg.partition, cfg.protocol_seed * 1_000_003 + rep)
         self.shards = dict(zip(nodes, parts))
+        self.test = EvalSplit(world.dataset.X_test, world.dataset.y_test)
         steps = cfg.trainer.local_steps
         self.compute_s = {nid: compute_time(world.membership.profile(nid), steps) for nid in nodes}
         self.ledger = MetricsLedger()
@@ -132,8 +135,7 @@ class _Repetition:
     ) -> None:
         """Record the mean and std accuracy of ``models`` with the byte and
         training-second totals ``totals`` (the ledger or the engine) hold now."""
-        ds = self.world.dataset
-        accs = evaluate_many(models, self.world.spec, ds.X_test, ds.y_test)
+        accs = evaluate_many(models, self.world.spec, self.test)
         self.ledger.accuracy.append(AccuracyPoint(
             at, round_no, float(np.mean(accs)), float(np.std(accs)),
             totals.bytes_total, totals.train_seconds_total,

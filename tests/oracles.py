@@ -255,7 +255,8 @@ def local_train_reference(model, spec, part, cfg, rng):
             idx = rng.choice(m, size=cfg.batch_size, replace=False)
         else:
             idx = rng.integers(0, m, size=cfg.batch_size)
-        _, grad = loss_grad_reference(spec, theta, part.X[idx], part.y[idx])
+        batch = part.rows[idx]
+        _, grad = loss_grad_reference(spec, theta, part.X[batch], part.y[batch])
         velocity = cfg.momentum * velocity + grad
         theta = theta - cfg.eta * velocity
     if not np.all(np.isfinite(theta)):

@@ -1,0 +1,58 @@
+"""The four desk configs write the bytes recorded in ``golden_desk.json``, and
+no output depends on the string hash seed, although node ids are strings
+kept in sets and dicts."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from golden_desk import GOLDEN, ROOT, digests, fingerprint, run_desk
+
+HASH_SEED_CONFIGS = ("plexus-desk", "gl-desk")
+
+# Runs the configs named on the command line into the directory named first.
+RERUN = (
+    "import sys; from pathlib import Path; from golden_desk import run_desk; "
+    "run_desk(Path(sys.argv[1]), [Path(c) for c in sys.argv[2:]])"
+)
+
+
+@pytest.fixture(scope="module")
+def desk_runs(tmp_path_factory):
+    """The digests of the four desk runs made in this process, and those of
+    plexus-desk and gl-desk rerun in a subprocess under another
+    PYTHONHASHSEED. The two overlap."""
+    here, there = tmp_path_factory.mktemp("in_process"), tmp_path_factory.mktemp("subprocess")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = os.pathsep.join([str(ROOT / "src"), str(GOLDEN.parent)])
+    # One BLAS thread, so that the two processes do not fight for the cores.
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    configs = [str(ROOT / "configs" / f"{name}.yaml") for name in HASH_SEED_CONFIGS]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", RERUN, str(there), *configs],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        ours = run_desk(here)
+    finally:
+        _, err = proc.communicate(timeout=600)
+    assert proc.returncode == 0, err.decode()
+    return ours, digests(there)
+
+
+def test_desk_outputs_match_the_golden_digests(desk_runs):
+    golden = json.loads(GOLDEN.read_text())
+    machine = fingerprint()
+    if machine != golden["fingerprint"]:
+        pytest.skip(f"digests taken on {golden['fingerprint']}; this machine is {machine}")
+    ours = desk_runs[0]
+    changed = sorted(f for f in golden["files"].keys() | ours.keys() if golden["files"].get(f) != ours.get(f))
+    assert not changed, f"outputs differ from tests/golden_desk.json: {changed}"
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(desk_runs):
+    ours, rerun = desk_runs
+    assert rerun and rerun == {f: h for f, h in ours.items() if f.split("/")[0] in HASH_SEED_CONFIGS}

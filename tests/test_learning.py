@@ -1,3 +1,6 @@
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from plexsim import learning
 from plexsim.core import ModelParameters, derive_rng
 from plexsim.learning import (
     DataPartition,
+    EvalSplit,
     ModelSpec,
     PartitionScheme,
     TrainerConfig,
@@ -28,6 +32,11 @@ from oracles import (
 LINEAR = ModelSpec("linear", d_in=4, classes=3)
 MLP = ModelSpec("mlp", d_in=4, classes=3, hidden=6)
 SQUARED = ModelSpec("squared", d_in=2, classes=2)
+
+
+def whole(X, y):
+    """A shard of every row of X, y."""
+    return DataPartition(X, y, np.arange(y.size))
 
 
 def toy_batch(spec, n=12, seed=0):
@@ -81,7 +90,7 @@ def test_squared_gradient_by_hand():
 def test_squared_sgd_step_by_hand():
     # theta <- theta - eta * grad with eta = 0.1 from w = 0:
     # w becomes [0.1, 0.2].
-    part = DataPartition(np.array([[1.0, 2.0]]), np.array([1.0]))
+    part = whole(np.array([[1.0, 2.0]]), np.array([1.0]))
     cfg = TrainerConfig(eta=0.1, momentum=0.0, batch_size=1, local_steps=1)
     out = local_train(ModelParameters(np.zeros(2)), SQUARED, part, cfg, derive_rng(0))
     assert np.allclose(out.values, [0.1, 0.2])
@@ -104,7 +113,7 @@ def test_momentum_accumulates():
     # Full-batch on a fixed sample: two momentum steps are
     # w1 = -eta*g, v2 = mu*g + g2, w2 = w1 - eta*v2; check against a
     # hand-rolled recurrence using the analytic gradient.
-    part = DataPartition(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
+    part = whole(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
     cfg = TrainerConfig(eta=0.1, momentum=0.9, batch_size=2, local_steps=3)
     out = local_train(ModelParameters(np.zeros(2)), SQUARED, part, cfg, derive_rng(0))
     theta = np.zeros(2)
@@ -117,7 +126,7 @@ def test_momentum_accumulates():
 
 
 def test_zero_steps_and_zero_eta_are_identity():
-    part = DataPartition(*toy_batch(LINEAR))
+    part = whole(*toy_batch(LINEAR))
     theta0 = LINEAR.init_model(derive_rng(1, "m"))
     out = local_train(theta0, LINEAR, part, TrainerConfig(local_steps=0), derive_rng(2))
     assert np.array_equal(out.values, theta0.values)
@@ -128,7 +137,7 @@ def test_zero_steps_and_zero_eta_are_identity():
 
 
 def test_local_train_does_not_mutate_input():
-    part = DataPartition(*toy_batch(LINEAR))
+    part = whole(*toy_batch(LINEAR))
     theta0 = LINEAR.init_model(derive_rng(1, "m"))
     before = theta0.values.copy()
     local_train(theta0, LINEAR, part, TrainerConfig(), derive_rng(5))
@@ -140,11 +149,11 @@ def test_local_train_rejects_empty_shard_and_divergence():
         local_train(
             ModelParameters(np.zeros(2)),
             SQUARED,
-            DataPartition(np.zeros((0, 2)), np.zeros(0)),
+            whole(np.zeros((0, 2)), np.zeros(0)),
             TrainerConfig(),
             derive_rng(0),
         )
-    part = DataPartition(np.array([[10.0, 10.0]]), np.array([1.0]))
+    part = whole(np.array([[10.0, 10.0]]), np.array([1.0]))
     with pytest.raises(ValueError, match="divergence"), np.errstate(all="ignore"):
         local_train(
             ModelParameters(np.zeros(2)),
@@ -211,11 +220,19 @@ def test_local_train_matches_the_reference_bit_for_bit(
     momentum, eta, batch_size, local_steps, family, shard, scale, zero_share, seed
 ):
     spec, theta, X, y = training_inputs(family, shard, scale, zero_share, seed)
-    part = DataPartition(X, y)
+    # local_train reads the shard through its row indices, among rows of
+    # NaN that it must never touch; the reference reads a copy of the rows.
+    rows = np.sort(np.random.default_rng(seed).choice(shard + 3, shard, replace=False))
+    X_split = np.full((shard + 3, X.shape[1]), np.nan)
+    y_split = np.zeros(shard + 3, dtype=y.dtype)
+    X_split[rows], y_split[rows] = X, y
     cfg = TrainerConfig(eta=eta, momentum=momentum, batch_size=batch_size, local_steps=local_steps)
     model = ModelParameters(theta, age=2)
     outcomes = []
-    for train in (local_train, local_train_reference):
+    for train, part in (
+        (local_train, DataPartition(X_split, y_split, rows)),
+        (local_train_reference, whole(X, y)),
+    ):
         with np.errstate(all="ignore"):
             try:
                 outcomes.append(train(model, spec, part, cfg, derive_rng(seed, "sgd")))
@@ -232,7 +249,7 @@ def test_local_train_matches_the_reference_bit_for_bit(
 
 def test_training_reduces_loss_on_separable_data():
     ds = synth_dataset(seed=5, n_samples=400, d_in=6, classes=3, class_sep=3.0)
-    part = DataPartition(ds.X_train, ds.y_train)
+    part = whole(ds.X_train, ds.y_train)
     theta0 = LINEAR_DS.init_model(derive_rng(0, "init"))
     l0, _ = loss_grad_reference(LINEAR_DS, theta0.values, ds.X_train, ds.y_train)
     out = local_train(theta0, LINEAR_DS, part, TrainerConfig(eta=0.2, local_steps=60, batch_size=64), derive_rng(3))
@@ -293,15 +310,13 @@ def ds_for_partition():
 
 
 def _assert_exact_cover(ds, shards):
-    N = ds.y_train.size
-    seen = np.concatenate([np.flatnonzero(np.isin(np.arange(N), np.arange(N)))])
-    counts = np.zeros(N, dtype=int)
-    # Recover indices by matching rows: instead, check sizes, then verify
-    # every sample count matches via sums of features.
-    assert sum(len(s) for s in shards) == N
-    total = np.sort(np.concatenate([s.X.sum(axis=1) for s in shards]))
-    want = np.sort(ds.X_train.sum(axis=1))
-    assert np.allclose(total, want)
+    # Every train row lies in exactly one shard, and the rows read through
+    # the shards' indices are the train split's, row for row.
+    rows = np.concatenate([s.rows for s in shards])
+    assert np.array_equal(np.sort(rows), np.arange(ds.y_train.size))
+    order = np.argsort(rows)
+    assert np.array_equal(np.concatenate([s.X[s.rows] for s in shards])[order], ds.X_train)
+    assert np.array_equal(np.concatenate([s.y[s.rows] for s in shards])[order], ds.y_train)
 
 
 @pytest.mark.parametrize(
@@ -326,8 +341,9 @@ def test_partition_is_deterministic():
     a = partition(ds, 7, PartitionScheme("dirichlet", alpha=0.3), seed=5)
     b = partition(ds, 7, PartitionScheme("dirichlet", alpha=0.3), seed=5)
     for sa, sb in zip(a, b):
-        assert np.array_equal(sa.X, sb.X)
-        assert np.array_equal(sa.y, sb.y)
+        assert np.array_equal(sa.rows, sb.rows)
+        assert np.array_equal(sa.X[sa.rows], sb.X[sb.rows])
+        assert np.array_equal(sa.y[sa.rows], sb.y[sb.rows])
 
 
 def test_iid_shards_are_balanced():
@@ -341,7 +357,7 @@ def test_label_shards_concentrate_classes():
     ds = ds_for_partition()
     shards = partition(ds, 10, PartitionScheme("label_shards", shards_per_node=2), seed=1)
     # With 2 shards of a label-sorted deal, most nodes see few classes.
-    n_classes = [len(np.unique(s.y)) for s in shards]
+    n_classes = [len(np.unique(s.y[s.rows])) for s in shards]
     assert np.median(n_classes) <= 3
 
 
@@ -352,7 +368,7 @@ def test_dirichlet_skew_grows_as_alpha_shrinks():
         shards = partition(ds, 10, PartitionScheme("dirichlet", alpha=alpha), seed=2)
         props = []
         for s in shards:
-            counts = np.bincount(s.y, minlength=ds.classes) / len(s)
+            counts = np.bincount(s.y[s.rows], minlength=ds.classes) / len(s)
             props.append(counts.max())
         return float(np.mean(props))
 
@@ -386,11 +402,12 @@ def test_evaluate_counts_top1():
         evaluate(ModelParameters(theta), spec, X[:0], y[:0])
 
 
-def with_tied_classes(spec, theta, src, dst, ulps=0):
+def with_tied_classes(spec, theta, src, dst, ulps=0, shift=0.0):
     """Copy class ``src``'s output weights and bias onto class ``dst``, so
     the two classes' logits tie on every row; ``ulps`` then moves the bias of
     ``dst`` that many steps away, which leaves a near tie that rounding may
-    turn either way."""
+    turn either way. ``shift`` moves it by that share of its size (at least
+    1) instead, a near tie that float32 cannot decide but float64 can."""
     c, d, h = spec.classes, spec.d_in, spec.hidden
     width, start = (d, 0) if spec.family == "linear" else (h, h * d + h)
     rows = theta[start : start + c * width].reshape(c, width)
@@ -399,6 +416,7 @@ def with_tied_classes(spec, theta, src, dst, ulps=0):
     bias[dst] = bias[src]
     for _ in range(abs(ulps)):
         bias[dst] = np.nextafter(bias[dst], np.inf if ulps > 0 else -np.inf)
+    bias[dst] += shift * max(1.0, abs(bias[dst]))
     return theta
 
 
@@ -415,7 +433,7 @@ def block_models(spec):
     rows=st.sampled_from([1, 2, learning._EVAL_ROWS - 1, learning._EVAL_ROWS,
                           learning._EVAL_ROWS + 1, 2 * learning._EVAL_ROWS + 1])
     | st.integers(1, 3 * learning._EVAL_ROWS),
-    ties=st.sampled_from(["none", "duplicate", "near", "zero"]),
+    ties=st.sampled_from(["none", "duplicate", "near", "f32-near", "zero"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
@@ -432,14 +450,20 @@ def test_evaluate_many_equals_the_per_model_loop(
     y = rng.integers(0, classes, rows)
     thetas = rng.normal(size=(count, spec.dim))
     for theta in thetas[::2]:
-        if ties in ("duplicate", "near"):
+        if ties in ("duplicate", "near", "f32-near"):
             src, dst = rng.choice(classes, size=2, replace=False)
             ulps = int(rng.integers(-3, 4)) if ties == "near" else 0
-            with_tied_classes(spec, theta, src, dst, ulps)
+            shift = rng.choice([-1e-6, 1e-6]) if ties == "f32-near" else 0.0
+            with_tied_classes(spec, theta, src, dst, ulps, shift)
         elif ties == "zero":
             theta[:] = 0.0
     models = [ModelParameters(theta) for theta in thetas]
-    assert evaluate_many(models, spec, X, y) == evaluate_reference(models, spec, X, y)
+    with mock.patch.object(learning, "_count_correct", wraps=learning._count_correct) as solo:
+        accs = evaluate_many(models, spec, EvalSplit(X, y))
+    assert accs == evaluate_reference(models, spec, X, y)
+    if family == "linear" and ties == "f32-near":
+        # The float64 recheck settles every pair: no model is scored alone.
+        assert solo.call_count == 0
 
 
 def count_solo_scores(monkeypatch):
@@ -454,6 +478,21 @@ def count_solo_scores(monkeypatch):
     return calls
 
 
+def count_rechecks(monkeypatch):
+    """Per float32 tile, the pairs it leaves to the float64 recheck."""
+    rechecked = []
+    certify = learning._certify
+
+    def counting(z, *args):
+        correct, unsure = certify(z, *args)
+        if z.dtype == np.float32:
+            rechecked.append(int(np.count_nonzero(unsure)))
+        return correct, unsure
+
+    monkeypatch.setattr(learning, "_certify", counting)
+    return rechecked
+
+
 def test_evaluate_many_breaks_ties_at_the_first_class(monkeypatch):
     spec = ModelSpec("linear", d_in=2, classes=4)
     X = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, -1.0], [0.5, 0.5], [1.0, 2.0]])
@@ -465,7 +504,7 @@ def test_evaluate_many_breaks_ties_at_the_first_class(monkeypatch):
     lead = ModelParameters(with_tied_classes(spec, lead, 3, 2))
     plain = ModelParameters(np.random.default_rng(0).normal(size=spec.dim))
     calls = count_solo_scores(monkeypatch)
-    accs = evaluate_many([zero, plain, lead], spec, X, y)
+    accs = evaluate_many([zero, plain, lead], spec, EvalSplit(X, y))
     assert accs[0] == 1 / 5 and accs[2] == 2 / 5
     assert accs == evaluate_reference([zero, plain, lead], spec, X, y)
     assert len(calls) == 2  # only the two tied models were rescored alone
@@ -473,25 +512,114 @@ def test_evaluate_many_breaks_ties_at_the_first_class(monkeypatch):
 
 def test_evaluate_many_scores_desk_shaped_models_in_blocks(monkeypatch):
     # The desk world's shapes: no row is near a tie, so no model is
-    # rescored alone, and every accuracy equals the per-model loop's.
+    # rescored alone, at most 0.1 % of the pairs need the float64 recheck,
+    # and every accuracy equals the per-model loop's.
     ds = synth_dataset(seed=1, n_samples=2000, d_in=256, classes=10, class_sep=0.185)
     spec = ModelSpec("linear", d_in=256, classes=10)
-    part = DataPartition(ds.X_train, ds.y_train)
+    part = whole(ds.X_train, ds.y_train)
     models = [
         local_train(spec.init_model(derive_rng(i, "init")), spec, part, TrainerConfig(), derive_rng(i))
         for i in range(block_models(spec) + 5)
     ]
     calls = count_solo_scores(monkeypatch)
-    accs = evaluate_many(models, spec, ds.X_test, ds.y_test)
+    rechecked = count_rechecks(monkeypatch)
+    accs = evaluate_many(models, spec, EvalSplit(ds.X_test, ds.y_test))
     assert calls == []
+    assert sum(rechecked) <= 0.001 * len(models) * ds.y_test.size
     assert accs == evaluate_reference(models, spec, ds.X_test, ds.y_test)
+
+
+def test_evaluate_many_rechecks_a_prediction_that_float32_rounding_flips(monkeypatch):
+    # Exactly, class 0 leads class 1 by about 0.09 float32 ulps at 1.0.
+    # Rounding the inputs to float32 turns x_0 down to 1 and x_1 up to
+    # 1 + ulp, so in float32 class 1 leads by a whole ulp, in any summation
+    # order: the float32 pass must leave the pair to the float64 recheck,
+    # which sees class 0 win.
+    ulp = 2.0**-23
+    spec = ModelSpec("linear", d_in=2, classes=2)
+    theta = np.array([1.0, 0.0, 0.0, 1.0 - 13 / 128 * ulp, 0.0, 0.0])
+    X, y = np.array([[1.0 + 63 / 128 * ulp, 1.0 + 65 / 128 * ulp]]), np.array([0])
+    z32 = X.astype(np.float32) @ theta[:4].reshape(2, 2).T.astype(np.float32)
+    assert z32[0, 1] > z32[0, 0]
+    calls = count_solo_scores(monkeypatch)
+    rechecked = count_rechecks(monkeypatch)
+    assert evaluate_many([ModelParameters(theta)], spec, EvalSplit(X, y)) == [1.0]
+    assert rechecked == [1] and calls == []
+
+
+def spread_values(rng, shape, scale, spread):
+    """Signed values with exponents within ``spread`` of ``scale``, clipped
+    to float32's range from below its subnormals to its overflow, a tenth of
+    them zero."""
+    exponents = np.clip(scale + rng.integers(-spread, spread + 1, shape), -151, 127)
+    values = np.ldexp(rng.uniform(1.0, 2.0, shape), exponents) * rng.choice([-1.0, 1.0], shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    return values
+
+
+@given(
+    d_in=st.integers(1, 40),
+    classes=st.integers(2, 4),
+    rows=st.integers(1, 6),
+    scales=st.tuples(*[st.integers(-151, 127)] * 3),
+    spread=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Subnormal float32 inputs next to unit weights and a bias that rounds to 0;
+# products that overflow float32.
+@example(d_in=3, classes=2, rows=2, scales=(-140, 0, -151), spread=0, seed=1)
+@example(d_in=3, classes=2, rows=2, scales=(100, 40, 0), spread=0, seed=1)
+@settings(max_examples=200, deadline=None)
+def test_float32_logits_lie_within_the_certified_bound(d_in, classes, rows, scales, spread, seed):
+    # The float32 logits that evaluate_many computes lie within e32 of the
+    # exact logits; a row with a non-finite logit is left undecided.
+    spec = ModelSpec("linear", d_in=d_in, classes=classes)
+    rng = np.random.default_rng(seed)
+    X = spread_values(rng, (rows, d_in), scales[0], spread)
+    y = rng.integers(0, classes, rows)
+    thetas = np.stack([
+        np.concatenate([spread_values(rng, classes * d_in, scales[1], spread),
+                        spread_values(rng, classes, scales[2], spread)])
+        for _ in range(2)
+    ])
+    models = [ModelParameters(theta) for theta in thetas]
+    tiles = []
+    certify = learning._certify
+
+    def spy(z, *args):
+        logits = z.copy()
+        correct, unsure = certify(z, *args)
+        if z.dtype == np.float32:
+            tiles.append((logits, unsure))
+        return correct, unsure
+
+    split = EvalSplit(X, y)
+    with mock.patch.object(learning, "_certify", spy), np.errstate(all="ignore"):
+        accs = evaluate_many(models, spec, split)
+        assert accs == evaluate_reference(models, spec, X, y)
+    [(z32, unsure)] = tiles
+    W, b = spec._unpack_linear(thetas)
+    w = np.sqrt(np.einsum("mcd,mcd->mc", W, W)).max(axis=1)
+    slope, offset = learning._float32_logit_error_bound(w, np.abs(b).max(axis=1), d_in)
+    # The tile holds the rows in label order.
+    X = X[split.order]
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    for m in range(len(models)):
+        for i in range(rows):
+            if not np.all(np.isfinite(z32[:, m, i])):
+                assert unsure[m, i]
+                continue
+            e32 = Fraction(float(slope[m] * norms[i] + offset[m]))
+            for j in range(classes):
+                exact = sum(Fraction(wk) * Fraction(xk) for wk, xk in zip(W[m, j], X[i])) + Fraction(b[m, j])
+                assert abs(Fraction(float(z32[j, m, i])) - exact) <= e32
 
 
 def test_evaluate_many_scores_mlp_models_alone(monkeypatch):
     X, y = toy_batch(MLP)
     models = [MLP.init_model(derive_rng(i)) for i in range(3)]
     calls = count_solo_scores(monkeypatch)
-    assert evaluate_many(models, MLP, X, y) == evaluate_reference(models, MLP, X, y)
+    assert evaluate_many(models, MLP, EvalSplit(X, y)) == evaluate_reference(models, MLP, X, y)
     assert len(calls) == 3
 
 
@@ -500,9 +628,9 @@ def test_evaluate_many_rejects_squared_and_empty_test_sets():
     model = LINEAR.init_model(derive_rng(0))
     for models in ([], [model]):
         with pytest.raises(ValueError, match="no class logits"):
-            evaluate_many(models, SQUARED, X[:, :2], y)
+            evaluate_many(models, SQUARED, EvalSplit(X[:, :2], y))
         with pytest.raises(ValueError, match="empty test set"):
-            evaluate_many(models, LINEAR, X[:0], y[:0])
+            evaluate_many(models, LINEAR, EvalSplit(X[:0], y[:0]))
     with pytest.raises(ValueError, match="no class logits"):
         evaluate(ModelParameters(np.zeros(2)), SQUARED, X[:, :2], y)
 
@@ -513,4 +641,4 @@ def test_evaluate_many_rejects_labels_outside_the_classes(label):
     X, y = toy_batch(LINEAR)
     y[3] = label
     with pytest.raises(ValueError, match="labels"):
-        evaluate_many([LINEAR.init_model(derive_rng(0))], LINEAR, X, y)
+        evaluate_many([LINEAR.init_model(derive_rng(0))], LINEAR, EvalSplit(X, y))

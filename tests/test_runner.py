@@ -143,13 +143,15 @@ def test_run_plexus_samples_each_round_once(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["dpsgd", "gl"])
 def test_runners_score_all_models_of_a_checkpoint_in_one_call(monkeypatch, algorithm):
-    # Every checkpoint scores all n models with one evaluate_many call;
-    # nothing scores a model alone through evaluate.
-    batches = []
+    # Every checkpoint scores all n models with one evaluate_many call,
+    # against the one test split the repetition prepared; nothing scores a
+    # model alone through evaluate.
+    batches, splits = [], []
 
-    def counting(models, spec, X, y):
+    def counting(models, spec, split):
         batches.append(len(models))
-        return evaluate_many(models, spec, X, y)
+        splits.append(split)
+        return evaluate_many(models, spec, split)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-model evaluate called")
@@ -176,6 +178,7 @@ def test_runners_score_all_models_of_a_checkpoint_in_one_call(monkeypatch, algor
     led = run_single(cfg, build_world(cfg), 0)
     assert len(led.accuracy) >= 3
     assert batches == [cfg.n] * len(led.accuracy)
+    assert all(split is splits[0] for split in splits)
 
 
 def test_run_plexus_partial_rounds_count_late_models():
