@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
 import numpy as np
 
 from .core import (
@@ -70,7 +69,10 @@ class OnePeerExponential:
 
 def make_regular_topology(n: int, degree: int, seed: int) -> RegularTopology:
     """Seeded random regular graph, re-drawn with an incremented seed until
-    connected."""
+    connected. networkx is imported here, so runs without a regular
+    topology never load it."""
+    import networkx as nx
+
     if degree < 1 or degree >= n:
         raise ValueError(f"degree must be in [1, n), got {degree} for n={n}")
     if (n * degree) % 2 != 0:
@@ -232,6 +234,7 @@ def dpsgd_round(
             trained[j].values for j in topology.in_neighbors(i, k)
         ]
         mean = np.mean(np.stack(gathered), axis=0)
+        mean.flags.writeable = False
         mixed.append(ModelParameters(mean, age=trained[i].age))
     total_out = sum(len(topology.out_neighbors(i, k)) for i in range(n))
     return DpsgdRoundResult(
@@ -255,6 +258,7 @@ def gl_merge(left: ModelParameters, right: ModelParameters) -> ModelParameters:
         values = (left.values + right.values) / 2.0
     else:
         values = (left.age * left.values + right.age * right.values) / total
+    values.flags.writeable = False
     return ModelParameters(values, age=max(left.age, right.age))
 
 

@@ -46,6 +46,10 @@ class ModelParameters:
 
     ``age`` counts the cumulative number of local training steps that went
     into the model (used by gossip merging).
+
+    The stored vector is read-only. A float64 vector that owns its memory and
+    that its builder has already made read-only is kept as is: nothing can
+    write to it any more. Any other input is copied.
     """
 
     values: np.ndarray
@@ -61,6 +65,8 @@ class ModelParameters:
             raise ValueError("model values must be finite")
         if self.age < 0:
             raise ValueError("model age must be non-negative")
+        if arr is self.values and arr.flags.owndata and not arr.flags.writeable:
+            return
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -80,8 +86,9 @@ def average_models(models: Sequence[ModelParameters]) -> ModelParameters:
     dim = models[0].dim
     if any(m.dim != dim for m in models):
         raise ValueError("heterogeneous model dimensions")
-    stacked = np.stack([m.values for m in models])
-    return ModelParameters(stacked.mean(axis=0), age=0)
+    mean = np.stack([m.values for m in models]).mean(axis=0)
+    mean.flags.writeable = False
+    return ModelParameters(mean, age=0)
 
 
 def model_size_bytes(model: ModelParameters) -> int:

@@ -59,15 +59,16 @@ class ModelSpec:
     def init_model(self, rng: np.random.Generator) -> ModelParameters:
         if self.family == "linear":
             w = rng.normal(0.0, 0.01, self.classes * self.d_in)
-            b = np.zeros(self.classes)
-            return ModelParameters(np.concatenate([w, b]), age=0)
-        if self.family == "mlp":
+            values = np.concatenate([w, np.zeros(self.classes)])
+        elif self.family == "mlp":
             w1 = rng.normal(0.0, 1.0 / math.sqrt(self.d_in), self.hidden * self.d_in)
             b1 = np.zeros(self.hidden)
             w2 = rng.normal(0.0, 1.0 / math.sqrt(self.hidden), self.classes * self.hidden)
-            b2 = np.zeros(self.classes)
-            return ModelParameters(np.concatenate([w1, b1, w2, b2]), age=0)
-        return ModelParameters(np.zeros(self.d_in), age=0)
+            values = np.concatenate([w1, b1, w2, np.zeros(self.classes)])
+        else:
+            values = np.zeros(self.d_in)
+        values.flags.writeable = False
+        return ModelParameters(values, age=0)
 
     def _unpack_linear(self, theta: np.ndarray):
         """W and b of one parameter vector, or of a (models, dim) stack."""
@@ -128,11 +129,21 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    X_train: np.ndarray
-    y_train: np.ndarray
-    X_test: np.ndarray
-    y_test: np.ndarray
+    """Every sample once, in drawing order: features X and labels y. The
+    train/test split is two disjoint arrays of row indices that together
+    cover every row."""
+
+    X: np.ndarray
+    y: np.ndarray
+    train: np.ndarray
+    test: np.ndarray
     classes: int
+
+
+# Rows per block when a step walks a float64 matrix in pieces, so that it
+# never holds a second full-size copy: the class means added to the drawn
+# noise, the float32 copy of a test split.
+_BLOCK_ROWS = 256
 
 
 def synth_dataset(
@@ -154,7 +165,11 @@ def synth_dataset(
     rng = derive_rng(seed, "dataset")
     means = rng.normal(0.0, class_sep, size=(classes, d_in))
     y = rng.integers(0, classes, size=n_samples)
-    X = means[y] + rng.standard_normal((n_samples, d_in))
+    X = rng.standard_normal((n_samples, d_in))
+    # Each row is its class mean plus its noise; float addition commutes, so
+    # adding the means into the noise in place gives the same floats.
+    for lo in range(0, n_samples, _BLOCK_ROWS):
+        X[lo : lo + _BLOCK_ROWS] += means[y[lo : lo + _BLOCK_ROWS]]
     # Both draws happen even at noise=0 so the rng stream, and with it the
     # train/test split below, depends only on the seed: noise changes labels
     # and nothing else.
@@ -163,14 +178,7 @@ def synth_dataset(
     y = np.where(flip, (y + bump) % classes, y)
     n_test = max(1, int(round(0.2 * n_samples)))
     perm = rng.permutation(n_samples)
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    return Dataset(
-        X_train=X[train_idx],
-        y_train=y[train_idx].astype(np.int64),
-        X_test=X[test_idx],
-        y_test=y[test_idx].astype(np.int64),
-        classes=classes,
-    )
+    return Dataset(X, y, train=perm[n_test:], test=perm[:n_test], classes=classes)
 
 
 # ------------------------------------------------------------- partition --
@@ -178,8 +186,8 @@ def synth_dataset(
 
 @dataclass(frozen=True)
 class DataPartition:
-    """One node's shard: rows ``rows`` of the split X, y. Every shard of a
-    partition holds the same X and y, so no row is copied."""
+    """One node's shard: rows ``rows`` of X, y. Every shard of a partition
+    holds the dataset's own X and y, so no row is copied."""
 
     X: np.ndarray
     y: np.ndarray
@@ -207,12 +215,14 @@ class PartitionScheme:
 def partition(
     dataset: Dataset, n_nodes: int, scheme: PartitionScheme, seed: int
 ) -> list[DataPartition]:
-    """Split the train set into one shard of row indices per node. Every
-    node ends up with at least one sample; draws that would leave a node
-    empty are re-dealt a bounded number of times before erroring out."""
+    """Split the train rows into one shard per node. Each scheme deals
+    positions in the train split, and a shard holds the dataset rows at its
+    positions, in position order. Every node ends up with at least one
+    sample; draws that would leave a node empty are re-dealt a bounded
+    number of times before erroring out."""
     if n_nodes < 1:
         raise ValueError("need at least one node")
-    N = dataset.y_train.size
+    N = dataset.train.size
     if N < n_nodes:
         raise ValueError(f"cannot split {N} samples over {n_nodes} nodes")
     rng = derive_rng(seed, "partition", scheme.kind)
@@ -222,7 +232,7 @@ def partition(
         index_lists = _split_dirichlet(dataset, n_nodes, scheme.alpha, rng)
     else:
         index_lists = _split_label_shards(dataset, n_nodes, scheme.shards_per_node, rng)
-    return [DataPartition(dataset.X_train, dataset.y_train, idx) for idx in index_lists]
+    return [DataPartition(dataset.X, dataset.y, dataset.train[idx]) for idx in index_lists]
 
 
 def _split_iid(N: int, n_nodes: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -233,7 +243,8 @@ def _split_iid(N: int, n_nodes: int, rng: np.random.Generator) -> list[np.ndarra
 def _split_dirichlet(
     dataset: Dataset, n_nodes: int, alpha: float, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    by_class = [np.flatnonzero(dataset.y_train == c) for c in range(dataset.classes)]
+    y_train = dataset.y[dataset.train]
+    by_class = [np.flatnonzero(y_train == c) for c in range(dataset.classes)]
     for _ in range(_MAX_PARTITION_RETRIES):
         buckets: list[list[np.ndarray]] = [[] for _ in range(n_nodes)]
         for idx_c in by_class:
@@ -256,11 +267,11 @@ def _split_dirichlet(
 def _split_label_shards(
     dataset: Dataset, n_nodes: int, shards_per_node: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    N = dataset.y_train.size
+    N = dataset.train.size
     n_shards = n_nodes * shards_per_node
     if N < n_shards:
         raise ValueError(f"cannot cut {N} samples into {n_shards} shards")
-    by_label = np.argsort(dataset.y_train, kind="stable")
+    by_label = np.argsort(dataset.y[dataset.train], kind="stable")
     shards = np.array_split(by_label, n_shards)
     order = rng.permutation(n_shards)
     out = []
@@ -320,30 +331,36 @@ def local_train(
         theta = theta - cfg.eta * velocity
     if not np.all(np.isfinite(theta)):
         raise ValueError("divergence: reduce eta")
+    theta.flags.writeable = False
     return ModelParameters(theta, age=model.age + cfg.local_steps)
 
 
 class EvalSplit:
-    """A labelled split X, y as ``evaluate_many`` reads it. It also keeps the
-    rows in label order (``order``): their labels, a float32 copy with a
-    trailing 1 that multiplies the bias, and each row's Euclidean norm,
-    which the rounding bounds scale with. In label order a tile of rows
-    holds few runs of one label, and each run's logits are a plain slice.
-    Build it once and score every checkpoint against it."""
+    """The rows ``rows`` of a labelled set X, y, as ``evaluate_many`` reads
+    them. It keeps the same rows in label order (``order``, indices into X):
+    their labels, a float32 copy with a trailing 1 that multiplies the bias,
+    and each row's Euclidean norm, which the rounding bounds scale with. In
+    label order a tile of rows holds few runs of one label, and each run's
+    logits are a plain slice. The copy and the norms are filled a block of
+    rows at a time, so no float64 copy of the split is made. Build it once
+    and score every checkpoint against it."""
 
-    def __init__(self, X: np.ndarray, y: np.ndarray):
-        self.X, self.y = X, y
-        self.order = np.argsort(y, kind="stable")
+    def __init__(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray):
+        self.X, self.y, self.rows = X, y, rows
+        self.order = rows[np.argsort(y[rows], kind="stable")]
         self.labels = y[self.order]
-        X32 = np.ones((y.size, X.shape[1] + 1), dtype=np.float32)
-        X32[:, :-1] = X
-        self.X32 = X32[self.order]
-        self.norms = np.sqrt(np.einsum("ij,ij->i", X, X))[self.order]
+        self.X32 = np.ones((rows.size, X.shape[1] + 1), dtype=np.float32)
+        self.norms = np.empty(rows.size)
+        for lo in range(0, rows.size, _BLOCK_ROWS):
+            block = X[self.order[lo : lo + _BLOCK_ROWS]]
+            self.X32[lo : lo + _BLOCK_ROWS, :-1] = block
+            self.norms[lo : lo + _BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", block, block))
+            del block  # or the next gather would hold two blocks at once
 
 
 def evaluate(model: ModelParameters, spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> float:
-    """Top-1 accuracy on the given split."""
-    return evaluate_many([model], spec, EvalSplit(X, y))[0]
+    """Top-1 accuracy on all rows of X, y."""
+    return evaluate_many([model], spec, EvalSplit(X, y, np.arange(y.size)))[0]
 
 
 # Evaluation tiles: one float32 GEMM multiplies at most _EVAL_ROWS test rows
@@ -379,18 +396,21 @@ def evaluate_many(models: list[ModelParameters], spec: ModelSpec, split: EvalSpl
     argument, since that product's logits lie within e64 / 2 of z*. A model
     with a pair still undecided (a near tie) is rescored alone with
     ``logits``, so ties break as they always did, at the first maximal
-    class. MLP models are always scored alone. Correct predictions are
-    counted as integers and divided by the row count once."""
-    y = split.y
+    class. MLP models are always scored alone. Scoring alone reads the rows
+    in their order in ``split.rows``, as the logits of a separate model
+    would. Correct predictions are counted as integers and divided by the
+    row count once."""
+    labels = split.labels
     if spec.family == "squared":
         raise ValueError("squared family has no class logits")
-    if y.size == 0:
+    if labels.size == 0:
         raise ValueError("empty test set")
-    if y.min() < 0 or y.max() >= spec.classes:
+    if labels.min() < 0 or labels.max() >= spec.classes:
         raise ValueError(f"test labels must lie in [0, {spec.classes})")
     if spec.family != "linear":
-        return [_count_correct(spec, m.values, split.X, y) / y.size for m in models]
-    c, N = spec.classes, y.size
+        X, y = split.X[split.rows], split.y[split.rows]
+        return [_count_correct(spec, m.values, X, y) / y.size for m in models]
+    c, N = spec.classes, labels.size
     per_block = max(1, _EVAL_COLS // c)
     accs: list[float] = []
     for first in range(0, len(models), per_block):
@@ -414,18 +434,18 @@ def evaluate_many(models: list[ModelParameters], spec: ModelSpec, split: EvalSpl
             hi = min(lo + _EVAL_ROWS, N)
             z = W32 @ split.X32[lo:hi].T
             hit, unsure[:, lo:hi] = _certify(
-                z.reshape(c, B, hi - lo), split.labels[lo:hi], split.norms[lo:hi], slope, offset
+                z.reshape(c, B, hi - lo), labels[lo:hi], split.norms[lo:hi], slope, offset
             )
             correct += np.count_nonzero(hit, axis=1)
         rows = np.flatnonzero(unsure.any(axis=0))
         if rows.size:
             z = W @ split.X[split.order[rows]].T + b
             z = z.reshape(c, B, rows.size)
-            hit, still = _certify(z, split.labels[rows], split.norms[rows], 2.0 * s64, 2.0 * o64)
+            hit, still = _certify(z, labels[rows], split.norms[rows], 2.0 * s64, 2.0 * o64)
             pending = unsure[:, rows]
             correct += np.count_nonzero(hit & pending, axis=1)
             for i in np.flatnonzero((still & pending).any(axis=1)):
-                correct[i] = _count_correct(spec, thetas[i], split.X, y)
+                correct[i] = _count_correct(spec, thetas[i], split.X[split.rows], split.y[split.rows])
         accs.extend(int(k) / N for k in correct)
     return accs
 

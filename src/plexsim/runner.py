@@ -118,7 +118,7 @@ class _Repetition:
         nodes = world.membership.nodes
         parts = partition(world.dataset, cfg.n, cfg.partition, cfg.protocol_seed * 1_000_003 + rep)
         self.shards = dict(zip(nodes, parts))
-        self.test = EvalSplit(world.dataset.X_test, world.dataset.y_test)
+        self.test = EvalSplit(world.dataset.X, world.dataset.y, world.dataset.test)
         steps = cfg.trainer.local_steps
         self.compute_s = {nid: compute_time(world.membership.profile(nid), steps) for nid in nodes}
         self.ledger = MetricsLedger()

@@ -11,6 +11,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from plexsim.core import derive_rng
 from plexsim.sampler import node_rank_key
 from plexsim.simnet import SimulationError
 
@@ -177,6 +178,32 @@ def fedavg_reference(theta0, rounds, participants_fn, train_fn):
         theta = theta.with_values(mean_by_loop([m.values for m in trained]), age=0)
         history.append(theta)
     return history
+
+
+# --------------------------------------------------------------- dataset --
+
+
+def synth_dataset_reference(seed, n_samples, d_in, classes, noise=0.0, class_sep=2.0):
+    """The synthetic dataset as first built: every row's class mean gathered
+    into a full matrix and added to the noise in one expression, then the
+    train and test rows copied out. Returns (X_train, y_train, X_test,
+    y_test)."""
+    rng = derive_rng(seed, "dataset")
+    means = rng.normal(0.0, class_sep, size=(classes, d_in))
+    y = rng.integers(0, classes, size=n_samples)
+    X = means[y] + rng.standard_normal((n_samples, d_in))
+    flip = rng.random(n_samples) < noise
+    bump = rng.integers(1, classes, size=n_samples)
+    y = np.where(flip, (y + bump) % classes, y)
+    n_test = max(1, int(round(0.2 * n_samples)))
+    perm = rng.permutation(n_samples)
+    test_idx, train_idx = perm[:n_test], perm[n_test:]
+    return (
+        X[train_idx],
+        y[train_idx].astype(np.int64),
+        X[test_idx],
+        y[test_idx].astype(np.int64),
+    )
 
 
 # ------------------------------------------------------------ evaluation --

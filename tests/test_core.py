@@ -51,6 +51,48 @@ def test_model_values_are_frozen():
         m.values[0] = 5.0
 
 
+def test_model_copies_a_writeable_vector():
+    values = np.array([1.0, 2.0])
+    m = ModelParameters(values)
+    assert not np.shares_memory(m.values, values)
+    values[0] = 5.0
+    assert m.values.tolist() == [1.0, 2.0]
+    assert values.flags.writeable
+
+
+def test_model_copies_a_read_only_view():
+    # The view is read-only, but its base is not: writing to the base would
+    # change an adopted view.
+    base = np.array([1.0, 2.0, 3.0])
+    view = base[:2]
+    view.flags.writeable = False
+    m = ModelParameters(view)
+    base[0] = 5.0
+    assert m.values.tolist() == [1.0, 2.0]
+
+
+def test_model_adopts_an_owned_read_only_vector():
+    values = np.array([1.0, 2.0])
+    values.flags.writeable = False
+    m = ModelParameters(values)
+    assert m.values is values
+    assert ModelParameters(m.values, age=3).values is values
+
+
+def test_model_checks_an_adopted_vector():
+    for bad in (np.array([1.0, np.nan]), np.zeros((1, 2)), np.zeros(0)):
+        bad.flags.writeable = False
+        with pytest.raises(ValueError):
+            ModelParameters(bad)
+
+
+def test_model_copies_a_vector_of_another_dtype():
+    values = np.array([1, 2], dtype=np.int64)
+    values.flags.writeable = False
+    m = ModelParameters(values)
+    assert m.values.dtype == np.float64 and not m.values.flags.writeable
+
+
 def test_device_profile_positive():
     with pytest.raises(ValueError):
         DeviceProfile(0.0, 1.0, 1.0)

@@ -26,6 +26,7 @@ from oracles import (
     finite_difference_grad,
     local_train_reference,
     loss_grad_reference,
+    synth_dataset_reference,
 )
 
 
@@ -37,6 +38,11 @@ SQUARED = ModelSpec("squared", d_in=2, classes=2)
 def whole(X, y):
     """A shard of every row of X, y."""
     return DataPartition(X, y, np.arange(y.size))
+
+
+def split_of(X, y):
+    """An evaluation split of every row of X, y."""
+    return EvalSplit(X, y, np.arange(y.size))
 
 
 def toy_batch(spec, n=12, seed=0):
@@ -249,13 +255,14 @@ def test_local_train_matches_the_reference_bit_for_bit(
 
 def test_training_reduces_loss_on_separable_data():
     ds = synth_dataset(seed=5, n_samples=400, d_in=6, classes=3, class_sep=3.0)
-    part = whole(ds.X_train, ds.y_train)
+    part = DataPartition(ds.X, ds.y, ds.train)
+    X_train, y_train = ds.X[ds.train], ds.y[ds.train]
     theta0 = LINEAR_DS.init_model(derive_rng(0, "init"))
-    l0, _ = loss_grad_reference(LINEAR_DS, theta0.values, ds.X_train, ds.y_train)
+    l0, _ = loss_grad_reference(LINEAR_DS, theta0.values, X_train, y_train)
     out = local_train(theta0, LINEAR_DS, part, TrainerConfig(eta=0.2, local_steps=60, batch_size=64), derive_rng(3))
-    l1, _ = loss_grad_reference(LINEAR_DS, out.values, ds.X_train, ds.y_train)
+    l1, _ = loss_grad_reference(LINEAR_DS, out.values, X_train, y_train)
     assert l1 < 0.5 * l0
-    assert evaluate(out, LINEAR_DS, ds.X_test, ds.y_test) > 0.85
+    assert evaluate(out, LINEAR_DS, ds.X[ds.test], ds.y[ds.test]) > 0.85
 
 
 LINEAR_DS = ModelSpec("linear", d_in=6, classes=3)
@@ -266,31 +273,57 @@ LINEAR_DS = ModelSpec("linear", d_in=6, classes=3)
 
 def test_synth_dataset_shapes_and_split():
     ds = synth_dataset(seed=1, n_samples=500, d_in=8, classes=4)
-    assert ds.X_train.shape == (400, 8)
-    assert ds.X_test.shape == (100, 8)
-    assert ds.X_train.shape[1] == 8
-    assert set(np.unique(ds.y_train)) <= set(range(4))
-    assert ds.y_train.dtype == np.int64
+    assert ds.X.shape == (500, 8)
+    assert ds.train.size == 400 and ds.test.size == 100
+    # The split is a permutation of the rows: disjoint, and covering them.
+    assert np.array_equal(np.sort(np.concatenate([ds.train, ds.test])), np.arange(500))
+    assert set(np.unique(ds.y)) <= set(range(4))
+    assert ds.y.dtype == np.int64
 
 
 def test_synth_dataset_deterministic_per_seed():
     a = synth_dataset(seed=2, n_samples=200, d_in=3, classes=2)
     b = synth_dataset(seed=2, n_samples=200, d_in=3, classes=2)
     c = synth_dataset(seed=3, n_samples=200, d_in=3, classes=2)
-    assert np.array_equal(a.X_train, b.X_train)
-    assert not np.array_equal(a.X_train, c.X_train)
+    for field in ("X", "y", "train", "test"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert not np.array_equal(a.X, c.X)
 
 
 def test_synth_dataset_noise_flips_labels_only():
     clean = synth_dataset(seed=4, n_samples=2000, d_in=3, classes=4, noise=0.0)
     noisy = synth_dataset(seed=4, n_samples=2000, d_in=3, classes=4, noise=0.3)
     # Noise must not move any feature or change the split.
-    assert np.array_equal(clean.X_train, noisy.X_train)
-    assert np.array_equal(clean.X_test, noisy.X_test)
-    all_clean = np.concatenate([clean.y_train, clean.y_test])
-    all_noisy = np.concatenate([noisy.y_train, noisy.y_test])
-    frac = np.mean(all_clean != all_noisy)
+    assert np.array_equal(clean.X, noisy.X)
+    assert np.array_equal(clean.train, noisy.train)
+    assert np.array_equal(clean.test, noisy.test)
+    frac = np.mean(clean.y != noisy.y)
     assert 0.25 < frac < 0.35
+
+
+BLOCK = learning._BLOCK_ROWS
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    classes=st.integers(2, 6),
+    d_in=st.integers(1, 9),
+    extra=st.sampled_from([0, BLOCK - 60, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    | st.integers(0, 4 * BLOCK),
+    noise=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.99),
+    class_sep=st.floats(0.0, 5.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_synth_dataset_equals_the_materialised_reference(seed, classes, d_in, extra, noise, class_sep):
+    # The rows read through the split are the copies the reference makes,
+    # byte for byte. Sizes cross the block boundaries of the in-place sum.
+    n = 10 * classes + extra
+    ds = synth_dataset(seed, n, d_in, classes, noise, class_sep)
+    got = (ds.X[ds.train], ds.y[ds.train], ds.X[ds.test], ds.y[ds.test])
+    for a, b in zip(got, synth_dataset_reference(seed, n, d_in, classes, noise, class_sep)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert ds.classes == classes
 
 
 def test_synth_dataset_validation():
@@ -313,10 +346,11 @@ def _assert_exact_cover(ds, shards):
     # Every train row lies in exactly one shard, and the rows read through
     # the shards' indices are the train split's, row for row.
     rows = np.concatenate([s.rows for s in shards])
-    assert np.array_equal(np.sort(rows), np.arange(ds.y_train.size))
+    train = np.sort(ds.train)
+    assert np.array_equal(np.sort(rows), train)
     order = np.argsort(rows)
-    assert np.array_equal(np.concatenate([s.X[s.rows] for s in shards])[order], ds.X_train)
-    assert np.array_equal(np.concatenate([s.y[s.rows] for s in shards])[order], ds.y_train)
+    assert np.array_equal(np.concatenate([s.X[s.rows] for s in shards])[order], ds.X[train])
+    assert np.array_equal(np.concatenate([s.y[s.rows] for s in shards])[order], ds.y[train])
 
 
 @pytest.mark.parametrize(
@@ -445,9 +479,12 @@ def test_evaluate_many_equals_the_per_model_loop(
     count = {"none": 0, "one": 1, "block-1": max(per - 1, 1), "block": per,
              "block+1": per + 1, "blocks": 2 * per + 3}[n_models]
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(rows, d_in))
-    X[rng.random(rows) < 0.1] = 0.0
-    y = rng.integers(0, classes, rows)
+    # The split is a scattered subset of the rows of a larger set.
+    total = rows + int(rng.integers(0, rows + 1))
+    X = rng.normal(size=(total, d_in))
+    X[rng.random(total) < 0.1] = 0.0
+    y = rng.integers(0, classes, total)
+    test = rng.permutation(total)[:rows]
     thetas = rng.normal(size=(count, spec.dim))
     for theta in thetas[::2]:
         if ties in ("duplicate", "near", "f32-near"):
@@ -459,8 +496,8 @@ def test_evaluate_many_equals_the_per_model_loop(
             theta[:] = 0.0
     models = [ModelParameters(theta) for theta in thetas]
     with mock.patch.object(learning, "_count_correct", wraps=learning._count_correct) as solo:
-        accs = evaluate_many(models, spec, EvalSplit(X, y))
-    assert accs == evaluate_reference(models, spec, X, y)
+        accs = evaluate_many(models, spec, EvalSplit(X, y, test))
+    assert accs == evaluate_reference(models, spec, X[test], y[test])
     if family == "linear" and ties == "f32-near":
         # The float64 recheck settles every pair: no model is scored alone.
         assert solo.call_count == 0
@@ -504,7 +541,7 @@ def test_evaluate_many_breaks_ties_at_the_first_class(monkeypatch):
     lead = ModelParameters(with_tied_classes(spec, lead, 3, 2))
     plain = ModelParameters(np.random.default_rng(0).normal(size=spec.dim))
     calls = count_solo_scores(monkeypatch)
-    accs = evaluate_many([zero, plain, lead], spec, EvalSplit(X, y))
+    accs = evaluate_many([zero, plain, lead], spec, split_of(X, y))
     assert accs[0] == 1 / 5 and accs[2] == 2 / 5
     assert accs == evaluate_reference([zero, plain, lead], spec, X, y)
     assert len(calls) == 2  # only the two tied models were rescored alone
@@ -516,17 +553,17 @@ def test_evaluate_many_scores_desk_shaped_models_in_blocks(monkeypatch):
     # and every accuracy equals the per-model loop's.
     ds = synth_dataset(seed=1, n_samples=2000, d_in=256, classes=10, class_sep=0.185)
     spec = ModelSpec("linear", d_in=256, classes=10)
-    part = whole(ds.X_train, ds.y_train)
+    part = DataPartition(ds.X, ds.y, ds.train)
     models = [
         local_train(spec.init_model(derive_rng(i, "init")), spec, part, TrainerConfig(), derive_rng(i))
         for i in range(block_models(spec) + 5)
     ]
     calls = count_solo_scores(monkeypatch)
     rechecked = count_rechecks(monkeypatch)
-    accs = evaluate_many(models, spec, EvalSplit(ds.X_test, ds.y_test))
+    accs = evaluate_many(models, spec, EvalSplit(ds.X, ds.y, ds.test))
     assert calls == []
-    assert sum(rechecked) <= 0.001 * len(models) * ds.y_test.size
-    assert accs == evaluate_reference(models, spec, ds.X_test, ds.y_test)
+    assert sum(rechecked) <= 0.001 * len(models) * ds.test.size
+    assert accs == evaluate_reference(models, spec, ds.X[ds.test], ds.y[ds.test])
 
 
 def test_evaluate_many_rechecks_a_prediction_that_float32_rounding_flips(monkeypatch):
@@ -543,7 +580,7 @@ def test_evaluate_many_rechecks_a_prediction_that_float32_rounding_flips(monkeyp
     assert z32[0, 1] > z32[0, 0]
     calls = count_solo_scores(monkeypatch)
     rechecked = count_rechecks(monkeypatch)
-    assert evaluate_many([ModelParameters(theta)], spec, EvalSplit(X, y)) == [1.0]
+    assert evaluate_many([ModelParameters(theta)], spec, split_of(X, y)) == [1.0]
     assert rechecked == [1] and calls == []
 
 
@@ -593,7 +630,7 @@ def test_float32_logits_lie_within_the_certified_bound(d_in, classes, rows, scal
             tiles.append((logits, unsure))
         return correct, unsure
 
-    split = EvalSplit(X, y)
+    split = split_of(X, y)
     with mock.patch.object(learning, "_certify", spy), np.errstate(all="ignore"):
         accs = evaluate_many(models, spec, split)
         assert accs == evaluate_reference(models, spec, X, y)
@@ -619,7 +656,7 @@ def test_evaluate_many_scores_mlp_models_alone(monkeypatch):
     X, y = toy_batch(MLP)
     models = [MLP.init_model(derive_rng(i)) for i in range(3)]
     calls = count_solo_scores(monkeypatch)
-    assert evaluate_many(models, MLP, EvalSplit(X, y)) == evaluate_reference(models, MLP, X, y)
+    assert evaluate_many(models, MLP, split_of(X, y)) == evaluate_reference(models, MLP, X, y)
     assert len(calls) == 3
 
 
@@ -628,9 +665,9 @@ def test_evaluate_many_rejects_squared_and_empty_test_sets():
     model = LINEAR.init_model(derive_rng(0))
     for models in ([], [model]):
         with pytest.raises(ValueError, match="no class logits"):
-            evaluate_many(models, SQUARED, EvalSplit(X[:, :2], y))
+            evaluate_many(models, SQUARED, split_of(X[:, :2], y))
         with pytest.raises(ValueError, match="empty test set"):
-            evaluate_many(models, LINEAR, EvalSplit(X[:0], y[:0]))
+            evaluate_many(models, LINEAR, split_of(X[:0], y[:0]))
     with pytest.raises(ValueError, match="no class logits"):
         evaluate(ModelParameters(np.zeros(2)), SQUARED, X[:, :2], y)
 
@@ -641,4 +678,4 @@ def test_evaluate_many_rejects_labels_outside_the_classes(label):
     X, y = toy_batch(LINEAR)
     y[3] = label
     with pytest.raises(ValueError, match="labels"):
-        evaluate_many([LINEAR.init_model(derive_rng(0))], LINEAR, EvalSplit(X, y))
+        evaluate_many([LINEAR.init_model(derive_rng(0))], LINEAR, split_of(X, y))

@@ -60,7 +60,7 @@ def test_build_world_synth():
     world = build_world(cfg)
     assert len(world.membership) == 8
     assert len(world.latency.cities) == 3
-    assert world.dataset.X_train.shape[1] == 4
+    assert world.dataset.X.shape[1] == 4
     assert world.spec.dim == 3 * 4 + 3
     cities = {world.membership.profile(nid).city_index for nid in world.membership.nodes}
     assert cities == {0, 1, 2}
@@ -213,9 +213,8 @@ def test_run_plexus_matches_fedavg_oracle_exactly():
         train_fn=train,
     )
     for point in led.accuracy:
-        want = evaluate(
-            history[point.round - 1], world.spec, world.dataset.X_test, world.dataset.y_test
-        )
+        ds = world.dataset
+        want = evaluate(history[point.round - 1], world.spec, ds.X[ds.test], ds.y[ds.test])
         assert point.accuracy == want
 
 

@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,21 +152,82 @@ def test_maxmin_is_feasible_and_saturating(seed):
 # shares and near-equal ones within the solver's tolerance both occur.
 _TIE_CAPS = st.sampled_from([1e6, 1e6 + 1e-10, 2e6, 3e6, 3e6 - 1e-10, 5e5])
 
+# Capacities from 1e4 to 3e6 bytes/s, some moved by up to twice the solver's
+# share tolerance (1e-9): shares that tie, and shares that differ by less
+# than the tolerance without being equal.
+_NEAR_TIE_CAPS = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from([1e4, 2e4, 3e4, 6e4, 1e6, 3e6]),
+    st.sampled_from([0.0, 5e-10, -5e-10, 6e-10, -6e-10, 1e-9, -1e-9, 2e-9, -2e-9]),
+)
 
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_maxmin_matches_the_reference_bit_for_bit(data):
+
+def draw_flows(data, caps):
+    """Flows over 2 to 5 nodes with capacities drawn from ``caps``."""
     n = data.draw(st.integers(2, 5))
     nodes = [f"n{i}" for i in range(n)]
-    up = {nid: data.draw(_TIE_CAPS) for nid in nodes}
-    down = {nid: data.draw(_TIE_CAPS) for nid in nodes}
+    up = {nid: data.draw(caps) for nid in nodes}
+    down = {nid: data.draw(caps) for nid in nodes}
     # Few nodes, so pairs repeat and several flows share both their ports.
     pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
     pairs = data.draw(st.lists(pair, min_size=1, max_size=12))
     flows = [(tid, nodes[a], nodes[(a + b) % n]) for tid, (a, b) in enumerate(pairs)]
+    return flows, up, down
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_maxmin_matches_the_reference_bit_for_bit(data):
+    flows, up, down = draw_flows(data, _TIE_CAPS)
     got = maxmin_rates(flows, up, down)
     want = maxmin_reference(flows, up, down)
     assert {t: r.hex() for t, r in got.items()} == {t: r.hex() for t, r in want.items()}
+
+
+def assert_maxmin_certificate(flows, up, down, rates):
+    """Max-min fairness from first principles: no port carries more than
+    its capacity, beyond 1e-9 relative, and every flow crosses a port that
+    is saturated, within 1e-12 relative, and where no flow's rate exceeds
+    its own by more than 1e-9 relative: a bottleneck of the flow."""
+    load, cap, top = defaultdict(float), {}, defaultdict(float)
+    for tid, src, dst in flows:
+        for port, c in ((("u", src), up[src]), (("d", dst), down[dst])):
+            load[port] += rates[tid]
+            cap[port] = c
+            top[port] = max(top[port], rates[tid])
+    over = [port for port in load if load[port] > cap[port] * (1 + 1e-9)]
+    assert not over, f"ports over capacity: {over}"
+    unbound = [
+        tid
+        for tid, src, dst in flows
+        if not any(
+            load[port] >= cap[port] * (1 - 1e-12) and rates[tid] >= top[port] * (1 - 1e-9)
+            for port in (("u", src), ("d", dst))
+        )
+    ]
+    assert not unbound, f"flows without a bottleneck: {unbound}"
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_maxmin_rates_pass_the_max_min_certificate(data):
+    flows, up, down = draw_flows(data, data.draw(st.sampled_from([_TIE_CAPS, _NEAR_TIE_CAPS])))
+    assert_maxmin_certificate(flows, up, down, maxmin_rates(flows, up, down))
+
+
+def test_maxmin_near_tie_depends_on_the_other_flows():
+    # Flow 0's uplink x1 is 0.6e-9 below its downlink x2, a near tie, so
+    # alone it freezes at x2's share, the first port scanned. Next to flow
+    # 1, port a9 is scanned first; x1 undercuts a9 by more than the
+    # tolerance and wins. Solving a component alone can move a rate by up to
+    # the tolerance; both answers pass the certificate.
+    up = {"x1": 10 - 0.6e-9, "a0": 100.0}
+    down = {"x2": 10.0, "a9": 10 + 0.5e-9}
+    flows = [(0, "x1", "x2"), (1, "a0", "a9")]
+    together, alone = maxmin_rates(flows, up, down), maxmin_rates(flows[:1], up, down)
+    assert together[0] == up["x1"] and alone[0] == 10.0
+    assert_maxmin_certificate(flows, up, down, together)
+    assert_maxmin_certificate(flows[:1], up, down, alone)
 
 
 def test_maxmin_infinite_capacity_raises():
