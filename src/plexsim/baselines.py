@@ -10,6 +10,7 @@ loop; gossip learning is event-driven and runs on the simulator engine.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,20 +70,76 @@ class OnePeerExponential:
 
 def make_regular_topology(n: int, degree: int, seed: int) -> RegularTopology:
     """Seeded random regular graph, re-drawn with an incremented seed until
-    connected. networkx is imported here, so runs without a regular
-    topology never load it."""
-    import networkx as nx
-
+    connected. Each draw is Steger-Wormald stub pairing (Combin. Probab.
+    Comput. 1999) as NetworkX 3.x implements it, so for a seed it reproduces
+    NetworkX's ``random_regular_graph(degree, n, seed)`` under the same Python
+    ``random``."""
     if degree < 1 or degree >= n:
         raise ValueError(f"degree must be in [1, n), got {degree} for n={n}")
     if (n * degree) % 2 != 0:
         raise ValueError(f"n*degree must be even, got n={n} degree={degree}")
     for attempt in range(100):
-        g = nx.random_regular_graph(degree, n, seed=seed + attempt)
-        if nx.is_connected(g):
-            adjacency = tuple(tuple(sorted(g.neighbors(i))) for i in range(n))
-            return RegularTopology(adjacency)
+        rng = random.Random(seed + attempt)
+        edges = _pair_stubs(n, degree, rng)
+        while edges is None:
+            edges = _pair_stubs(n, degree, rng)
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        for a, b in edges:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        if _is_connected(adjacency):
+            return RegularTopology(tuple(tuple(sorted(neigh)) for neigh in adjacency))
     raise ValueError(f"no connected {degree}-regular graph found from seed {seed}")
+
+
+def _pair_stubs(n: int, degree: int, rng: random.Random) -> set[tuple[int, int]] | None:
+    """One stub-pairing attempt: shuffle the stubs, pair neighbours, keep each
+    new edge and re-pair the rejected stubs. None when they admit no new edge."""
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * degree
+    while stubs:
+        rejected: dict[int, int] = {}  # insertion order fixes the next shuffle's input
+        rng.shuffle(stubs)
+        pairs = iter(stubs)
+        for s1, s2 in zip(pairs, pairs):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                rejected[s1] = rejected.get(s1, 0) + 1
+                rejected[s2] = rejected.get(s2, 0) + 1
+        if not _suitable(edges, rejected):
+            return None
+        stubs = [node for node, count in rejected.items() for _ in range(count)]
+    return edges
+
+
+def _suitable(edges: set[tuple[int, int]], rejected: dict[int, int]) -> bool:
+    """NetworkX's check, kept exactly: the swap rebinds the outer ``s1``
+    for the rest of the inner loop, which decides some draws' outcome."""
+    if not rejected:
+        return True
+    for s1 in rejected:
+        for s2 in rejected:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def _is_connected(adjacency: list[list[int]]) -> bool:
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        for j in adjacency[frontier.pop()]:
+            if j not in seen:
+                seen.add(j)
+                frontier.append(j)
+    return len(seen) == len(adjacency)
 
 
 def _one_peer_offset(k: int, n: int) -> int:

@@ -130,6 +130,8 @@ class ExperimentConfig:
                 raise ValueError("topology degree must be smaller than n")
             if (self.topology.degree * self.n) % 2 != 0:
                 raise ValueError("n * degree must be even for a regular graph")
+            if self.topology.degree == 1 and self.n > 2:
+                raise ValueError("a 1-regular graph on more than 2 nodes is never connected")
         if self.algorithm == "dpsgd" and self.topology.kind == "one_peer_exp" and self.n < 2:
             raise ValueError("one-peer topology needs n >= 2")
         if self.algorithm == "gl":

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plexsim.baselines import (
     FlRoundResult,
@@ -26,18 +28,82 @@ def flat(*vals):
 # -------------------------------------------------------------- topologies --
 
 
-def test_regular_topology_is_regular_connected_and_symmetric():
-    topo = make_regular_topology(20, 10, seed=4)
-    assert topo.degree == 10
+def is_connected(adjacency):
+    seen, frontier = {0}, [0]
+    while frontier:
+        for j in adjacency[frontier.pop()]:
+            if j not in seen:
+                seen.add(j)
+                frontier.append(j)
+    return len(seen) == len(adjacency)
+
+
+def assert_connected_regular(topo, n, degree):
+    assert topo.degree == degree
+    assert len(topo.adjacency) == n
     for i, neigh in enumerate(topo.adjacency):
-        assert len(neigh) == 10
-        assert len(set(neigh)) == 10
+        assert len(neigh) == degree
+        assert len(set(neigh)) == degree
         assert i not in neigh
         assert all(i in topo.adjacency[j] for j in neigh)
         assert list(neigh) == sorted(neigh)
+    assert is_connected(topo.adjacency)
+
+
+def test_regular_topology_is_regular_connected_and_symmetric():
+    topo = make_regular_topology(20, 10, seed=4)
+    assert_connected_regular(topo, 20, 10)
     # Same seed, same graph; different seed, different graph (usually).
     assert make_regular_topology(20, 10, seed=4).adjacency == topo.adjacency
     assert make_regular_topology(20, 10, seed=5).adjacency != topo.adjacency
+
+
+@st.composite
+def regular_shapes(draw):
+    n = draw(st.integers(3, 24))
+    degree = draw(st.integers(2, n - 1).filter(lambda d: n * d % 2 == 0))
+    return n, degree, draw(st.integers(0, 10_000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_shapes())
+def test_regular_topology_property(shape):
+    n, degree, seed = shape
+    topo = make_regular_topology(n, degree, seed)
+    assert_connected_regular(topo, n, degree)
+    assert make_regular_topology(n, degree, seed) == topo
+
+
+def networkx_topology(nx, n, degree, seed):
+    """The construction the port replaces, or None where it finds no
+    connected graph in 100 draws."""
+    for attempt in range(100):
+        g = nx.random_regular_graph(degree, n, seed=seed + attempt)
+        if nx.is_connected(g):
+            return tuple(tuple(sorted(g.neighbors(i))) for i in range(n))
+    return None
+
+
+def test_regular_topology_equals_networkx():
+    nx = pytest.importorskip("networkx")
+    # A suitability check that tests every unordered pair of rejected stubs,
+    # instead of networkx's loop, draws another graph for (100, 5, 7) and a
+    # few more of these cases.
+    cases = [
+        (n, d, seed)
+        for n in (3, 4, 6, 10, 20, 50, 100, 200)
+        for d in (1, 2, 3, 4, 5, 7, 10, 20)
+        if d < n and n * d % 2 == 0
+        for seed in range(12)
+    ]
+    assert len(cases) == 552
+    for n, d, seed in cases:
+        expected = networkx_topology(nx, n, d, seed)
+        if expected is None:
+            with pytest.raises(ValueError, match="no connected"):
+                make_regular_topology(n, d, seed)
+        else:
+            assert make_regular_topology(n, d, seed).adjacency == expected, (n, d, seed)
 
 
 def test_regular_topology_neighbors_constant_over_rounds():

@@ -65,6 +65,12 @@ def test_dpsgd_topology_constraints():
     ExperimentConfig(algorithm="dpsgd", n=100, topology=TopologyConfig(kind="one_peer_exp"))
 
 
+def test_dpsgd_rejects_a_disconnected_degree_one_topology():
+    with pytest.raises(ValueError, match="1-regular"):
+        ExperimentConfig(algorithm="dpsgd", n=8, topology=TopologyConfig(degree=1))
+    ExperimentConfig(algorithm="dpsgd", n=2, topology=TopologyConfig(degree=1))
+
+
 def test_one_peer_topology_needs_two_nodes():
     with pytest.raises(ValueError, match="n >= 2"):
         ExperimentConfig(algorithm="dpsgd", n=1, topology=TopologyConfig(kind="one_peer_exp"))
