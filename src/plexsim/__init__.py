@@ -20,7 +20,7 @@ from .core import (
     derive_rng,
     model_size_bytes,
 )
-from .sampler import SampleSchedule, aggregator, derive_sample, node_rank_key, sample
+from .sampler import SampleSchedule, aggregator, node_rank_key, sample
 from .protocol import PlexusNode, ProtocolConfig, success_threshold
 from .simnet import Engine, LatencyMatrix, SimulationError, assign_cities, compute_time, maxmin_rates
 from .learning import (
@@ -30,7 +30,6 @@ from .learning import (
     ModelSpec,
     PartitionScheme,
     TrainerConfig,
-    evaluate,
     evaluate_many,
     local_train,
     partition,
@@ -44,7 +43,6 @@ from .baselines import (
     fl_round,
     gl_merge,
     make_regular_topology,
-    one_peer_exp_neighbor,
 )
 from .metrics import MetricsLedger, cta, round_duration_stats, rta, tta
 from .config import ExperimentConfig, load_config

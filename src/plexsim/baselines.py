@@ -61,7 +61,8 @@ class OnePeerExponential:
     n: int
 
     def out_neighbors(self, i: int, k: int) -> tuple[int, ...]:
-        return (one_peer_exp_neighbor(i, k, self.n),)
+        # Adding a constant offset modulo n, so every round is a permutation.
+        return ((i + _one_peer_offset(k, self.n)) % self.n,)
 
     def in_neighbors(self, i: int, k: int) -> tuple[int, ...]:
         offset = _one_peer_offset(k, self.n)
@@ -149,12 +150,6 @@ def _one_peer_offset(k: int, n: int) -> int:
         raise ValueError("round number must be >= 1")
     cycle = max(1, math.ceil(math.log2(n)))
     return 1 << ((k - 1) % cycle)
-
-
-def one_peer_exp_neighbor(i: int, k: int, n: int) -> int:
-    """Round-k partner of node i: (i + 2^((k-1) mod ceil(log2 n))) mod n.
-    Adding a constant offset modulo n, so every round is a permutation."""
-    return (i + _one_peer_offset(k, n)) % n
 
 
 # ----------------------------------------------------------- fl baseline --

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import TracesConfig, load_config
 from .runner import build_membership_from_config, build_world, run_experiment
-from .sampler import derive_sample
+from .sampler import SampleSchedule
 from .traces import synth_device_profiles, synth_latency_matrix, write_latency_csv, write_profiles_csv
 
 SWEEPABLE = {
@@ -72,14 +72,17 @@ def _fmt(v) -> str:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        return _fail(f"--count must be >= 1, got {args.count}")
     try:
         cfg = load_config(args.config)
         membership, _ = build_membership_from_config(cfg, Path(args.config).parent)
+        schedule = SampleSchedule(cfg.sample_size, membership)
         for k in range(args.round, args.round + args.count):
-            s = derive_sample(k, cfg.sample_size, membership)
-            up = membership.profile(s.aggregator).uplink_bps
-            print(f"round {k} participants: {' '.join(s.participants)}")
-            print(f"round {k} aggregator: {s.aggregator} (uplink {up:.1f} B/s)")
+            agg = schedule.aggregator(k)
+            up = membership.profile(agg).uplink_bps
+            print(f"round {k} participants: {' '.join(schedule.participants(k))}")
+            print(f"round {k} aggregator: {agg} (uplink {up:.1f} B/s)")
     except ValueError as exc:
         return _fail(str(exc))
     return 0
@@ -152,23 +155,28 @@ def cmd_report(args: argparse.Namespace) -> int:
         summary_path = Path(d) / "summary.json"
         if not summary_path.exists():
             return _fail(f"no summary.json under {d}")
-        with open(summary_path) as fh:
-            summary = json.load(fh)
-        finals = [r["final_accuracy"] for r in summary["reps"] if r["final_accuracy"] is not None]
-        for target, entry in summary["cross_seed"].items():
-            rows.append(
-                {
-                    "experiment": str(d),
-                    "algorithm": summary["algorithm"],
-                    "config_hash": summary["config_hash"],
-                    "target": target,
-                    "tta_s": entry["tta_s_mean"],
-                    "cta_bytes": entry["cta_bytes_mean"],
-                    "rta_s": entry["rta_s_mean"],
-                    "not_reached": entry["not_reached"],
-                    "final_accuracy_mean": sum(finals) / len(finals) if finals else None,
-                }
-            )
+        try:
+            with open(summary_path) as fh:
+                summary = json.load(fh)
+            finals = [r["final_accuracy"] for r in summary["reps"] if r["final_accuracy"] is not None]
+            for target, entry in summary["cross_seed"].items():
+                rows.append(
+                    {
+                        "experiment": str(d),
+                        "algorithm": summary["algorithm"],
+                        "config_hash": summary["config_hash"],
+                        "target": target,
+                        "tta_s": entry["tta_s_mean"],
+                        "cta_bytes": entry["cta_bytes_mean"],
+                        "rta_s": entry["rta_s_mean"],
+                        "not_reached": entry["not_reached"],
+                        "final_accuracy_mean": sum(finals) / len(finals) if finals else None,
+                    }
+                )
+        except ValueError as exc:  # json.JSONDecodeError is one
+            return _fail(f"{summary_path} is not valid JSON: {exc}")
+        except (KeyError, TypeError) as exc:
+            return _fail(f"{summary_path} is not a plexsim summary ({type(exc).__name__}: {exc})")
     header = list(rows[0].keys())
     print(",".join(header))
     for row in rows:

@@ -358,11 +358,6 @@ class EvalSplit:
             del block  # or the next gather would hold two blocks at once
 
 
-def evaluate(model: ModelParameters, spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> float:
-    """Top-1 accuracy on all rows of X, y."""
-    return evaluate_many([model], spec, EvalSplit(X, y, np.arange(y.size)))[0]
-
-
 # Evaluation tiles: one float32 GEMM multiplies at most _EVAL_ROWS test rows
 # by the stacked weight rows of as many linear models as fit in _EVAL_COLS.
 # On the desk shapes (256 inputs, 10 classes) a tile's logits take 1 MB;

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .core import Membership, NodeId, validate_node_id
 
-__all__ = ["RankKey", "Sample", "SampleSchedule", "node_rank_key", "sample", "aggregator", "derive_sample"]
+__all__ = ["RankKey", "SampleSchedule", "node_rank_key", "sample", "aggregator"]
 
 
 @dataclass(frozen=True, order=True)
@@ -27,13 +27,6 @@ class RankKey:
 
     digest: bytes
     node: NodeId
-
-
-@dataclass(frozen=True)
-class Sample:
-    k: int
-    participants: tuple[NodeId, ...]
-    aggregator: NodeId
 
 
 def node_rank_key(node_id: NodeId, k: int) -> RankKey:
@@ -79,11 +72,6 @@ def aggregator(participants: Iterable[NodeId], membership: Membership) -> NodeId
     return best
 
 
-def derive_sample(k: int, s: int, membership: Membership) -> Sample:
-    participants = sample(k, s, membership.nodes)
-    return Sample(k, participants, aggregator(participants, membership))
-
-
 class SampleSchedule:
     """S^k and a^k of every round of one run, each computed once on first use.
 
@@ -94,18 +82,20 @@ class SampleSchedule:
     def __init__(self, s: int, membership: Membership):
         self.s = s
         self.membership = membership
-        self._rounds: dict[int, tuple[Sample, frozenset[NodeId]]] = {}
+        self._rounds: dict[int, tuple[tuple[NodeId, ...], frozenset[NodeId], NodeId]] = {}
 
-    def _round(self, k: int) -> tuple[Sample, frozenset[NodeId]]:
+    def _round(self, k: int) -> tuple[tuple[NodeId, ...], frozenset[NodeId], NodeId]:
         entry = self._rounds.get(k)
         if entry is None:
-            drawn = derive_sample(k, self.s, self.membership)
-            entry = self._rounds[k] = (drawn, frozenset(drawn.participants))
+            # Through the module-level names, so a wrapper of either sees
+            # every round a schedule draws.
+            drawn = sample(k, self.s, self.membership.nodes)
+            entry = self._rounds[k] = (drawn, frozenset(drawn), aggregator(drawn, self.membership))
         return entry
 
     def participants(self, k: int) -> tuple[NodeId, ...]:
         """S^k in rank order."""
-        return self._round(k)[0].participants
+        return self._round(k)[0]
 
     def participant_set(self, k: int) -> frozenset[NodeId]:
         """S^k as a set, for membership tests."""
@@ -113,4 +103,4 @@ class SampleSchedule:
 
     def aggregator(self, k: int) -> NodeId:
         """a^k."""
-        return self._round(k)[0].aggregator
+        return self._round(k)[2]

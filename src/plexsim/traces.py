@@ -25,6 +25,9 @@ from .simnet import LatencyMatrix, assign_cities
 
 PROFILE_COLUMNS = ["node_id", "uplink_bps", "downlink_bps", "sec_per_local_step"]
 
+# RTT between two nodes of the same city in a synthetic latency matrix.
+_INTRA_CITY_MS = 2.0
+
 
 def load_latency_matrix(path: str | Path) -> LatencyMatrix:
     path = Path(path)
@@ -140,11 +143,16 @@ def synth_latency_matrix(
     seed: int,
     median_rtt_ms: float = 80.0,
     sigma: float = 0.5,
-    intra_city_ms: float = 2.0,
 ) -> LatencyMatrix:
     """Symmetric log-normal RTT matrix over synthetic city names."""
     if n_cities < 1:
         raise ValueError("need at least one city")
+    # A negative or infinite median, or an infinite sigma, draws NaN or inf
+    # RTTs, which load_latency_matrix would reject in a file.
+    if not (np.isfinite(median_rtt_ms) and median_rtt_ms >= 0):
+        raise ValueError(f"median_rtt_ms must be finite and >= 0, got {median_rtt_ms}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"rtt_sigma must be finite and >= 0, got {sigma}")
     rng = derive_rng(seed, "latency")
     n = n_cities
     rtt = np.zeros((n, n))
@@ -152,7 +160,7 @@ def synth_latency_matrix(
     iu = np.triu_indices(n, k=1)
     rtt[iu] = upper[iu]
     rtt = rtt + rtt.T
-    np.fill_diagonal(rtt, intra_city_ms)
+    np.fill_diagonal(rtt, _INTRA_CITY_MS)
     names = tuple(f"city{i:03d}" for i in range(n))
     return LatencyMatrix(names, rtt)
 

@@ -46,10 +46,9 @@ def test_module_reads_every_attribute_it_assigns(path):
 
 # Definitions that nothing in the package references, and what keeps each.
 KEPT_UNREFERENCED = {
-    "evaluate": "perfbench/layertrace.py wraps it",
     "Engine.send_at": "the acceptance gate uses it",
     "LatencyMatrix.zero": "the acceptance gate uses it",
-    "Engine.quiescent": "ROADMAP item 3 reports a drained queue with it",
+    "Engine.quiescent": "ROADMAP item 4 reports a drained queue with it",
     "ModelParameters.with_values": "tests/oracles.py uses it",
     "node_rank_key": "tests/oracles.py uses it",
 }

@@ -11,7 +11,6 @@ from plexsim.baselines import (
     fl_round,
     gl_merge,
     make_regular_topology,
-    one_peer_exp_neighbor,
     uniform_selector,
 )
 from plexsim.core import GossipModel, Metric, ModelParameters, Send, SetTimer
@@ -120,10 +119,10 @@ def test_regular_topology_validation():
 
 def test_one_peer_offsets_cycle_through_powers_of_two():
     # n=8: cycle length ceil(log2 8) = 3, offsets 1, 2, 4, repeating.
-    assert [one_peer_exp_neighbor(0, k, 8) for k in (1, 2, 3, 4)] == [1, 2, 4, 1]
-    assert one_peer_exp_neighbor(7, 1, 8) == 0  # wraps around the ring
+    assert [OnePeerExponential(8).out_neighbors(0, k) for k in (1, 2, 3, 4)] == [(1,), (2,), (4,), (1,)]
+    assert OnePeerExponential(8).out_neighbors(7, 1) == (0,)  # wraps around the ring
     # n=5: offsets still 1, 2, 4 (cycle ceil(log2 5) = 3).
-    assert [one_peer_exp_neighbor(0, k, 5) for k in (1, 2, 3)] == [1, 2, 4]
+    assert [OnePeerExponential(5).out_neighbors(0, k) for k in (1, 2, 3)] == [(1,), (2,), (4,)]
 
 
 def test_one_peer_is_a_permutation_each_round():
@@ -138,9 +137,9 @@ def test_one_peer_is_a_permutation_each_round():
 
 def test_one_peer_validation():
     with pytest.raises(ValueError):
-        one_peer_exp_neighbor(0, 1, 1)
+        OnePeerExponential(1).out_neighbors(0, 1)
     with pytest.raises(ValueError):
-        one_peer_exp_neighbor(0, 0, 8)
+        OnePeerExponential(8).out_neighbors(0, 0)
 
 
 # ---------------------------------------------------------------- fedavg fl --

@@ -157,6 +157,23 @@ def test_run_validate_builds_the_world(tmp_path, capsys, overrides, message):
     assert message in captured.err
 
 
+def test_run_validate_rejects_a_negative_median_rtt(tmp_path, capsys):
+    # It would draw NaN RTTs, and the run would then record nothing.
+    cfg = write_cfg(tmp_path, traces={"cities": 3, "seed": 2, "median_rtt_ms": -5.0})
+    rc = main(["run", cfg, "--validate"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: median_rtt_ms must be finite and >= 0")
+
+
+def test_traces_gen_rejects_a_negative_median_rtt(tmp_path, capsys):
+    rc = main(["traces-gen", "--out", str(tmp_path / "tr"), "--median-rtt-ms", "-5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: median_rtt_ms must be finite and >= 0")
+    assert not (tmp_path / "tr" / "latency.csv").exists()
+
+
 def test_run_missing_config(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.yaml")])
     assert rc == 2
@@ -195,6 +212,16 @@ def test_sample_prints_participants(tmp_path, capsys):
     assert len(lines[0].split(": ")[1].split()) == 3
     assert "aggregator:" in lines[1] and "uplink" in lines[1]
     assert lines[2].startswith("round 4 participants: ")
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sample_rejects_a_count_below_one(tmp_path, capsys, count):
+    cfg = write_cfg(tmp_path)
+    rc = main(["sample", cfg, "--round", "1", "--count", count])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --count must be >= 1")
 
 
 def test_sweep_runs_each_value(tmp_path, capsys):
@@ -240,3 +267,22 @@ def test_report_requires_summaries(tmp_path, capsys):
     rc = main(["report", str(tmp_path)])
     assert rc == 2
     assert "no summary.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "is not valid JSON"),
+        (json.dumps({"algorithm": "plexus", "cross_seed": {}}), "is not a plexsim summary (KeyError: 'reps')"),
+        ("[]", "is not a plexsim summary (TypeError"),
+    ],
+    ids=["invalid-json", "no-reps", "not-an-object"],
+)
+def test_report_rejects_a_malformed_summary(tmp_path, capsys, text, message):
+    (tmp_path / "summary.json").write_text(text)
+    rc = main(["report", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tmp_path / 'summary.json'} ")
+    assert message in captured.err

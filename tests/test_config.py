@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -295,3 +297,33 @@ def test_readme_configuration_block_shows_the_defaults():
     defaults = config_from_dict({"algorithm": "plexus", "n": 100})
     assert config_from_dict(shown) == defaults
     assert sorted(_key_paths(shown)) == sorted(_key_paths(defaults.canonical_dict()))
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` names a module, an attribute reached from one, or,
+    as its last part, a field of a dataclass reached so."""
+    parts = dotted.split(".")
+    i = len(parts)
+    while True:
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+            break
+        except ModuleNotFoundError:
+            i -= 1  # the package itself always imports
+    for j in range(i, len(parts)):
+        name = parts[j]
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+        elif dataclasses.is_dataclass(obj) and name in {f.name for f in dataclasses.fields(obj)}:
+            return j == len(parts) - 1
+        else:
+            return False
+    return True
+
+
+def test_readme_names_only_what_exists():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    names = set(re.findall(r"\bplexsim(?:\.[A-Za-z_]\w*)+", readme))
+    assert names, "the pattern found no plexsim names in README.md"
+    missing = sorted(name for name in names if not _resolves(name))
+    assert not missing, f"README.md names what plexsim does not have: {missing}"

@@ -14,7 +14,6 @@ from plexsim.learning import (
     ModelSpec,
     PartitionScheme,
     TrainerConfig,
-    evaluate,
     evaluate_many,
     local_train,
     partition,
@@ -262,7 +261,7 @@ def test_training_reduces_loss_on_separable_data():
     out = local_train(theta0, LINEAR_DS, part, TrainerConfig(eta=0.2, local_steps=60, batch_size=64), derive_rng(3))
     l1, _ = loss_grad_reference(LINEAR_DS, out.values, X_train, y_train)
     assert l1 < 0.5 * l0
-    assert evaluate(out, LINEAR_DS, ds.X[ds.test], ds.y[ds.test]) > 0.85
+    assert evaluate_many([out], LINEAR_DS, EvalSplit(ds.X, ds.y, ds.test))[0] > 0.85
 
 
 LINEAR_DS = ModelSpec("linear", d_in=6, classes=3)
@@ -430,10 +429,10 @@ def test_evaluate_counts_top1():
     theta = np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0])
     X = np.array([[2.0, 0.0], [-2.0, 0.0], [3.0, 1.0], [-1.0, 5.0]])
     y = np.array([0, 1, 0, 0])  # last one is wrong on purpose
-    acc = evaluate(ModelParameters(theta), spec, X, y)
+    acc = evaluate_many([ModelParameters(theta)], spec, split_of(X, y))[0]
     assert acc == pytest.approx(0.75)
     with pytest.raises(ValueError, match="empty test set"):
-        evaluate(ModelParameters(theta), spec, X[:0], y[:0])
+        evaluate_many([ModelParameters(theta)], spec, split_of(X[:0], y[:0]))
 
 
 def with_tied_classes(spec, theta, src, dst, ulps=0, shift=0.0):
@@ -669,7 +668,7 @@ def test_evaluate_many_rejects_squared_and_empty_test_sets():
         with pytest.raises(ValueError, match="empty test set"):
             evaluate_many(models, LINEAR, split_of(X[:0], y[:0]))
     with pytest.raises(ValueError, match="no class logits"):
-        evaluate(ModelParameters(np.zeros(2)), SQUARED, X[:, :2], y)
+        evaluate_many([ModelParameters(np.zeros(2))], SQUARED, split_of(X[:, :2], y))
 
 
 @pytest.mark.parametrize("label", [-1, LINEAR.classes])

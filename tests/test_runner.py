@@ -14,9 +14,9 @@ from plexsim.config import (
 )
 from plexsim.core import derive_rng
 from plexsim.learning import (
+    EvalSplit,
     PartitionScheme,
     TrainerConfig,
-    evaluate,
     evaluate_many,
     local_train,
     partition,
@@ -144,8 +144,7 @@ def test_run_plexus_samples_each_round_once(monkeypatch):
 @pytest.mark.parametrize("algorithm", ["dpsgd", "gl"])
 def test_runners_score_all_models_of_a_checkpoint_in_one_call(monkeypatch, algorithm):
     # Every checkpoint scores all n models with one evaluate_many call,
-    # against the one test split the repetition prepared; nothing scores a
-    # model alone through evaluate.
+    # against the one test split the repetition prepared.
     batches, splits = [], []
 
     def counting(models, spec, split):
@@ -153,15 +152,9 @@ def test_runners_score_all_models_of_a_checkpoint_in_one_call(monkeypatch, algor
         splits.append(split)
         return evaluate_many(models, spec, split)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("per-model evaluate called")
-
     for name, mod in list(sys.modules.items()):
-        if name.startswith("plexsim"):
-            if getattr(mod, "evaluate_many", None) is evaluate_many:
-                monkeypatch.setattr(mod, "evaluate_many", counting)
-            if getattr(mod, "evaluate", None) is evaluate:
-                monkeypatch.setattr(mod, "evaluate", forbidden)
+        if name.startswith("plexsim") and getattr(mod, "evaluate_many", None) is evaluate_many:
+            monkeypatch.setattr(mod, "evaluate_many", counting)
     if algorithm == "dpsgd":
         cfg = tiny_cfg(
             algorithm="dpsgd",
@@ -214,7 +207,7 @@ def test_run_plexus_matches_fedavg_oracle_exactly():
     )
     for point in led.accuracy:
         ds = world.dataset
-        want = evaluate(history[point.round - 1], world.spec, ds.X[ds.test], ds.y[ds.test])
+        want = evaluate_many([history[point.round - 1]], world.spec, EvalSplit(ds.X, ds.y, ds.test))[0]
         assert point.accuracy == want
 
 

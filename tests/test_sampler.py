@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plexsim.core import DeviceProfile, Membership
-from plexsim.sampler import SampleSchedule, aggregator, derive_sample, node_rank_key, sample
+from plexsim.sampler import SampleSchedule, aggregator, node_rank_key, sample
 
 from oracles import sample_reference
 
@@ -173,21 +173,21 @@ def test_aggregator_requires_known_profiles():
 
 @given(st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0]), min_size=12, max_size=12), st.integers(1, 14))
 @settings(max_examples=30, deadline=None)
-def test_schedule_matches_derive_sample(uplinks, s):
+def test_schedule_matches_sample_and_aggregator(uplinks, s):
     # Few distinct uplinks, so aggregator ties are common.
     ids = [f"m{i:02d}" for i in range(12)]
     m = members(ids, dict(zip(ids, uplinks)))
     schedule = SampleSchedule(s, m)
     for k in list(range(1, 51)) + [3, 1]:  # revisits read the memo
-        want = derive_sample(k, s, m)
-        assert schedule.participants(k) == want.participants
-        assert schedule.participant_set(k) == frozenset(want.participants)
-        assert schedule.aggregator(k) == want.aggregator
+        want = sample(k, s, m.nodes)
+        assert schedule.participants(k) == want
+        assert schedule.participant_set(k) == frozenset(want)
+        assert schedule.aggregator(k) == aggregator(want, m)
 
 
-def test_derive_sample_bundles_round():
+def test_schedule_bundles_round():
     m = members(["n1", "n2", "n3", "n4"], {"n1": 1.0, "n2": 2.0, "n3": 3.0, "n4": 4.0})
-    s = derive_sample(7, 2, m)
-    assert s.k == 7
-    assert s.participants == ("n1", "n4")
-    assert s.aggregator == "n4"  # n4 has the larger uplink of the two
+    schedule = SampleSchedule(2, m)
+    assert schedule.participants(7) == ("n1", "n4")
+    assert schedule.participant_set(7) == frozenset({"n1", "n4"})
+    assert schedule.aggregator(7) == "n4"  # n4 has the larger uplink of the two

@@ -82,6 +82,28 @@ def test_synth_latency_deterministic():
     assert not np.array_equal(a.rtt_ms, c.rtt_ms)
 
 
+@pytest.mark.parametrize(
+    "median,sigma,fragment",
+    [
+        (-5.0, 0.5, "median_rtt_ms"),
+        (float("inf"), 0.5, "median_rtt_ms"),
+        (float("nan"), 0.5, "median_rtt_ms"),
+        (80.0, float("inf"), "rtt_sigma"),
+        (80.0, float("nan"), "rtt_sigma"),
+        (80.0, -1.0, "rtt_sigma"),
+    ],
+)
+def test_synth_latency_rejects_values_that_draw_bad_rtts(median, sigma, fragment):
+    # Each of these would draw NaN or inf RTTs, which the loader rejects.
+    with pytest.raises(ValueError, match=fragment):
+        synth_latency_matrix(4, seed=1, median_rtt_ms=median, sigma=sigma)
+
+
+def test_synth_latency_accepts_a_zero_sigma():
+    lm = synth_latency_matrix(3, seed=1, median_rtt_ms=40.0, sigma=0.0)
+    assert np.all(lm.rtt_ms[np.triu_indices(3, k=1)] == 40.0)
+
+
 # --------------------------------------------------------------- profiles --
 
 
