@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from .config import TracesConfig, load_config
+from .config import TracesConfig, config_from_dict, load_config
 from .runner import build_membership_from_config, build_world, run_experiment
 from .sampler import SampleSchedule
 from .traces import synth_device_profiles, synth_latency_matrix, write_latency_csv, write_profiles_csv
@@ -102,7 +101,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for v in values:
         try:
-            swept = dataclasses.replace(cfg, **{args.param: v})
+            swept = config_from_dict({**cfg.canonical_dict(), args.param: v})
             out = out_root / f"{args.param}-{v}"
             summary = run_experiment(swept, out, base_dir=Path(args.config).parent)
         except ValueError as exc:
@@ -134,8 +133,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_traces_gen(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         latency = synth_latency_matrix(args.cities, args.seed, args.median_rtt_ms, args.rtt_sigma)
         profiles = synth_device_profiles(
@@ -143,6 +140,8 @@ def cmd_traces_gen(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_latency_csv(out / "latency.csv", latency)
     write_profiles_csv(out / "profiles.csv", profiles)
     print(f"wrote {out}/latency.csv ({args.cities} cities) and {out}/profiles.csv ({args.n} devices)")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Any, Optional, get_type_hints
@@ -165,20 +166,22 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
-def _is_number(v: Any) -> bool:
-    return type(v) in (int, float)
+def _is_finite_number(v: Any) -> bool:
+    return type(v) is int or (type(v) is float and math.isfinite(v))
 
 
 # What a config value of each declared field type may be, and how an error
 # names it. An int for a float key loads as given, so its hash is unchanged.
+# NaN and infinity pass every range check, then hang a run or record nothing.
 _ACCEPTS = {
     int: (lambda v: type(v) is int, "an integer"),
     bool: (lambda v: type(v) is bool, "true or false"),
-    float: (_is_number, "a number"),
+    float: (_is_finite_number, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
     Optional[str]: (lambda v: v is None or isinstance(v, str), "a string or null"),
     tuple[float, ...]: (
-        lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "a list of numbers"
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite_number, v)),
+        "a list of finite numbers",
     ),
 }
 

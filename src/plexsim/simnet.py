@@ -45,8 +45,6 @@ from .core import (
     Terminal,
 )
 
-_EPS = 1e-9
-
 
 class SimulationError(RuntimeError):
     """A broken engine invariant. Never expected in a correct run."""
@@ -122,6 +120,10 @@ def maxmin_rates(
     """Max-min fair rates for ``flows`` (tid, src, dst) via progressive
     filling: repeatedly find the port with the smallest equal share, freeze
     its flows at that share, remove the spent capacity, and continue.
+
+    Shares are compared exactly and ties go to the smallest port, so a
+    flow's rate depends only on the flows connected to it through shared
+    ports: each connected component solved alone gives the same bits.
     """
     members: dict[tuple[str, NodeId], set[int]] = defaultdict(set)
     flow_ports: dict[int, tuple[tuple[str, NodeId], tuple[str, NodeId]]] = {}
@@ -144,7 +146,7 @@ def maxmin_rates(
             if live == 0:
                 continue
             port_share = cap[port] / live
-            if port_share < share - _EPS:
+            if port_share < share:
                 bottleneck, share = port, port_share
         if bottleneck is None:
             raise SimulationError("no live port while flows remain unfrozen")
@@ -231,7 +233,7 @@ class Engine:
     # -- internals --
 
     def _schedule(self, at: float, call: Callable[[], None]) -> None:
-        if at < self.now - _EPS:
+        if at < self.now:
             raise SimulationError(
                 f"event scheduled in the past: {at} < {self.now} ({call})"
             )

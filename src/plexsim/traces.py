@@ -147,10 +147,10 @@ def synth_latency_matrix(
     """Symmetric log-normal RTT matrix over synthetic city names."""
     if n_cities < 1:
         raise ValueError("need at least one city")
-    # A negative or infinite median, or an infinite sigma, draws NaN or inf
-    # RTTs, which load_latency_matrix would reject in a file.
-    if not (np.isfinite(median_rtt_ms) and median_rtt_ms >= 0):
-        raise ValueError(f"median_rtt_ms must be finite and >= 0, got {median_rtt_ms}")
+    # A log-normal needs a finite median > 0 and a finite sigma; anything else
+    # draws NaN, inf or all-zero RTTs, which a latency file could not hold.
+    if not (np.isfinite(median_rtt_ms) and median_rtt_ms > 0):
+        raise ValueError(f"median_rtt_ms must be finite and > 0, got {median_rtt_ms}")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"rtt_sigma must be finite and >= 0, got {sigma}")
     rng = derive_rng(seed, "latency")
@@ -182,15 +182,8 @@ def synth_device_profiles(
     downs = rng.lognormal(np.log(downlink_median_bps), sigma, size=n)
     steps = rng.lognormal(np.log(sec_per_step_median), sigma, size=n)
     return [
-        (
-            f"n{i:04d}",
-            DeviceProfile(
-                uplink_bps=float(ups[i]),
-                downlink_bps=float(downs[i]),
-                sec_per_local_step=float(steps[i]),
-            ),
-        )
-        for i in range(n)
+        (f"n{i:04d}", DeviceProfile(uplink_bps=u, downlink_bps=d, sec_per_local_step=s))
+        for i, (u, d, s) in enumerate(zip(ups.tolist(), downs.tolist(), steps.tolist()))
     ]
 
 

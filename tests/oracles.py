@@ -58,7 +58,7 @@ def maxmin_reference(flows, uplink: dict, downlink: dict) -> dict:
             if live == 0:
                 continue
             port_share = cap[port] / live
-            if port_share < share - 1e-9:
+            if port_share < share:
                 bottleneck, share = port, port_share
         if bottleneck is None:
             raise SimulationError("no live port while flows remain unfrozen")

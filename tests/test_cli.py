@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from plexsim.cli import main
 from plexsim.config import config_from_dict, load_config
@@ -164,14 +165,26 @@ def test_run_validate_rejects_a_negative_median_rtt(tmp_path, capsys):
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: median_rtt_ms must be finite and >= 0")
+    assert captured.err.startswith("error: median_rtt_ms must be finite and > 0")
+
+
+def test_run_validate_rejects_a_nan_budget(tmp_path, capsys):
+    # YAML's .nan: Plexus would run no round, write a NaN final time and
+    # exit 0.
+    p = tmp_path / "exp.yaml"
+    p.write_text(yaml.safe_dump({**TINY, "stop": {"max_rounds": 4, "max_virtual_s": float("nan")}}))
+    assert ".nan" in p.read_text()
+    rc = main(["run", str(p), "--validate"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'stop.max_virtual_s' must be a finite number" in err
 
 
 def test_traces_gen_rejects_a_negative_median_rtt(tmp_path, capsys):
     rc = main(["traces-gen", "--out", str(tmp_path / "tr"), "--median-rtt-ms", "-5"])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: median_rtt_ms must be finite and >= 0")
-    assert not (tmp_path / "tr" / "latency.csv").exists()
+    assert capsys.readouterr().err.startswith("error: median_rtt_ms must be finite and > 0")
+    assert not (tmp_path / "tr").exists()
 
 
 def test_run_missing_config(tmp_path, capsys):
@@ -245,6 +258,17 @@ def test_sweep_rejects_unknown_param(tmp_path, capsys):
     rc = main(["sweep", cfg, "--param", "banana", "--values", "1"])
     assert rc == 2
     assert "unsupported sweep parameter" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_nan_value(tmp_path, capsys):
+    # A swept value is checked like a config value: a NaN gl timeout would
+    # raise OverflowError mid-run.
+    cfg = write_cfg(tmp_path, algorithm="gl")
+    out_root = tmp_path / "sweep"
+    rc = main(["sweep", cfg, "--param", "gl_timeout_s", "--values", "nan", "--out", str(out_root)])
+    assert rc == 2
+    assert "'gl_timeout_s' must be a finite number" in capsys.readouterr().err
+    assert not out_root.exists()
 
 
 def test_report_tabulates_summaries(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -186,14 +187,26 @@ def test_config_from_dict_rejects_unknowns():
         ({"stop": {"max_virtual_s": True}}, "'stop.max_virtual_s'"),
         ({"success_fraction": True}, "'success_fraction'"),
         ({"targets": [True]}, "'targets'"),
+        ({"gl_timeout_s": math.nan}, "'gl_timeout_s'"),
+        ({"stop": {"max_virtual_s": math.nan}}, "'stop.max_virtual_s'"),
+        ({"stop": {"max_virtual_s": math.inf}}, "'stop.max_virtual_s'"),
+        ({"eval": {"every_seconds": math.nan}}, "'eval.every_seconds'"),
+        ({"partition": {"kind": "dirichlet", "alpha": math.nan}}, "'partition.alpha'"),
+        ({"targets": [0.5, math.inf]}, "'targets'"),
     ],
     ids=["n-float", "n-bool", "n-str", "repetitions", "stop.max_rounds",
          "trainer.local_steps", "dataset.classes", "shared_init-int", "shared_init-str",
-         "stop.max_virtual_s-bool", "success_fraction-bool", "targets-bool"],
+         "stop.max_virtual_s-bool", "success_fraction-bool", "targets-bool",
+         "gl_timeout_s-nan", "stop.max_virtual_s-nan", "stop.max_virtual_s-inf",
+         "eval.every_seconds-nan", "partition.alpha-nan", "targets-inf"],
 )
 def test_config_from_dict_rejects_mistyped_integers_and_bools(overrides, key):
     # The dataclasses would take these and the run would fail, or run with
-    # a float round budget, long after validation said ok.
+    # a float round budget, long after validation said ok. A NaN or infinite
+    # float passes every range check: a NaN gl_timeout_s raises
+    # OverflowError mid-run, a NaN budget runs no round and exits 0, an
+    # infinite one never ends under gl or dpsgd, a NaN eval period writes no
+    # row and a NaN alpha fails only after 100 re-deals.
     with pytest.raises(ValueError, match=key):
         config_from_dict({"algorithm": "plexus", "n": 20, **overrides})
 

@@ -149,23 +149,31 @@ def test_maxmin_is_feasible_and_saturating(seed):
 
 
 # Tie-prone capacities: a few repeated values, some 1e-10 apart, so equal
-# shares and near-equal ones within the solver's tolerance both occur.
+# shares and near-equal ones both occur.
 _TIE_CAPS = st.sampled_from([1e6, 1e6 + 1e-10, 2e6, 3e6, 3e6 - 1e-10, 5e5])
 
-# Capacities from 1e4 to 3e6 bytes/s, some moved by up to twice the solver's
-# share tolerance (1e-9): shares that tie, and shares that differ by less
-# than the tolerance without being equal.
+# Moves of up to 2e-9 bytes/s: shares that tie, and shares that differ by
+# a few ulps up to a few 1e-9 without being equal.
+_OFFSETS = st.sampled_from([0.0, 5e-10, -5e-10, 6e-10, -6e-10, 1e-9, -1e-9, 2e-9, -2e-9])
+
+# Capacities from 1e4 to 3e6 bytes/s, moved by an offset.
 _NEAR_TIE_CAPS = st.builds(
-    lambda base, offset: base + offset,
-    st.sampled_from([1e4, 2e4, 3e4, 6e4, 1e6, 3e6]),
-    st.sampled_from([0.0, 5e-10, -5e-10, 6e-10, -6e-10, 1e-9, -1e-9, 2e-9, -2e-9]),
+    lambda base, offset: base + offset, st.sampled_from([1e4, 2e4, 3e4, 6e4, 1e6, 3e6]), _OFFSETS
 )
 
+# Capacities from 1 to 60 bytes/s, moved by an offset: there a move of 1e-9
+# is a large relative change, so any absolute tolerance would show.
+_SMALL_CAPS = st.builds(
+    lambda base, offset: base + offset, st.sampled_from([1.0, 2.0, 3.0, 6.0, 10.0, 60.0]), _OFFSETS
+)
 
-def draw_flows(data, caps):
+_ALL_CAPS = st.sampled_from([_TIE_CAPS, _NEAR_TIE_CAPS, _SMALL_CAPS])
+
+
+def draw_flows(data, caps, prefix="n"):
     """Flows over 2 to 5 nodes with capacities drawn from ``caps``."""
     n = data.draw(st.integers(2, 5))
-    nodes = [f"n{i}" for i in range(n)]
+    nodes = [f"{prefix}{i}" for i in range(n)]
     up = {nid: data.draw(caps) for nid in nodes}
     down = {nid: data.draw(caps) for nid in nodes}
     # Few nodes, so pairs repeat and several flows share both their ports.
@@ -211,23 +219,74 @@ def assert_maxmin_certificate(flows, up, down, rates):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_maxmin_rates_pass_the_max_min_certificate(data):
-    flows, up, down = draw_flows(data, data.draw(st.sampled_from([_TIE_CAPS, _NEAR_TIE_CAPS])))
+    flows, up, down = draw_flows(data, data.draw(_ALL_CAPS))
     assert_maxmin_certificate(flows, up, down, maxmin_rates(flows, up, down))
 
 
-def test_maxmin_near_tie_depends_on_the_other_flows():
-    # Flow 0's uplink x1 is 0.6e-9 below its downlink x2, a near tie, so
-    # alone it freezes at x2's share, the first port scanned. Next to flow
-    # 1, port a9 is scanned first; x1 undercuts a9 by more than the
-    # tolerance and wins. Solving a component alone can move a rate by up to
-    # the tolerance; both answers pass the certificate.
+def test_maxmin_rates_pass_the_certificate_at_one_byte_per_second():
+    # up/2 and down/2 differ by 5.5e-10 bytes/s. Taking the larger share as
+    # the bottleneck would put the uplink 1.1e-9 relative over capacity.
+    up, down = {"n1": 0.9999999995}, {"n0": 1.0000000006}
+    flows = [(0, "n1", "n0"), (1, "n1", "n0")]
+    rates = maxmin_rates(flows, up, down)
+    assert rates == {0: up["n1"] / 2, 1: up["n1"] / 2}
+    assert_maxmin_certificate(flows, up, down, rates)
+
+
+def split_into_components(flows):
+    """``flows`` grouped by connected component: two flows are connected
+    when a chain of flows sharing a port joins them."""
+    parent = {}
+
+    def root(port):
+        while parent.setdefault(port, port) != port:
+            port = parent[port]
+        return port
+
+    for _, src, dst in flows:
+        parent[root(("u", src))] = root(("d", dst))
+    groups = defaultdict(list)
+    for flow in flows:
+        groups[root(("u", flow[1]))].append(flow)
+    return list(groups.values())
+
+
+def assert_components_solve_alone(flows, up, down):
+    together = maxmin_rates(flows, up, down)
+    alone = {}
+    for group in split_into_components(flows):
+        alone.update(maxmin_rates(group, up, down))
+    assert {t: r.hex() for t, r in alone.items()} == {t: r.hex() for t, r in together.items()}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_maxmin_components_solve_alone_bit_for_bit(data):
+    # Two or three independent flow sets, their tids shuffled together, so
+    # the global solve interleaves their bottlenecks.
+    caps = data.draw(_ALL_CAPS)
+    parts = [draw_flows(data, caps, prefix) for prefix in "abc"[: data.draw(st.integers(2, 3))]]
+    pairs = [(src, dst) for flows, _, _ in parts for _, src, dst in flows]
+    tids = data.draw(st.permutations(range(len(pairs))))
+    flows = [(tid, src, dst) for tid, (src, dst) in zip(tids, pairs)]
+    up = {nid: c for _, part_up, _ in parts for nid, c in part_up.items()}
+    down = {nid: c for _, _, part_down in parts for nid, c in part_down.items()}
+    assert_components_solve_alone(flows, up, down)
+
+
+def test_maxmin_near_tie_does_not_depend_on_the_other_flows():
+    # Flow 0's uplink x1 is 0.6e-9 below its downlink x2, a near tie. Flow
+    # 1's port a9 sorts first and its share lies within 1e-9 of x2's, but it
+    # shares no port with flow 0, so it cannot decide flow 0's rate: alone
+    # or together, x1's share is the smaller and flow 0 freezes at it.
     up = {"x1": 10 - 0.6e-9, "a0": 100.0}
     down = {"x2": 10.0, "a9": 10 + 0.5e-9}
     flows = [(0, "x1", "x2"), (1, "a0", "a9")]
     together, alone = maxmin_rates(flows, up, down), maxmin_rates(flows[:1], up, down)
-    assert together[0] == up["x1"] and alone[0] == 10.0
+    assert together[0] == alone[0] == up["x1"]
     assert_maxmin_certificate(flows, up, down, together)
     assert_maxmin_certificate(flows[:1], up, down, alone)
+    assert_components_solve_alone(flows, up, down)
 
 
 def test_maxmin_infinite_capacity_raises():
@@ -486,6 +545,14 @@ def test_past_scheduling_is_rejected():
     with pytest.raises(SimulationError, match="past"):
         eng.inject(1.0, "n000", [])
         eng.run()
+
+
+def test_scheduling_one_ulp_in_the_past_is_rejected():
+    eng, _ = engine_pair()
+    eng.inject(1.0, "n000", [])
+    assert eng.run() == 1.0
+    with pytest.raises(SimulationError, match="past"):
+        eng.inject(np.nextafter(1.0, 0.0), "n000", [])
 
 
 def test_register_requires_membership():

@@ -86,6 +86,7 @@ def test_synth_latency_deterministic():
     "median,sigma,fragment",
     [
         (-5.0, 0.5, "median_rtt_ms"),
+        (0.0, 0.5, "median_rtt_ms"),
         (float("inf"), 0.5, "median_rtt_ms"),
         (float("nan"), 0.5, "median_rtt_ms"),
         (80.0, float("inf"), "rtt_sigma"),
@@ -94,7 +95,8 @@ def test_synth_latency_deterministic():
     ],
 )
 def test_synth_latency_rejects_values_that_draw_bad_rtts(median, sigma, fragment):
-    # Each of these would draw NaN or inf RTTs, which the loader rejects.
+    # Each of these would draw NaN or inf RTTs, which the loader rejects, or
+    # with a zero median put every other city nearer than one's own.
     with pytest.raises(ValueError, match=fragment):
         synth_latency_matrix(4, seed=1, median_rtt_ms=median, sigma=sigma)
 
