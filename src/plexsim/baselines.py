@@ -28,6 +28,7 @@ from .core import (
     Send,
     SetTimer,
     average_models,
+    message_size_bytes,
     model_size_bytes,
 )
 from .protocol import success_threshold
@@ -41,10 +42,6 @@ class RegularTopology:
     """A connected random d-regular graph; the same neighbors every round."""
 
     adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.adjacency[0])
 
     def out_neighbors(self, i: int, k: int) -> tuple[int, ...]:
         return self.adjacency[i]
@@ -260,11 +257,13 @@ def dpsgd_round(
     trained = [train_fn(i, k, models[i]) for i in range(n)]
     profiles = [membership.profile(nid) for nid in membership.nodes]
 
-    out_done = []  # when the last byte of each node's uploads left it
-    for i in range(n):
-        batch = len(topology.out_neighbors(i, k)) * nbytes / profiles[i].uplink_bps
-        out_done.append(compute_seconds[i] + batch)
-    in_done = []
+    outs = [topology.out_neighbors(i, k) for i in range(n)]
+    # When the last byte of each node's uploads left it.
+    out_done = [
+        compute_seconds[i] + len(outs[i]) * nbytes / profiles[i].uplink_bps for i in range(n)
+    ]
+    duration = 0.0
+    mixed = []
     for i in range(n):
         ins = topology.in_neighbors(i, k)
         arrivals = []
@@ -274,25 +273,17 @@ def dpsgd_round(
             arrivals.append(out_done[j] + lat)
             first_possible.append(compute_seconds[j] + lat)
         downlink_bound = min(first_possible) + len(ins) * nbytes / profiles[i].downlink_bps
-        in_done.append(max(max(arrivals), downlink_bound))
+        in_done = max(max(arrivals), downlink_bound)
+        duration = max(duration, out_done[i], in_done)
 
-    duration = 0.0
-    for i in range(n):
-        duration = max(duration, out_done[i], in_done[i])
-
-    mixed = []
-    for i in range(n):
-        gathered = [trained[i].values] + [
-            trained[j].values for j in topology.in_neighbors(i, k)
-        ]
+        gathered = [trained[i].values] + [trained[j].values for j in ins]
         mean = np.mean(np.stack(gathered), axis=0)
         mean.flags.writeable = False
         mixed.append(ModelParameters(mean, age=trained[i].age))
-    total_out = sum(len(topology.out_neighbors(i, k)) for i in range(n))
     return DpsgdRoundResult(
         models=mixed,
         duration_s=duration,
-        bytes=total_out * nbytes,
+        bytes=sum(map(len, outs)) * nbytes,
         train_seconds=float(sum(compute_seconds)),
     )
 
@@ -359,11 +350,8 @@ class GossipNode:
 
     def on_timer(self, now: float, timer_id: str) -> list[Effect]:
         peer = self._pick_peer()
-        msg = GossipModel(self.model, self.me)
-        return [
-            Send(peer, msg, model_size_bytes(self.model)),
-            SetTimer(self.timeout_s, "gossip"),
-        ]
+        msg = GossipModel(self.model)
+        return [Send(peer, msg, message_size_bytes(msg)), SetTimer(self.timeout_s, "gossip")]
 
     def on_message(self, now: float, src: NodeId, msg: Message) -> list[Effect]:
         if not isinstance(msg, GossipModel):

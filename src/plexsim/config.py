@@ -140,6 +140,14 @@ class ExperimentConfig:
                 raise ValueError("gossip learning needs n >= 2: a node pushes to another")
             if self.gl_timeout_s <= 0:
                 raise ValueError("gl_timeout_s must be positive")
+        # dpsgd and gl evaluate at multiples of every_seconds within the budget,
+        # so a longer period records no accuracy. runner._multiples would still
+        # clamp a step at most 1e-9 s past the budget onto it; > refuses that too.
+        if self.algorithm in ("dpsgd", "gl") and self.eval.every_seconds > self.stop.max_virtual_s:
+            raise ValueError(
+                f"eval.every_seconds ({self.eval.every_seconds}) exceeds stop.max_virtual_s "
+                f"({self.stop.max_virtual_s}): a {self.algorithm} run would record no accuracy"
+            )
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for t in self.targets:

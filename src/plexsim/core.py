@@ -179,7 +179,6 @@ class Aggregate:
 
     k: int
     model: ModelParameters
-    sender: NodeId
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,6 @@ class GossipModel:
     """Asynchronous model push used by gossip learning."""
 
     model: ModelParameters
-    sender: NodeId
 
 
 Message = object  # Train | Aggregate | GossipModel
@@ -235,10 +233,9 @@ class SetTimer:
 
 @dataclass(frozen=True)
 class Metric:
-    """Increment a named counter on the engine."""
+    """Increment a named counter on the engine by one."""
 
     name: str
-    value: float = 1.0
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ class PlexusNode:
         self.train_fn = train_fn
         self.compute_seconds = compute_seconds
         self.round_hook = round_hook
-        self.pending: dict[int, list[tuple[NodeId, ModelParameters]]] = {}
+        self.pending: dict[int, dict[NodeId, ModelParameters]] = {}
         self.rounds_aggregated: set[int] = set()
         self.trained_rounds: set[int] = set()
         self.late_by_round: dict[int, int] = {}
@@ -129,9 +129,9 @@ class PlexusNode:
 
     def on_message(self, now: float, src: NodeId, msg: Message) -> list[Effect]:
         if isinstance(msg, Train):
-            return self._on_train(now, msg)
+            return self._on_train(msg)
         if isinstance(msg, Aggregate):
-            return self._on_aggregate(now, msg)
+            return self._on_aggregate(now, src, msg)
         raise ProtocolViolation(f"unexpected message {type(msg).__name__}")
 
     def on_timer(self, now: float, timer_id: str) -> list[Effect]:
@@ -139,7 +139,7 @@ class PlexusNode:
 
     # -- handlers --
 
-    def _on_train(self, now: float, msg: Train) -> list[Effect]:
+    def _on_train(self, msg: Train) -> list[Effect]:
         k = msg.k
         if k > self.config.max_rounds:
             return [Terminal("experiment complete")]
@@ -154,14 +154,12 @@ class PlexusNode:
         model = msg.model
 
         def finish_training(k: int = k, model: ModelParameters = model) -> list[Effect]:
-            theta_bar = self.train_fn(k, model)
-            dst = self.schedule.aggregator(k)
-            out = Aggregate(k, theta_bar, self.me)
-            return [Send(dst, out, message_size_bytes(out))]
+            out = Aggregate(k, self.train_fn(k, model))
+            return [Send(self.schedule.aggregator(k), out, message_size_bytes(out))]
 
         return [ScheduleCompute(self.compute_seconds, finish_training)]
 
-    def _on_aggregate(self, now: float, msg: Aggregate) -> list[Effect]:
+    def _on_aggregate(self, now: float, src: NodeId, msg: Aggregate) -> list[Effect]:
         k = msg.k
         if self.schedule.aggregator(k) != self.me:
             raise ProtocolViolation(
@@ -171,16 +169,15 @@ class PlexusNode:
             # The round already fired; the sender was too slow.
             self.late_by_round[k] = self.late_by_round.get(k, 0) + 1
             return [Metric("late_models")]
-        bucket = self.pending.setdefault(k, [])
-        if any(sender == msg.sender for sender, _ in bucket):
+        bucket = self.pending.setdefault(k, {})
+        if src in bucket:
             return [Metric("duplicate_aggregate")]
-        bucket.append((msg.sender, msg.model))
+        bucket[src] = msg.model
         if len(bucket) < self.config.threshold:
             return []
         # Threshold reached: average exactly the models present, in a
         # canonical (sender id) order so the result is arrival-order free.
-        bucket.sort(key=lambda pair: pair[0])
-        theta_agg = average_models([m for _, m in bucket])
+        theta_agg = average_models([bucket[sender] for sender in sorted(bucket)])
         self.rounds_aggregated.add(k)
         del self.pending[k]
         if self.round_hook is not None:

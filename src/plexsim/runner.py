@@ -377,9 +377,9 @@ def run_experiment(
         entry = {}
         for metric_key in ("tta_s", "cta_bytes", "rta_s"):
             vals = [r["targets"][key][metric_key] for r in reps]
-            mean, misses = mean_excluding_none(vals)
-            entry[f"{metric_key}_mean"] = mean
-            entry["not_reached"] = misses
+            entry[f"{metric_key}_mean"], misses = mean_excluding_none(vals)
+        # The three metrics share one first crossing, so they miss together.
+        entry["not_reached"] = misses
         cross[key] = entry
     summary = {
         "algorithm": cfg.algorithm,

@@ -138,6 +138,17 @@ def write_profiles_csv(path: str | Path, profiles: list[tuple[NodeId, DeviceProf
 # ------------------------------------------------------------ generators --
 
 
+def _check_lognormal(medians: dict[str, float], sigma_name: str, sigma: float) -> None:
+    """A log-normal needs finite medians > 0 and a finite sigma >= 0; anything
+    else draws NaN, inf or all-zero values, which a trace file could not hold.
+    Each error names the offending config key."""
+    for name, median in medians.items():
+        if not (np.isfinite(median) and median > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {median}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"{sigma_name} must be finite and >= 0, got {sigma}")
+
+
 def synth_latency_matrix(
     n_cities: int,
     seed: int,
@@ -147,12 +158,7 @@ def synth_latency_matrix(
     """Symmetric log-normal RTT matrix over synthetic city names."""
     if n_cities < 1:
         raise ValueError("need at least one city")
-    # A log-normal needs a finite median > 0 and a finite sigma; anything else
-    # draws NaN, inf or all-zero RTTs, which a latency file could not hold.
-    if not (np.isfinite(median_rtt_ms) and median_rtt_ms > 0):
-        raise ValueError(f"median_rtt_ms must be finite and > 0, got {median_rtt_ms}")
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"rtt_sigma must be finite and >= 0, got {sigma}")
+    _check_lognormal({"median_rtt_ms": median_rtt_ms}, "rtt_sigma", sigma)
     rng = derive_rng(seed, "latency")
     n = n_cities
     rtt = np.zeros((n, n))
@@ -177,6 +183,12 @@ def synth_device_profiles(
     given medians. Node ids are n0000, n0001, ..."""
     if n < 1:
         raise ValueError("need at least one device")
+    medians = {
+        "uplink_median_bps": uplink_median_bps,
+        "downlink_median_bps": downlink_median_bps,
+        "sec_per_step_median": sec_per_step_median,
+    }
+    _check_lognormal(medians, "profile_sigma", sigma)
     rng = derive_rng(seed, "profiles")
     ups = rng.lognormal(np.log(uplink_median_bps), sigma, size=n)
     downs = rng.lognormal(np.log(downlink_median_bps), sigma, size=n)

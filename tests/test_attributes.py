@@ -1,10 +1,15 @@
 """No plexsim module keeps state or code that nothing reads.
 
-An attribute assigned on ``self`` must be read, as ``anything.name``,
-somewhere in the package. ``self.count += 1`` alone is not a read: a counter
-that only counts is a second home for a fact kept elsewhere. Likewise every
-function, method, property and class must be referenced by name somewhere
-in the package.
+An attribute assigned on ``self``, and a field declared in a class body, must
+be read, as ``anything.name``, somewhere in the package. ``self.count += 1``
+alone is not a read: a counter that only counts is a second home for a fact
+kept elsewhere. Likewise every function, method, property and class must be
+referenced by name somewhere in the package.
+
+Every rule matches by name only, so a name that something else reads hides
+an unread one: ``Aggregate.sender`` was read, which kept an unread
+``GossipModel.sender`` from failing, and ``cfg.topology.degree`` covered a
+``RegularTopology.degree`` that only a test read.
 """
 
 import ast
@@ -51,7 +56,30 @@ KEPT_UNREFERENCED = {
     "Engine.quiescent": "ROADMAP item 4 reports a drained queue with it",
     "ModelParameters.with_values": "tests/oracles.py uses it",
     "node_rank_key": "tests/oracles.py uses it",
+    "RoundStats.p50": "summary.json writes it through asdict",
+    "RoundStats.p95": "summary.json writes it through asdict",
+    "RankKey.node": "order=True compares it, to break a digest tie",
 }
+
+
+def fields(tree):
+    """(qualified name, name, line) of every field declared in a class body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                    yield f"{node.name}.{name}", name, stmt.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_field_it_declares(path):
+    unread = sorted(
+        f"{qualname} (line {line})"
+        for qualname, name, line in fields(ast.parse(path.read_text()))
+        if name not in READ and qualname not in KEPT_UNREFERENCED
+    )
+    assert not unread, f"{path.name} declares fields nothing reads: {unread}"
 
 # Names used as a variable or an attribute anywhere in the package. The
 # exports in __init__.py do not count as a use.

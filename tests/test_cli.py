@@ -187,6 +187,50 @@ def test_traces_gen_rejects_a_negative_median_rtt(tmp_path, capsys):
     assert not (tmp_path / "tr").exists()
 
 
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--uplink-median", "-5", "uplink_median_bps must be finite and > 0"),
+        ("--downlink-median", "0", "downlink_median_bps must be finite and > 0"),
+        ("--step-median", "nan", "sec_per_step_median must be finite and > 0"),
+        ("--sigma", "-1", "profile_sigma must be finite and >= 0"),
+    ],
+)
+def test_traces_gen_rejects_bad_profile_arguments(tmp_path, capsys, option, value, message):
+    rc = main(["traces-gen", "--out", str(tmp_path / "tr"), option, value])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "tr").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("uplink_median_bps", -5.0, "uplink_median_bps must be finite and > 0"),
+        ("profile_sigma", -1.0, "profile_sigma must be finite and >= 0"),
+    ],
+)
+def test_run_validate_rejects_bad_profile_medians(tmp_path, capsys, key, value, message):
+    cfg = write_cfg(tmp_path, traces={"cities": 3, "seed": 2, key: value})
+    rc = main(["run", cfg, "--validate"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_run_validate_rejects_an_eval_period_past_the_budget(tmp_path, capsys):
+    # The run would write an accuracy.csv with only its header and exit 0.
+    cfg = write_cfg(
+        tmp_path, algorithm="gl", stop={"max_virtual_s": 100}, eval={"every_seconds": 500}
+    )
+    rc = main(["run", cfg, "--validate"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eval.every_seconds (500) exceeds stop.max_virtual_s")
+
+
 def test_run_missing_config(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.yaml")])
     assert rc == 2

@@ -211,6 +211,23 @@ def test_config_from_dict_rejects_mistyped_integers_and_bools(overrides, key):
         config_from_dict({"algorithm": "plexus", "n": 20, **overrides})
 
 
+@pytest.mark.parametrize("algorithm", ["dpsgd", "gl"])
+def test_clock_evaluated_runs_need_a_checkpoint_within_the_budget(algorithm):
+    # Such a run wrote an accuracy.csv with only its header and exited 0.
+    raw = {"algorithm": algorithm, "n": 20, "topology": {"degree": 4},
+           "stop": {"max_virtual_s": 100}, "eval": {"every_seconds": 500}}
+    with pytest.raises(ValueError, match="eval.every_seconds .* exceeds stop.max_virtual_s"):
+        config_from_dict(raw)
+    # One checkpoint, at the budget itself, is enough.
+    config_from_dict({**raw, "eval": {"every_seconds": 100}})
+
+
+@pytest.mark.parametrize("algorithm", ["plexus", "fl"])
+def test_round_evaluated_runs_ignore_the_eval_period(algorithm):
+    config_from_dict({"algorithm": algorithm, "n": 20,
+                      "stop": {"max_virtual_s": 100}, "eval": {"every_seconds": 500}})
+
+
 def test_float_keys_still_take_integers():
     cfg = config_from_dict(
         {"algorithm": "plexus", "n": 20, "success_fraction": 1, "stop": {"max_virtual_s": 100}}
@@ -309,6 +326,8 @@ def test_readme_configuration_block_shows_the_defaults():
     shown = yaml.safe_load(block)
     defaults = config_from_dict({"algorithm": "plexus", "n": 100})
     assert config_from_dict(shown) == defaults
+    # The dataclass defaults themselves, not only what the loader fills in.
+    assert config_from_dict(shown) == ExperimentConfig(algorithm=shown["algorithm"], n=shown["n"])
     assert sorted(_key_paths(shown)) == sorted(_key_paths(defaults.canonical_dict()))
 
 

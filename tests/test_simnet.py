@@ -440,7 +440,7 @@ def test_timer_and_compute_effects():
         def on_timer(self, now, timer_id):
             fired.append((now, timer_id))
             return [
-                ScheduleCompute(2.5, lambda: [Metric("trained", 1.0)]),
+                ScheduleCompute(2.5, lambda: [Metric("trained")]),
                 ScheduleCompute(0.5, lambda: []),
             ]
 

@@ -160,6 +160,33 @@ def test_synth_profiles_spread_around_medians():
     assert ups.std() > 0  # genuinely heterogeneous
 
 
+@pytest.mark.parametrize(
+    "arg,value,fragment",
+    [
+        ("uplink_median_bps", -5.0, "uplink_median_bps must be finite and > 0"),
+        ("uplink_median_bps", 0.0, "uplink_median_bps must be finite and > 0"),
+        ("uplink_median_bps", float("nan"), "uplink_median_bps must be finite and > 0"),
+        ("downlink_median_bps", -1.0, "downlink_median_bps must be finite and > 0"),
+        ("downlink_median_bps", float("inf"), "downlink_median_bps must be finite and > 0"),
+        ("sec_per_step_median", 0.0, "sec_per_step_median must be finite and > 0"),
+        ("sec_per_step_median", float("nan"), "sec_per_step_median must be finite and > 0"),
+        ("sigma", -1.0, "profile_sigma must be finite and >= 0"),
+        ("sigma", float("inf"), "profile_sigma must be finite and >= 0"),
+        ("sigma", float("nan"), "profile_sigma must be finite and >= 0"),
+    ],
+)
+def test_synth_profiles_reject_values_that_draw_bad_profiles(arg, value, fragment):
+    # Each would draw NaN, inf or zero capacities; the error names the config
+    # key before numpy is asked to draw anything.
+    with pytest.raises(ValueError, match=fragment):
+        synth_device_profiles(4, seed=1, **{arg: value})
+
+
+def test_synth_profiles_accept_a_zero_sigma():
+    profs = synth_device_profiles(3, seed=1, sigma=0.0)
+    assert [p.uplink_bps for _, p in profs] == pytest.approx([30_000.0] * 3)
+
+
 # ------------------------------------------------------------- membership --
 
 
