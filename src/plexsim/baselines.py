@@ -21,7 +21,6 @@ from .core import (
     GossipModel,
     Membership,
     Message,
-    Metric,
     ModelParameters,
     NodeId,
     ScheduleCompute,
@@ -170,7 +169,7 @@ def fl_round(
     s: int,
     sf: float,
     *,
-    select_fn: Callable[[int, int], tuple[NodeId, ...]],
+    select_fn: Callable[[int], tuple[NodeId, ...]],
     train_fn: Callable[[NodeId, int, ModelParameters], ModelParameters],
     compute_seconds: Callable[[NodeId], float],
 ) -> FlRoundResult:
@@ -182,7 +181,7 @@ def fl_round(
     uplink only). Slow clients still consume bandwidth and compute; their
     models are simply not aggregated.
     """
-    participants = tuple(select_fn(k, s))
+    participants = tuple(select_fn(s))
     if not participants:
         raise ValueError("no candidates")
     threshold = success_threshold(len(participants), sf)
@@ -213,7 +212,7 @@ def uniform_selector(membership: Membership, rng: np.random.Generator):
     """Server-side sampling: uniform without replacement, independent of the
     deterministic hash sampler."""
 
-    def select(k: int, s: int) -> tuple[NodeId, ...]:
+    def select(s: int) -> tuple[NodeId, ...]:
         n = len(membership)
         idx = rng.choice(n, size=min(s, n), replace=False)
         return tuple(membership.nodes[int(i)] for i in idx)
@@ -310,8 +309,8 @@ class GossipNode:
 
     Every ``timeout_s`` the node pushes its current model to one uniformly
     random other node. On receipt it merges (age-weighted), then trains for
-    one invocation; while training it drops incoming models, so merges and
-    training commits never interleave.
+    one invocation; while training it drops incoming models, counted in
+    ``drops``, so merges and training commits never interleave.
 
     ``train_fn(count, model)`` trains; ``count`` is ``merges`` after the merge
     it follows, so a dropped model does not advance it and training j gets j."""
@@ -336,10 +335,11 @@ class GossipNode:
         self.peer_rng = peer_rng
         self.busy = False
         self.merges = 0
+        self.drops = 0
         self._my_index = membership.index_of(me)
 
     def initial_effects(self, stagger_s: float) -> list[Effect]:
-        return [SetTimer(stagger_s, "gossip")]
+        return [SetTimer(stagger_s)]
 
     def _pick_peer(self) -> NodeId:
         n = len(self.membership)
@@ -348,16 +348,17 @@ class GossipNode:
             r += 1
         return self.membership.nodes[r]
 
-    def on_timer(self, now: float, timer_id: str) -> list[Effect]:
+    def on_timer(self) -> list[Effect]:
         peer = self._pick_peer()
         msg = GossipModel(self.model)
-        return [Send(peer, msg, message_size_bytes(msg)), SetTimer(self.timeout_s, "gossip")]
+        return [Send(peer, msg, message_size_bytes(msg)), SetTimer(self.timeout_s)]
 
     def on_message(self, now: float, src: NodeId, msg: Message) -> list[Effect]:
         if not isinstance(msg, GossipModel):
             raise ValueError(f"gossip node got {type(msg).__name__}")
         if self.busy:
-            return [Metric("gl_busy_drop")]
+            self.drops += 1
+            return []
         merged = gl_merge(self.model, msg.model)
         self.model = merged
         self.merges += 1

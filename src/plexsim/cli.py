@@ -158,7 +158,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             with open(summary_path) as fh:
                 summary = json.load(fh)
             finals = [r["final_accuracy"] for r in summary["reps"] if r["final_accuracy"] is not None]
-            for target, entry in summary["cross_seed"].items():
+            cross = summary["cross_seed"]
+            if not isinstance(cross, dict) or not cross:
+                return _fail(f"{summary_path} is not a plexsim summary (cross_seed is not a non-empty object)")
+            for target, entry in cross.items():
                 rows.append(
                     {
                         "experiment": str(d),

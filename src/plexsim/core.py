@@ -1,6 +1,7 @@
 """Domain types shared by every module: node identities, device profiles,
-model parameter vectors, protocol messages, and the effect vocabulary that
-protocol state machines hand back to the event loop.
+model parameter vectors, protocol messages, and the effects that protocol
+state machines hand back to the event loop: ``Send``, ``ScheduleCompute``,
+``SetTimer`` and ``Terminal``.
 
 Everything here is a plain value object.  Handlers never touch the network or
 the clock directly; they return effects and the simulator interprets them.
@@ -200,7 +201,8 @@ def message_size_bytes(msg: Message) -> int:
 
 # --------------------------------------------------------------- effects --
 # Handlers return lists of these. The event loop interprets them; nothing
-# else may mutate simulator state.
+# else may mutate simulator state. Counts of what a handler saw (late
+# models, dropped gossip) stay on the node that saw them.
 
 
 @dataclass(frozen=True)
@@ -225,17 +227,9 @@ class ScheduleCompute:
 
 @dataclass(frozen=True)
 class SetTimer:
-    """Fire the node's ``on_timer(timer_id)`` after ``delay`` seconds."""
+    """Fire the node's ``on_timer()`` after ``delay`` seconds."""
 
     delay: float
-    timer_id: str = "timer"
-
-
-@dataclass(frozen=True)
-class Metric:
-    """Increment a named counter on the engine by one."""
-
-    name: str
 
 
 @dataclass(frozen=True)
@@ -246,4 +240,4 @@ class Terminal:
     reason: str = "experiment complete"
 
 
-Effect = object  # Send | ScheduleCompute | SetTimer | Metric | Terminal
+Effect = object  # Send | ScheduleCompute | SetTimer | Terminal

@@ -1,4 +1,4 @@
-"""Metric collection and the time/communication/compute-to-accuracy
+"""Run metrics and the time/communication/compute-to-accuracy
 accounting used across all algorithms.
 
 Per run, three CSV files are produced:

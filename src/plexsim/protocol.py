@@ -5,7 +5,8 @@ computable by every node locally. The aggregator of round k-1 pushes
 Train{k, theta} to all of S^k; participants train and send Aggregate{k,
 theta_bar} to a^k; once floor(s*sf) models arrived, a^k averages exactly the
 models present, marks the round done, and pushes Train{k+1} to S^{k+1}.
-Models that arrive after the threshold fired are dropped and counted.
+Models that arrive after the threshold fired are dropped and counted in
+the aggregator's ``late_by_round``.
 
 Handlers are pure with respect to the outside world: they mutate only their
 own node's state and describe everything else as effects for the event loop.
@@ -13,7 +14,6 @@ own node's state and describe everything else as effects for the event loop.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -23,7 +23,6 @@ from .core import (
     Effect,
     Membership,
     Message,
-    Metric,
     ModelParameters,
     NodeId,
     ScheduleCompute,
@@ -34,8 +33,6 @@ from .core import (
     message_size_bytes,
 )
 from .sampler import SampleSchedule
-
-logger = logging.getLogger(__name__)
 
 
 def success_threshold(s: int, sf: float) -> int:
@@ -134,7 +131,7 @@ class PlexusNode:
             return self._on_aggregate(now, src, msg)
         raise ProtocolViolation(f"unexpected message {type(msg).__name__}")
 
-    def on_timer(self, now: float, timer_id: str) -> list[Effect]:
+    def on_timer(self) -> list[Effect]:
         raise ProtocolViolation("plexus nodes set no timers")
 
     # -- handlers --
@@ -144,8 +141,7 @@ class PlexusNode:
         if k > self.config.max_rounds:
             return [Terminal("experiment complete")]
         if k in self.trained_rounds:
-            logger.warning("%s: duplicate Train for round %d ignored", self.me, k)
-            return [Metric("duplicate_train")]
+            raise ProtocolViolation(f"{self.me} received a second Train for round {k}")
         if self.me not in self.schedule.participant_set(k):
             raise ProtocolViolation(
                 f"{self.me} received Train for round {k} but is not a participant"
@@ -168,10 +164,10 @@ class PlexusNode:
         if k in self.rounds_aggregated:
             # The round already fired; the sender was too slow.
             self.late_by_round[k] = self.late_by_round.get(k, 0) + 1
-            return [Metric("late_models")]
+            return []
         bucket = self.pending.setdefault(k, {})
         if src in bucket:
-            return [Metric("duplicate_aggregate")]
+            raise ProtocolViolation(f"{self.me} received a second round-{k} model from {src}")
         bucket[src] = msg.model
         if len(bucket) < self.config.threshold:
             return []

@@ -145,7 +145,7 @@ class _Repetition:
 def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable, checkpoint=None) -> None:
     """Register ``nodes``, inject each one's ``start(node)`` effects at t=0
     in membership order, run to the time budget and copy the engine's totals
-    and counters into the ledger. A ``checkpoint(t)`` runs at each multiple t
+    into the ledger. A ``checkpoint(t)`` runs at each multiple t
     of ``eval.every_seconds``, with the engine paused after every event <= t."""
     for node in nodes:
         engine.register(node.me, node)
@@ -159,7 +159,6 @@ def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable,
     r.ledger.bytes_total = engine.bytes_total
     r.ledger.train_seconds_total = engine.train_seconds_total
     r.ledger.final_time_s = engine.now
-    r.ledger.counters = dict(engine.counters)
 
 
 # ----------------------------------------------------------------- plexus --
@@ -203,7 +202,10 @@ def _run_plexus(r: _Repetition) -> None:
     for k, now in fired:
         r.ledger.rounds.append(RoundRecord(k, now - last, cfg.sample_size, pcfg.threshold, late_by_round[k]))
         last = now
-    r.ledger.counters["models_trained"] = float(sum(len(node.trained_rounds) for node in nodes))
+    r.ledger.counters = {
+        "models_trained": float(sum(len(node.trained_rounds) for node in nodes)),
+        "late_models": float(sum(late_by_round.values())),
+    }
 
 
 # --------------------------------------------------------------------- fl --
@@ -307,7 +309,10 @@ def _run_gl(r: _Repetition) -> None:
         checkpoint=lambda at: r.record_eval(at, 0, [node.model for node in nodes], engine),
     )
     # A node drops models while it trains: trainings are merges, less any still running.
-    r.ledger.counters["models_trained"] = float(sum(node.merges - node.busy for node in nodes))
+    r.ledger.counters = {
+        "models_trained": float(sum(node.merges - node.busy for node in nodes)),
+        "gl_busy_drop": float(sum(node.drops for node in nodes)),
+    }
 
 
 def _multiples(step: float, horizon: float) -> list[float]:

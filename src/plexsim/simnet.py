@@ -37,7 +37,6 @@ from .core import (
     Effect,
     Membership,
     Message,
-    Metric,
     NodeId,
     ScheduleCompute,
     Send,
@@ -53,7 +52,7 @@ class SimulationError(RuntimeError):
 class Handler(Protocol):
     def on_message(self, now: float, src: NodeId, msg: Message) -> list[Effect]: ...
 
-    def on_timer(self, now: float, timer_id: str) -> list[Effect]: ...
+    def on_timer(self) -> list[Effect]: ...
 
 
 # ---------------------------------------------------------------- events --
@@ -160,9 +159,9 @@ def maxmin_rates(
 
 
 class Engine:
-    """Owns the clock, the event heap, all transfers, and the metric
-    counters. Node handlers are registered per id and may only influence the
-    world through the effects they return.
+    """Owns the clock, the event heap, all transfers, and the byte and
+    training-second totals. Node handlers are registered per id, act only
+    through the effects they return, and keep their own counts.
     """
 
     def __init__(
@@ -176,7 +175,6 @@ class Engine:
         self.now = 0.0
         self.bytes_total = 0
         self.train_seconds_total = 0.0
-        self.counters: dict[str, float] = defaultdict(float)
         self.completed: Optional[str] = None
         self.delivery_log: list[tuple[float, NodeId, NodeId, int]] = []
         self._record_deliveries = record_deliveries
@@ -249,10 +247,10 @@ class Engine:
         self.train_seconds_total += eff.duration
         self._apply(node, eff.continuation())
 
-    def _fire_timer(self, node: NodeId, timer_id: str) -> None:
+    def _fire_timer(self, node: NodeId) -> None:
         handler = self._handlers.get(node)
         if handler is not None:
-            self._apply(node, handler.on_timer(self.now, timer_id))
+            self._apply(node, handler.on_timer())
 
     def _apply(self, src: NodeId, effects: list[Effect]) -> None:
         opened = False
@@ -266,13 +264,10 @@ class Engine:
             elif isinstance(eff, SetTimer):
                 if eff.delay < 0:
                     raise SimulationError("negative timer delay")
-                self._schedule(self.now + eff.delay, partial(self._fire_timer, src, eff.timer_id))
-            elif isinstance(eff, Metric):
-                self.counters[eff.name] += 1
+                self._schedule(self.now + eff.delay, partial(self._fire_timer, src))
             elif isinstance(eff, Terminal):
                 if self.completed is None:
                     self.completed = eff.reason
-                self.counters["terminal"] += 1
             else:
                 raise SimulationError(f"unknown effect {eff!r}")
         if opened:

@@ -29,27 +29,32 @@ PROFILE_COLUMNS = ["node_id", "uplink_bps", "downlink_bps", "sec_per_local_step"
 _INTRA_CITY_MS = 2.0
 
 
+def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
+    """The file's CSV records with their line numbers, blank lines skipped."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in reader if row]
+
+
 def load_latency_matrix(path: str | Path) -> LatencyMatrix:
     path = Path(path)
     if not path.exists():
         raise ValueError(f"latency trace not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]  # ignore blank lines, csv keeps them empty
+    rows = _read_rows(path)
     if not rows:
         raise ValueError(f"latency load error at line 1: empty file {path}")
-    cities = tuple(name.strip() for name in rows[0])
+    header_line, header = rows[0]
+    cities = tuple(name.strip() for name in header)
     if any(not c for c in cities):
-        raise ValueError(f"latency load error at line 1: blank city name")
+        raise ValueError(f"latency load error at line {header_line}: blank city name")
     n = len(cities)
     if len(rows) - 1 != n:
         raise ValueError(
-            f"latency load error at line {len(rows)}: expected {n} matrix rows "
+            f"latency load error at line {rows[-1][0]}: expected {n} matrix rows "
             f"for {n} cities, got {len(rows) - 1}"
         )
     matrix = np.zeros((n, n))
-    for i, row in enumerate(rows[1:]):
-        lineno = i + 2
+    for i, (lineno, row) in enumerate(rows[1:]):
         if len(row) != n:
             raise ValueError(
                 f"latency load error at line {lineno}: expected {n} values, got {len(row)}"
@@ -70,7 +75,7 @@ def load_latency_matrix(path: str | Path) -> LatencyMatrix:
     if asym > 1e-6 * max(1.0, float(np.max(matrix))):
         i, j = np.unravel_index(np.argmax(np.abs(matrix - matrix.T)), matrix.shape)
         raise ValueError(
-            f"latency load error at line {int(i) + 2}: matrix not symmetric at "
+            f"latency load error at line {rows[int(i) + 1][0]}: matrix not symmetric at "
             f"({cities[int(i)]}, {cities[int(j)]})"
         )
     return LatencyMatrix(cities, matrix)
@@ -90,22 +95,20 @@ def load_device_profiles(path: str | Path) -> list[tuple[NodeId, DeviceProfile]]
     path = Path(path)
     if not path.exists():
         raise ValueError(f"device profile trace not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = _read_rows(path)
     if not rows:
         raise ValueError(f"profile load error at line 1: empty file {path}")
-    header = [c.strip() for c in rows[0]]
+    header_line = rows[0][0]
+    header = [c.strip() for c in rows[0][1]]
     unknown = [c for c in header if c not in PROFILE_COLUMNS]
     if unknown:
-        raise ValueError(f"profile load error at line 1: unknown columns {unknown}")
+        raise ValueError(f"profile load error at line {header_line}: unknown columns {unknown}")
     missing = [c for c in PROFILE_COLUMNS if c not in header]
     if missing:
-        raise ValueError(f"profile load error at line 1: missing columns {missing}")
+        raise ValueError(f"profile load error at line {header_line}: missing columns {missing}")
     idx = {c: header.index(c) for c in PROFILE_COLUMNS}
     out: list[tuple[NodeId, DeviceProfile]] = []
-    for i, row in enumerate(rows[1:]):
-        lineno = i + 2
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ValueError(
                 f"profile load error at line {lineno}: expected {len(header)} fields"
@@ -121,7 +124,7 @@ def load_device_profiles(path: str | Path) -> list[tuple[NodeId, DeviceProfile]]
             raise ValueError(f"profile load error at line {lineno}: {exc}") from None
         out.append((nid, profile))
     if not out:
-        raise ValueError("profile load error at line 2: no device rows")
+        raise ValueError(f"profile load error at line {header_line + 1}: no device rows")
     return out
 
 

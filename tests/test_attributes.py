@@ -4,7 +4,8 @@ An attribute assigned on ``self``, and a field declared in a class body, must
 be read, as ``anything.name``, somewhere in the package. ``self.count += 1``
 alone is not a read: a counter that only counts is a second home for a fact
 kept elsewhere. Likewise every function, method, property and class must be
-referenced by name somewhere in the package.
+referenced by name somewhere in the package, and every parameter must be read
+by the body it belongs to.
 
 Every rule matches by name only, so a name that something else reads hides
 an unread one: ``Aggregate.sender`` was read, which kept an unread
@@ -53,12 +54,13 @@ def test_module_reads_every_attribute_it_assigns(path):
 KEPT_UNREFERENCED = {
     "Engine.send_at": "the acceptance gate uses it",
     "LatencyMatrix.zero": "the acceptance gate uses it",
-    "Engine.quiescent": "ROADMAP item 4 reports a drained queue with it",
+    "Engine.quiescent": "ROADMAP item 5 reports a drained queue with it",
     "ModelParameters.with_values": "tests/oracles.py uses it",
     "node_rank_key": "tests/oracles.py uses it",
     "RoundStats.p50": "summary.json writes it through asdict",
     "RoundStats.p95": "summary.json writes it through asdict",
     "RankKey.node": "order=True compares it, to break a digest tie",
+    "MetricsLedger.counters": "ROADMAP item 5 writes it to summary.json",
 }
 
 
@@ -116,3 +118,66 @@ def test_module_defines_nothing_unreferenced(path):
         and not (name.startswith("__") and name.endswith("__"))
     )
     assert not unreferenced, f"{path.name} defines names nothing references: {unreferenced}"
+
+
+def parameters(fn):
+    args = fn.args
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return [a.arg for a in every if a is not None]
+
+
+def reads(fn):
+    """Names loaded anywhere inside ``fn``: its body, nested bodies and the
+    defaults of nested definitions."""
+    body = [fn.body] if isinstance(fn, ast.Lambda) else fn.body
+    return {
+        node.id
+        for stmt in body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def is_stub(fn):
+    """A ``Protocol`` method whose whole body is ``...``."""
+    if isinstance(fn, ast.Lambda) or len(fn.body) != 1:
+        return False
+    stmt = fn.body[0]
+    return (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Constant)
+        and stmt.value.value is Ellipsis
+    )
+
+
+FUNCTIONS = [
+    (path, node)
+    for path in MODULES
+    for node in ast.walk(ast.parse(path.read_text()))
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+]
+
+# Parameters that some definition of a method name reads. A method shares
+# its signature with every other definition of that name (a topology's
+# ``out_neighbors(i, k)``, a handler's ``on_message(now, src, msg)``), so one
+# implementation may ignore what another needs.
+READ_BY_NAME: dict = {}
+for _, fn in FUNCTIONS:
+    if not isinstance(fn, ast.Lambda):
+        READ_BY_NAME.setdefault(fn.name, set()).update(reads(fn))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_functions_read_every_parameter(path):
+    """A parameter no body reads is an argument every caller passes for
+    nothing. ``self`` and ``cls`` are exempt, and so are ``Protocol`` stubs."""
+    unread = sorted(
+        f"{getattr(fn, 'name', 'lambda')}({name}) (line {fn.lineno})"
+        for where, fn in FUNCTIONS
+        if where == path and not is_stub(fn)
+        for name in parameters(fn)
+        if name not in ("self", "cls")
+        and name not in reads(fn)
+        and name not in READ_BY_NAME.get(getattr(fn, "name", None), ())
+    )
+    assert not unread, f"{path.name} has parameters no body reads: {unread}"

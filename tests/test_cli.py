@@ -343,8 +343,16 @@ def test_report_requires_summaries(tmp_path, capsys):
         ("{not json", "is not valid JSON"),
         (json.dumps({"algorithm": "plexus", "cross_seed": {}}), "is not a plexsim summary (KeyError: 'reps')"),
         ("[]", "is not a plexsim summary (TypeError"),
+        (
+            json.dumps({"algorithm": "plexus", "reps": [], "cross_seed": {}}),
+            "is not a plexsim summary (cross_seed is not a non-empty object)",
+        ),
+        (
+            json.dumps({"algorithm": "plexus", "reps": [], "cross_seed": []}),
+            "is not a plexsim summary (cross_seed is not a non-empty object)",
+        ),
     ],
-    ids=["invalid-json", "no-reps", "not-an-object"],
+    ids=["invalid-json", "no-reps", "not-an-object", "no-targets", "cross-seed-a-list"],
 )
 def test_report_rejects_a_malformed_summary(tmp_path, capsys, text, message):
     (tmp_path / "summary.json").write_text(text)

@@ -1,10 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from plexsim.core import (
     Aggregate,
     GossipModel,
-    Metric,
     ModelParameters,
     ScheduleCompute,
     Send,
@@ -129,12 +130,12 @@ def test_train_schedules_compute_then_uploads_to_aggregator():
     assert send.nbytes == model_size_bytes(send.msg.model)
 
 
-def test_duplicate_train_is_counted_not_retrained():
+def test_duplicate_train_is_a_violation_not_retrained():
     m, c, parts, _ = setup_round()
     node = make_node(parts[0], m, c)
     node.on_message(0.0, parts[0], Train(1, flat([0.0, 0.0])))
-    effects = node.on_message(1.0, parts[0], Train(1, flat([9.0, 9.0])))
-    assert effects == [Metric("duplicate_train")]
+    with pytest.raises(ProtocolViolation, match="second Train for round 1"):
+        node.on_message(1.0, parts[0], Train(1, flat([9.0, 9.0])))
     assert node.trained_rounds == {1}
 
 
@@ -192,17 +193,17 @@ def test_partial_round_averages_exactly_the_present_models():
     assert np.array_equal(fired[0].values, [2.0, 3.0])
     # The straggler is dropped and counted, never averaged.
     late = node.on_message(2.0, parts[2], Aggregate(1, flat([100.0, 100.0])))
-    assert late == [Metric("late_models")]
+    assert late == []
     assert node.late_by_round == {1: 1}
     assert len(fired) == 1  # still exactly one completion
 
 
-def test_duplicate_aggregate_from_same_sender_is_dropped():
+def test_duplicate_aggregate_from_same_sender_is_a_violation():
     m, c, parts, agg = setup_round(s=3, sf=1.0)
     node = make_node(agg, m, c)
     node.on_message(0.0, parts[0], Aggregate(1, flat([1.0, 1.0])))
-    effects = node.on_message(1.0, parts[0], Aggregate(1, flat([2.0, 2.0])))
-    assert effects == [Metric("duplicate_aggregate")]
+    with pytest.raises(ProtocolViolation, match=f"second round-1 model from {parts[0]}"):
+        node.on_message(1.0, parts[0], Aggregate(1, flat([2.0, 2.0])))
     assert list(node.pending[1]) == [parts[0]]
     assert 1 not in node.rounds_aggregated
 
@@ -229,7 +230,7 @@ def test_unexpected_message_and_timer_are_violations():
     with pytest.raises(ProtocolViolation):
         node.on_message(0.0, parts[0], GossipModel(flat([0.0, 0.0])))
     with pytest.raises(ProtocolViolation):
-        node.on_timer(0.0, "tick")
+        node.on_timer()
 
 
 # -------------------------------------------------------- engine integration --
@@ -300,9 +301,11 @@ def test_full_run_late_model_accounting():
     m, c, eng, nodes, completions = run_plexus(s=4, sf=0.5, rounds=5)
     threshold = c.threshold
     assert threshold == 2
-    late = sum(sum(node.late_by_round.values()) for node in nodes.values())
-    assert late == (4 - threshold) * 5
-    assert eng.counters["late_models"] == float(late)
+    late = Counter()
+    for node in nodes.values():
+        late.update(node.late_by_round)
+    # Every round drops exactly the models past its threshold.
+    assert late == {k: 4 - threshold for k in range(1, 6)}
     # Every round still fired exactly once.
     assert sum(len(node.rounds_aggregated) for node in nodes.values()) == 5
 

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from plexsim.config import (
     StopConfig,
     TopologyConfig,
     TracesConfig,
+    load_config,
 )
 from plexsim.core import derive_rng
 from plexsim.learning import (
@@ -329,6 +331,48 @@ def test_every_runner_keeps_totals_consistent(algorithm):
     assert led.counters["models_trained"] > 0
     if algorithm in ("plexus", "fl"):
         assert all(p.accuracy_std == 0.0 for p in led.accuracy)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Each runner builds its counters from its own node or round state; these
+# are the counts the engine's effect tally gave before it was deleted.
+PINNED_COUNTERS = {
+    "plexus": (
+        lambda: load_config(CONFIGS / "plexus-small.yaml"),
+        {"late_models": 20.0, "models_trained": 100.0},
+    ),
+    "fl": (
+        lambda: tiny_cfg(
+            algorithm="fl", sample_size=4, success_fraction=0.5,
+            stop=StopConfig(max_rounds=5, max_virtual_s=1e7),
+        ),
+        {"late_models": 10.0, "models_trained": 20.0},
+    ),
+    "dpsgd": (
+        lambda: tiny_cfg(
+            algorithm="dpsgd", topology=TopologyConfig(kind="regular", degree=2, seed=1),
+            stop=StopConfig(max_rounds=5, max_virtual_s=1e7),
+        ),
+        {"models_trained": 40.0},
+    ),
+    "gl": (
+        lambda: tiny_cfg(
+            algorithm="gl", gl_timeout_s=1.0,
+            stop=StopConfig(max_rounds=1, max_virtual_s=60.0),
+            eval=EvalConfig(every_rounds=1, every_seconds=30.0),
+        ),
+        {"gl_busy_drop": 172.0, "models_trained": 302.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(PINNED_COUNTERS))
+def test_every_runner_pins_its_counters(algorithm):
+    make_cfg, want = PINNED_COUNTERS[algorithm]
+    cfg = make_cfg()
+    assert cfg.algorithm == algorithm
+    assert run_single(cfg, build_world(cfg, CONFIGS), 0).counters == want
 
 
 @pytest.mark.parametrize("horizon, count", [(3.0, 30), (0.3, 3)], ids=["3.0", "0.3"])

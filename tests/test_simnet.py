@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plexsim.core import (
-    Metric,
     ModelParameters,
     ScheduleCompute,
     Send,
@@ -28,20 +27,18 @@ from oracles import fluid_completions, fluid_rates, maxmin_reference
 
 
 class Recorder:
-    """Handler that logs deliveries and timer fires and replies with a
-    scripted effect list per call."""
+    """Handler that logs deliveries and replies with a scripted effect list
+    per message."""
 
     def __init__(self, script=None):
         self.messages = []
-        self.timers = []
         self.script = script or (lambda *a: [])
 
     def on_message(self, now, src, msg):
         self.messages.append((now, src, msg))
         return self.script(now, src, msg)
 
-    def on_timer(self, now, timer_id):
-        self.timers.append((now, timer_id))
+    def on_timer(self):
         return []
 
 
@@ -432,23 +429,24 @@ def test_mid_flight_arrival_slows_first_transfer():
 def test_timer_and_compute_effects():
     eng, _ = engine_pair()
     fired = []
+    trained = []
 
     class Node:
         def on_message(self, now, src, msg):
             return []
 
-        def on_timer(self, now, timer_id):
-            fired.append((now, timer_id))
+        def on_timer(self):
+            fired.append(eng.now)
             return [
-                ScheduleCompute(2.5, lambda: [Metric("trained")]),
+                ScheduleCompute(2.5, lambda: trained.append(eng.now) or []),
                 ScheduleCompute(0.5, lambda: []),
             ]
 
     eng.register("n000", Node())
-    eng.inject(0.0, "n000", [SetTimer(1.0, "tick")])
+    eng.inject(0.0, "n000", [SetTimer(1.0)])
     eng.run()
-    assert fired == [(1.0, "tick")]
-    assert eng.counters["trained"] == 1.0
+    assert fired == [1.0]
+    assert trained == [3.5]
     assert eng.train_seconds_total == pytest.approx(3.0)  # every compute accrues
     assert eng.now == pytest.approx(3.5)
 
@@ -459,7 +457,6 @@ def test_terminal_records_first_reason():
     eng.inject(0.0, "n000", [Terminal("done"), Terminal("again")])
     eng.run()
     assert eng.completed == "done"
-    assert eng.counters["terminal"] == 2.0
 
 
 def test_run_until_pauses_without_losing_events():
@@ -573,7 +570,7 @@ def test_same_time_events_fire_in_insertion_order():
             order.append(self.tag)
             return []
 
-        def on_timer(self, now, timer_id):
+        def on_timer(self):
             return []
 
     eng.register("n000", Tagger("first"))
@@ -589,41 +586,46 @@ def test_same_time_events_fire_in_insertion_order():
 def test_same_time_events_keep_effect_order_across_kinds():
     # At t=1 n000's handler returns a self-send, a zero-length compute and a
     # zero-delay timer; an inject issued afterwards at the same instant must
-    # run after all three, whatever their kinds.
+    # run after all three, whatever their kinds. The injected Terminal shows
+    # in ``eng.completed`` once it has been applied.
     eng, _ = engine_pair()
     order = []
 
     def record(kind):
-        order.append((kind, eng.now, eng.counters["injected"]))
+        order.append((kind, eng.now, eng.completed))
 
     class Worker:
+        def __init__(self):
+            self.fires = 0
+
         def on_message(self, now, src, msg):
             record("deliver")
             return []
 
-        def on_timer(self, now, timer_id):
-            if timer_id != "go":
-                record(timer_id)
+        def on_timer(self):
+            self.fires += 1
+            if self.fires > 1:
+                record("tick")
                 return []
             return [
                 Send("n000", ping(), 0),
                 ScheduleCompute(0.0, lambda: record("compute") or []),
-                SetTimer(0.0, "tick"),
+                SetTimer(0.0),
             ]
 
     class Injector:
         def on_message(self, now, src, msg):
             return []
 
-        def on_timer(self, now, timer_id):
-            eng.inject(now, "n001", [Metric("injected")])
+        def on_timer(self):
+            eng.inject(eng.now, "n001", [Terminal("injected")])
             return []
 
     eng.register("n000", Worker())
     eng.register("n001", Injector())
-    eng.inject(1.0, "n000", [SetTimer(0.0, "go")])
-    eng.inject(1.0, "n001", [SetTimer(0.0, "late")])
+    eng.inject(1.0, "n000", [SetTimer(0.0)])
+    eng.inject(1.0, "n001", [SetTimer(0.0)])
     eng.run()
-    assert order == [("deliver", 1.0, 0.0), ("compute", 1.0, 0.0), ("tick", 1.0, 0.0)]
-    assert eng.counters["injected"] == 1.0
+    assert order == [("deliver", 1.0, None), ("compute", 1.0, None), ("tick", 1.0, None)]
+    assert eng.completed == "injected"
     assert eng.now == 1.0

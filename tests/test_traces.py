@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plexsim.core import DeviceProfile
 from plexsim.traces import (
     build_membership,
     load_device_profiles,
@@ -49,12 +50,23 @@ def test_latency_loader_small_file(tmp_path):
         ("a,b\n1,-2\n-2,1\n", ">= 0"),
         ("a,b\n1,5\n9,1\n", "not symmetric"),
         ("a,\n1,2\n2,1\n", "blank city"),
+        # Blank lines are skipped but still counted.
+        ("a,b\n\n1,2\n2,x\n", "line 4: not a number"),
+        ("\na,\n1,2\n2,1\n", "line 2: blank city"),
+        ("a,b\n\n1,5\n9,1\n", "line 3: matrix not symmetric"),
     ],
 )
 def test_latency_loader_rejects_bad_files(tmp_path, body, fragment):
     p = write(tmp_path / "bad.csv", body)
     with pytest.raises(ValueError, match=fragment):
         load_latency_matrix(p)
+
+
+def test_latency_loader_skips_blank_lines(tmp_path):
+    p = write(tmp_path / "lat.csv", "ams,nyc\n\n2.0,88.5\n\n88.5,2.0\n\n")
+    lm = load_latency_matrix(p)
+    assert lm.cities == ("ams", "nyc")
+    assert np.array_equal(lm.rtt_ms, [[2.0, 88.5], [88.5, 2.0]])
 
 
 def test_latency_missing_file():
@@ -140,12 +152,25 @@ def test_profiles_loader_accepts_any_column_order(tmp_path):
         ("node_id,uplink_bps,downlink_bps,sec_per_local_step\na,-1,1,1\n", "line 2"),
         ("node_id,uplink_bps,downlink_bps,sec_per_local_step\na,x,1,1\n", "line 2"),
         ("node_id,uplink_bps,downlink_bps,sec_per_local_step\n", "no device rows"),
+        # Blank lines are skipped but still counted.
+        ("node_id,uplink_bps,downlink_bps,sec_per_local_step\n\na,x,1,1\n", "line 3"),
+        ("\nnode_id,uplink_bps\na,1\n", "line 2: missing columns"),
     ],
 )
 def test_profiles_loader_rejects_bad_files(tmp_path, body, fragment):
     p = write(tmp_path / "bad.csv", body)
     with pytest.raises(ValueError, match=fragment):
         load_device_profiles(p)
+
+
+def test_profiles_loader_skips_blank_lines(tmp_path):
+    p = write(
+        tmp_path / "prof.csv",
+        "node_id,uplink_bps,downlink_bps,sec_per_local_step\n\na,3000,6000,0.5\n\n",
+    )
+    [(nid, prof)] = load_device_profiles(p)
+    assert nid == "a"
+    assert prof == DeviceProfile(3000.0, 6000.0, 0.5)
 
 
 def test_synth_profiles_spread_around_medians():
