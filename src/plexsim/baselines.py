@@ -238,14 +238,15 @@ def dpsgd_round(
     k: int,
     latency: LatencyMatrix,
     *,
-    train_fn: Callable[[int, int, ModelParameters], ModelParameters],
+    train_fn: Callable[[int, list[ModelParameters]], list[ModelParameters]],
     compute_seconds: list[float],
 ) -> DpsgdRoundResult:
     """One synchronous D-PSGD round: everyone trains, everyone exchanges
     models with its round-k neighbors, everyone averages what it holds with
     what it received. No node starts round k+1 before the slowest node is
     done, so the round's duration is the max over nodes of compute plus
-    transfer completion.
+    transfer completion. ``train_fn(k, models)`` trains all n models of
+    round k at once.
 
     Port contention is modeled per endpoint: a sender's uploads share its
     uplink, a receiver's downloads cannot beat its downlink, and a transfer
@@ -253,7 +254,7 @@ def dpsgd_round(
     """
     n = len(models)
     nbytes = model_size_bytes(models[0])
-    trained = [train_fn(i, k, models[i]) for i in range(n)]
+    trained = train_fn(k, models)
     profiles = [membership.profile(nid) for nid in membership.nodes]
 
     outs = [topology.out_neighbors(i, k) for i in range(n)]
@@ -275,8 +276,11 @@ def dpsgd_round(
         in_done = max(max(arrivals), downlink_bound)
         duration = max(duration, out_done[i], in_done)
 
-        gathered = [trained[i].values] + [trained[j].values for j in ins]
-        mean = np.mean(np.stack(gathered), axis=0)
+        # The float sequence of np.mean over the stacked models, own first.
+        mean = trained[i].values.copy()
+        for j in ins:
+            mean += trained[j].values
+        mean /= len(ins) + 1
         mean.flags.writeable = False
         mixed.append(ModelParameters(mean, age=trained[i].age))
     return DpsgdRoundResult(

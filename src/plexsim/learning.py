@@ -79,12 +79,15 @@ class ModelSpec:
         return W, b
 
     def _unpack_mlp(self, theta: np.ndarray):
+        """W1, b1, W2 and b2 of one parameter vector, or of a (models, dim)
+        stack."""
         h, d, c = self.hidden, self.d_in, self.classes
+        lead = theta.shape[:-1]
         o = 0
-        W1 = theta[o : o + h * d].reshape(h, d); o += h * d
-        b1 = theta[o : o + h]; o += h
-        W2 = theta[o : o + c * h].reshape(c, h); o += c * h
-        b2 = theta[o : o + c]
+        W1 = theta[..., o : o + h * d].reshape(*lead, h, d); o += h * d
+        b1 = theta[..., o : o + h]; o += h
+        W2 = theta[..., o : o + c * h].reshape(*lead, c, h); o += c * h
+        b2 = theta[..., o : o + c]
         return W1, b1, W2, b2
 
     def logits(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -98,30 +101,57 @@ class ModelSpec:
             return hidden @ W2.T + b2
         raise ValueError("squared family has no class logits")
 
-    def grad(self, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def grad(self, theta: np.ndarray, X: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the mean batch loss, as a flat vector: cross-entropy
-        for classifiers, 0.5*(Xw - y)^2 for squared."""
-        m = X.shape[0]
+        for classifiers, 0.5*(Xw - y)^2 for squared. A (models, dim) stack
+        of parameter vectors takes a (models, batch, d_in) stack of batches
+        and (models, batch) labels, and each slice gets the products and
+        sums a single model gets. The gradient is written to ``out`` when
+        given."""
+        out = np.empty(theta.shape) if out is None else out
+        m = X.shape[-2]
         if self.family == "squared":
-            return X.T @ (X @ theta - y) / m
+            resid = np.matmul(X, theta[..., None])
+            resid[..., 0] -= y
+            np.matmul(X.mT, resid, out=out[..., None])
+            out /= m
+            return out
         if self.family == "linear":
-            delta = _softmax(self.logits(theta, X))
-            delta[np.arange(m), y] -= 1.0
-            delta /= m
-            return np.concatenate([(delta.T @ X).ravel(), delta.sum(axis=0)])
+            W, b = self._unpack_linear(theta)
+            delta = np.matmul(X, W.mT)
+            delta += b[..., None, :]
+            _softmax_minus_onehot(delta, y)
+            gW, gb = self._unpack_linear(out)
+            np.matmul(delta.mT, X, out=gW)
+            np.add.reduce(delta, axis=-2, out=gb)
+            return out
         W1, b1, W2, b2 = self._unpack_mlp(theta)
-        h = np.tanh(X @ W1.T + b1)
-        delta = _softmax(h @ W2.T + b2)
-        delta[np.arange(m), y] -= 1.0
-        delta /= m
-        dh = (delta @ W2) * (1.0 - h**2)
-        return np.concatenate([(dh.T @ X).ravel(), dh.sum(axis=0), (delta.T @ h).ravel(), delta.sum(axis=0)])
+        h = np.matmul(X, W1.mT)
+        h += b1[..., None, :]
+        np.tanh(h, out=h)
+        delta = np.matmul(h, W2.mT)
+        delta += b2[..., None, :]
+        _softmax_minus_onehot(delta, y)
+        gW1, gb1, gW2, gb2 = self._unpack_mlp(out)
+        np.matmul(delta.mT, h, out=gW2)
+        np.add.reduce(delta, axis=-2, out=gb2)
+        dh = np.matmul(delta, W2)
+        dh *= 1.0 - h**2
+        np.matmul(dh.mT, X, out=gW1)
+        np.add.reduce(dh, axis=-2, out=gb1)
+        return out
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_minus_onehot(z: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite the logits z (..., batch, classes) with the gradient of the
+    mean cross-entropy with respect to them: the softmax of each row, less
+    one at its label y, over the batch size."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    rows = z.reshape(-1, z.shape[-1])
+    rows[np.arange(rows.shape[0]), y.reshape(-1)] -= 1.0
+    z /= z.shape[-2]
 
 
 # --------------------------------------------------------------- dataset --
@@ -316,23 +346,77 @@ def local_train(
     """Run ``local_steps`` minibatch SGD steps and return a new model with
     age advanced by the step count. The input model is never modified and
     the momentum buffer starts at zero on every invocation."""
-    if len(part) == 0:
+    return local_train_many([model], spec, [part], cfg, [rng])[0]
+
+
+# Models that one stacked SGD step trains together. On the dpsgd-desk shapes
+# (batch 32, 256 inputs, 10 classes, 3 steps) a model took the least CPU
+# time in chunks of 10: 143 us, against 150 in chunks of 5, 165 in 20, 175
+# in 50 and 204 in 100. A chunk's buffers, and peak memory with them, grow
+# with its size; 10 models gather 655 KB of rows a step.
+_TRAIN_CHUNK = 10
+
+
+def local_train_many(
+    models: list[ModelParameters],
+    spec: ModelSpec,
+    parts: list[DataPartition],
+    cfg: TrainerConfig,
+    rngs: list[np.random.Generator],
+) -> list[ModelParameters]:
+    """``local_train`` of each model on its own shard and stream: model i
+    trains on ``parts[i]`` with batches drawn from ``rngs[i]``, and comes
+    out float for float as if it trained alone. Each model draws all of its
+    batches first, in the order a step-by-step loop draws them; each step
+    then moves a chunk of ``_TRAIN_CHUNK`` models as one stack, whose
+    gradient makes the same products and sums per model as one model's."""
+    if any(len(part) == 0 for part in parts):
         raise ValueError("cannot train on an empty shard")
-    theta = model.values.copy()
+    trained: list[ModelParameters] = []
+    for lo in range(0, len(models), _TRAIN_CHUNK):
+        hi = lo + _TRAIN_CHUNK
+        trained += _train_chunk(models[lo:hi], spec, parts[lo:hi], cfg, rngs[lo:hi])
+    return trained
+
+
+def _train_chunk(models, spec, parts, cfg, rngs) -> list[ModelParameters]:
+    """``local_train_many`` of at most ``_TRAIN_CHUNK`` models."""
+    k, steps, size = len(models), cfg.local_steps, cfg.batch_size
+    rows = np.empty((k, steps, size), dtype=np.intp)
+    labels = np.empty((k, steps, size), dtype=parts[0].y.dtype)
+    for i, (part, rng) in enumerate(zip(parts, rngs)):
+        m = len(part)
+        for s in range(steps):
+            if m >= size:
+                idx = rng.choice(m, size=size, replace=False)
+            else:
+                idx = rng.integers(0, m, size=size)
+            rows[i, s] = part.rows[idx]
+        labels[i] = part.y[rows[i]]
+    theta = np.empty((k, spec.dim))
+    for i, model in enumerate(models):
+        theta[i] = model.values
     velocity = np.zeros_like(theta)
-    m = len(part)
-    for _ in range(cfg.local_steps):
-        if m >= cfg.batch_size:
-            idx = rng.choice(m, size=cfg.batch_size, replace=False)
-        else:
-            idx = rng.integers(0, m, size=cfg.batch_size)
-        batch = part.rows[idx]
-        velocity = cfg.momentum * velocity + spec.grad(theta, part.X[batch], part.y[batch])
-        theta = theta - cfg.eta * velocity
-    if not np.all(np.isfinite(theta)):
+    step = np.empty_like(theta)
+    X = np.empty((k, size, spec.d_in))
+    for s in range(steps):
+        for i, part in enumerate(parts):
+            # The rows are the shard's own, so "clip" never moves one; it
+            # spares the copy that "raise" makes of every gather.
+            part.X.take(rows[i, s], axis=0, out=X[i], mode="clip")
+        spec.grad(theta, X, labels[:, s], out=step)
+        velocity *= cfg.momentum
+        velocity += step
+        np.multiply(velocity, cfg.eta, out=step)
+        theta -= step
+    if not np.isfinite(theta).all():
         raise ValueError("divergence: reduce eta")
-    theta.flags.writeable = False
-    return ModelParameters(theta, age=model.age + cfg.local_steps)
+    trained = []
+    for model, values in zip(models, theta):
+        values = values.copy()
+        values.flags.writeable = False
+        trained.append(ModelParameters(values, age=model.age + steps))
+    return trained
 
 
 class EvalSplit:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -35,6 +36,7 @@ from .learning import (
     ModelSpec,
     evaluate_many,
     local_train,
+    local_train_many,
     partition,
     synth_dataset,
 )
@@ -123,23 +125,33 @@ class _Repetition:
         self.compute_s = {nid: compute_time(world.membership.profile(nid), steps) for nid in nodes}
         self.ledger = MetricsLedger()
 
+    def rng(self, stream: str, nid: str, key: int) -> np.random.Generator:
+        return derive_rng(self.cfg.protocol_seed, stream, self.rep, nid, key)
+
     def train(self, stream: str, nid: str, key: int, model: ModelParameters) -> ModelParameters:
-        rng = derive_rng(self.cfg.protocol_seed, stream, self.rep, nid, key)
-        return local_train(model, self.world.spec, self.shards[nid], self.cfg.trainer, rng)
+        return local_train(model, self.world.spec, self.shards[nid], self.cfg.trainer, self.rng(stream, nid, key))
 
     def init(self, nid: Optional[str]) -> ModelParameters:
         return _init_model(self.cfg, self.world.spec, self.rep, nid)
 
+    def score(
+        self, at: float, round_no: int, models: list[ModelParameters], bytes_total: int, train_seconds_total: float
+    ) -> AccuracyPoint:
+        """The mean and std accuracy of ``models``, with the byte and
+        training-second totals given."""
+        accs = evaluate_many(models, self.world.spec, self.test)
+        return AccuracyPoint(
+            at, round_no, float(np.mean(accs)), float(np.std(accs)), bytes_total, train_seconds_total,
+        )
+
     def record_eval(
         self, at: float, round_no: int, models: list[ModelParameters], totals: MetricsLedger | Engine
     ) -> None:
-        """Record the mean and std accuracy of ``models`` with the byte and
-        training-second totals ``totals`` (the ledger or the engine) hold now."""
-        accs = evaluate_many(models, self.world.spec, self.test)
-        self.ledger.accuracy.append(AccuracyPoint(
-            at, round_no, float(np.mean(accs)), float(np.std(accs)),
-            totals.bytes_total, totals.train_seconds_total,
-        ))
+        """Record the score of ``models`` with the byte and training-second
+        totals ``totals`` (the ledger or the engine) hold now."""
+        self.ledger.accuracy.append(
+            self.score(at, round_no, models, totals.bytes_total, totals.train_seconds_total)
+        )
 
 
 def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable, checkpoint=None) -> None:
@@ -252,30 +264,48 @@ def _run_dpsgd(r: _Repetition) -> None:
     else:
         topology = OnePeerExponential(n)
     node_ids = world.membership.nodes
+    shards = [r.shards[nid] for nid in node_ids]
     compute_secs = [r.compute_s[nid] for nid in node_ids]
     models = [r.init(nid) for nid in node_ids]
     checkpoints = deque(_multiples(cfg.eval.every_seconds, cfg.stop.max_virtual_s))
-    for k in range(1, cfg.stop.max_rounds + 1):
-        res = dpsgd_round(
-            models,
-            world.membership,
-            topology,
-            k,
-            world.latency,
-            train_fn=lambda i, k, m: r.train("train", node_ids[i], k, m),
-            compute_seconds=compute_secs,
-        )
-        t_end = ledger.final_time_s + res.duration_s
-        # Checkpoints inside this round observe the models committed before it.
-        while checkpoints and checkpoints[0] <= t_end:
-            r.record_eval(checkpoints.popleft(), k - 1, models, ledger)
-        if t_end > cfg.stop.max_virtual_s:
-            break
-        ledger.final_time_s = t_end
-        models = res.models
-        ledger.bytes_total += res.bytes
-        ledger.train_seconds_total += res.train_seconds
-        ledger.rounds.append(RoundRecord(k, res.duration_s, n, n, 0))
+
+    def train_round(k: int, models: list[ModelParameters]) -> list[ModelParameters]:
+        rngs = [r.rng("train", nid, k) for nid in node_ids]
+        return local_train_many(models, world.spec, shards, cfg.trainer, rngs)
+
+    # One worker scores each checkpoint while the next rounds train: both
+    # spend their time in NumPy calls that release the interpreter lock. At
+    # most one checkpoint is in flight, so at most one set of past models is
+    # held; the points are recorded in checkpoint order.
+    scoring = None
+    with ThreadPoolExecutor(max_workers=1) as scorer:
+        for k in range(1, cfg.stop.max_rounds + 1):
+            res = dpsgd_round(
+                models,
+                world.membership,
+                topology,
+                k,
+                world.latency,
+                train_fn=train_round,
+                compute_seconds=compute_secs,
+            )
+            t_end = ledger.final_time_s + res.duration_s
+            # Checkpoints inside this round observe the models committed before it.
+            while checkpoints and checkpoints[0] <= t_end:
+                if scoring is not None:
+                    ledger.accuracy.append(scoring.result())
+                scoring = scorer.submit(
+                    r.score, checkpoints.popleft(), k - 1, models, ledger.bytes_total, ledger.train_seconds_total
+                )
+            if t_end > cfg.stop.max_virtual_s:
+                break
+            ledger.final_time_s = t_end
+            models = res.models
+            ledger.bytes_total += res.bytes
+            ledger.train_seconds_total += res.train_seconds
+            ledger.rounds.append(RoundRecord(k, res.duration_s, n, n, 0))
+        if scoring is not None:
+            ledger.accuracy.append(scoring.result())
     ledger.counters = {"models_trained": float(n * len(ledger.rounds))}
 
 

@@ -207,7 +207,7 @@ class _Sink:
     def on_message(self, now, src, msg):
         return []
 
-    def on_timer(self, now, timer_id):
+    def on_timer(self):
         return []
 
 

@@ -262,7 +262,7 @@ def test_dpsgd_mixing_on_complete_graph_reaches_consensus():
         k3_topology(),
         k=1,
         latency=LatencyMatrix.zero(),
-        train_fn=lambda i, k, theta: theta,
+        train_fn=lambda k, models: models,
         compute_seconds=[1.0, 1.0, 1.0],
     )
     for mixed in res.models:
@@ -285,7 +285,7 @@ def test_dpsgd_duration_uniform_hand_case():
         k3_topology(),
         k=1,
         latency=LatencyMatrix.zero(),
-        train_fn=lambda i, k, theta: theta,
+        train_fn=lambda k, models: models,
         compute_seconds=[1.0, 1.0, 1.0],
     )
     assert res.duration_s == pytest.approx(3.0)
@@ -304,7 +304,7 @@ def test_dpsgd_duration_heterogeneous_two_nodes():
         OnePeerExponential(2),
         k=1,
         latency=LatencyMatrix.zero(),
-        train_fn=lambda i, k, theta: theta,
+        train_fn=lambda k, models: models,
         compute_seconds=[2.0, 1.0],
     )
     assert res.duration_s == pytest.approx(4.0)
@@ -320,7 +320,7 @@ def test_dpsgd_latency_delays_arrivals():
         OnePeerExponential(2),
         k=1,
         latency=lat,
-        train_fn=lambda i, k, theta: theta,
+        train_fn=lambda k, models: models,
         compute_seconds=[1.0, 1.0],
     )
     # send done at 2 s, plus 50 ms one-way.
@@ -336,7 +336,7 @@ def test_dpsgd_one_peer_mixes_pairwise_and_keeps_age():
         OnePeerExponential(4),
         k=1,  # offset 1: i receives from i-1
         latency=LatencyMatrix.zero(),
-        train_fn=lambda i, k, theta: theta,
+        train_fn=lambda k, models: models,
         compute_seconds=[0.0] * 4,
     )
     for i in range(4):
@@ -350,11 +350,11 @@ def test_dpsgd_round_varies_with_one_peer_round_number():
     models = [ModelParameters(np.array([float(i)])) for i in range(4)]
     r1 = dpsgd_round(
         models, m, OnePeerExponential(4), k=1, latency=LatencyMatrix.zero(),
-        train_fn=lambda i, k, theta: theta, compute_seconds=[0.0] * 4,
+        train_fn=lambda k, models: models, compute_seconds=[0.0] * 4,
     )
     r2 = dpsgd_round(
         models, m, OnePeerExponential(4), k=2, latency=LatencyMatrix.zero(),
-        train_fn=lambda i, k, theta: theta, compute_seconds=[0.0] * 4,
+        train_fn=lambda k, models: models, compute_seconds=[0.0] * 4,
     )
     assert not all(
         np.array_equal(a.values, b.values) for a, b in zip(r1.models, r2.models)

@@ -16,6 +16,7 @@ from plexsim.learning import (
     TrainerConfig,
     evaluate_many,
     local_train,
+    local_train_many,
     partition,
     synth_dataset,
 )
@@ -250,6 +251,40 @@ def test_local_train_matches_the_reference_bit_for_bit(
         assert np.array_equal(bits(got.values), bits(want.values))
         assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
         assert got.age == want.age == 2 + local_steps
+
+
+@given(
+    family=st.sampled_from(["linear", "mlp", "squared"]),
+    momentum=st.sampled_from([0.0, 0.9]),
+    shards=st.lists(st.integers(1, 12), min_size=1, max_size=2 * learning._TRAIN_CHUNK + 3),
+    batch_size=st.integers(1, 8),
+    local_steps=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="linear", momentum=0.9, shards=[2, 12] * learning._TRAIN_CHUNK + [5],
+         batch_size=4, local_steps=3, seed=1)
+@settings(max_examples=80, deadline=None)
+def test_local_train_many_matches_the_reference_model_by_model(
+    family, momentum, shards, batch_size, local_steps, seed
+):
+    # Every shard indexes one dataset, as the shards of a partition do; the
+    # reference trains each model alone on a copy of its rows.
+    spec = ModelSpec(family, d_in=3, classes=3, hidden=4)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(15, 3))
+    y = rng.normal(size=15) if family == "squared" else rng.integers(0, 3, 15)
+    parts = [DataPartition(X, y, np.sort(rng.choice(15, m, replace=False))) for m in shards]
+    models = [ModelParameters(rng.normal(0.0, 1.0, spec.dim), age=i) for i in range(len(shards))]
+    cfg = TrainerConfig(eta=0.05, momentum=momentum, batch_size=batch_size, local_steps=local_steps)
+    rngs = [derive_rng(seed, "sgd", i) for i in range(len(shards))]
+    trained = local_train_many(models, spec, parts, cfg, rngs)
+    assert len(trained) == len(models)
+    for i, (model, part, got) in enumerate(zip(models, parts, trained)):
+        want = local_train_reference(model, spec, whole(X[part.rows], y[part.rows]), cfg, derive_rng(seed, "sgd", i))
+        assert np.array_equal(bits(got.values), bits(want.values))
+        assert got.age == want.age == i + local_steps
+    alone = local_train(models[0], spec, parts[0], cfg, derive_rng(seed, "sgd", 0))
+    assert np.array_equal(bits(alone.values), bits(trained[0].values))
 
 
 def test_training_reduces_loss_on_separable_data():

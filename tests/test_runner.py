@@ -1,5 +1,7 @@
 import json
 import sys
+import threading
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +17,14 @@ from plexsim.config import (
     load_config,
 )
 from plexsim.core import derive_rng
+from plexsim import runner
 from plexsim.learning import (
     EvalSplit,
     PartitionScheme,
     TrainerConfig,
     evaluate_many,
     local_train,
+    local_train_many,
     partition,
 )
 from plexsim.runner import (
@@ -174,6 +178,85 @@ def test_runners_score_all_models_of_a_checkpoint_in_one_call(monkeypatch, algor
     assert len(led.accuracy) >= 3
     assert batches == [cfg.n] * len(led.accuracy)
     assert all(split is splits[0] for split in splits)
+
+
+def dpsgd_cfg():
+    return tiny_cfg(
+        algorithm="dpsgd",
+        n=20,
+        topology=TopologyConfig(kind="regular", degree=4, seed=1),
+        stop=StopConfig(max_rounds=6, max_virtual_s=1e7),
+        eval=EvalConfig(every_rounds=1, every_seconds=1.0),
+    )
+
+
+class _InlineExecutor:
+    """An executor that runs each task when it is submitted."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def test_dpsgd_scores_on_one_worker_as_it_would_inline(monkeypatch):
+    cfg = dpsgd_cfg()
+    world = build_world(cfg)
+    before = threading.active_count()
+    # Switch threads often, so that scoring interleaves with training.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        led = run_single(cfg, world, 0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", _InlineExecutor)
+    inline = run_single(cfg, world, 0)
+    assert len(led.accuracy) >= 3
+    assert led.accuracy == inline.accuracy
+
+
+def test_dpsgd_scoring_errors_reach_the_caller_and_join_the_worker(monkeypatch):
+    calls = []
+
+    def failing(models, spec, split):
+        calls.append(len(models))
+        if len(calls) == 2:
+            raise RuntimeError("scoring failed")
+        return evaluate_many(models, spec, split)
+
+    monkeypatch.setattr(runner, "evaluate_many", failing)
+    cfg = dpsgd_cfg()
+    world = build_world(cfg)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        run_single(cfg, world, 0)
+    assert threading.active_count() == before
+    assert len(calls) >= 2
+
+
+def test_dpsgd_trains_each_round_in_one_call(monkeypatch):
+    batches = []
+
+    def counting(models, spec, parts, cfg, rngs):
+        batches.append(len(models))
+        return local_train_many(models, spec, parts, cfg, rngs)
+
+    monkeypatch.setattr(runner, "local_train_many", counting)
+    cfg = dpsgd_cfg()
+    led = run_single(cfg, build_world(cfg), 0)
+    assert len(led.rounds) == cfg.stop.max_rounds
+    assert batches == [cfg.n] * cfg.stop.max_rounds
 
 
 def test_run_plexus_partial_rounds_count_late_models():
