@@ -2,8 +2,8 @@
 
 Subcommands: run, sample, sweep, traces-gen, report. The output directory
 root comes from $PLEXSIM_RESULTS (default ./results); --out overrides per
-invocation. Validation errors go to stderr prefixed with "error: " and exit
-nonzero.
+invocation. Validation errors, and a run that fails with a ``ValueError`` or
+a ``SimulationError``, go to stderr prefixed with "error: " and exit 2.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import sys
 from pathlib import Path
 
 from .config import TracesConfig, config_from_dict, load_config
-from .runner import build_membership_from_config, build_world, run_experiment
+from .runner import build_membership_from_config, build_world, deal_shards, run_experiment
 from .sampler import SampleSchedule
+from .simnet import SimulationError
 from .traces import synth_device_profiles, synth_latency_matrix, write_latency_csv, write_profiles_csv
 
 SWEEPABLE = {
@@ -43,7 +44,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
         if args.validate:
-            build_world(cfg, base_dir)  # the dataset and trace checks run here
+            # The dataset and trace checks run here, the partition's in the deal.
+            deal_shards(cfg, build_world(cfg, base_dir), 0)
     except ValueError as exc:
         return _fail(str(exc))
     if args.validate:
@@ -52,7 +54,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else _results_root() / Path(args.config).stem
     try:
         summary = run_experiment(cfg, out, base_dir=base_dir)
-    except ValueError as exc:
+    except (ValueError, SimulationError) as exc:
         return _fail(str(exc))
     print(f"wrote {out}/summary.json")
     for target, entry in summary["cross_seed"].items():
@@ -104,7 +106,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             swept = config_from_dict({**cfg.canonical_dict(), args.param: v})
             out = out_root / f"{args.param}-{v}"
             summary = run_experiment(swept, out, base_dir=Path(args.config).parent)
-        except ValueError as exc:
+        except (ValueError, SimulationError) as exc:
             return _fail(str(exc))
         stats = [r["round_stats"] for r in summary["reps"] if r["round_stats"]]
         mean_dur = sum(s["mean"] for s in stats) / len(stats) if stats else None

@@ -31,11 +31,12 @@ from .baselines import (
 from .config import ExperimentConfig, resolve_trace_path
 from .core import Membership, ModelParameters, derive_rng
 from .learning import (
+    _TRAIN_CHUNK,
+    DataPartition,
     Dataset,
     EvalSplit,
     ModelSpec,
     evaluate_many,
-    local_train,
     local_train_many,
     partition,
     synth_dataset,
@@ -99,6 +100,11 @@ def build_world(cfg: ExperimentConfig, base_dir: str | Path = ".") -> World:
 # ------------------------------------------------------------ repetition --
 
 
+def deal_shards(cfg: ExperimentConfig, world: World, rep: int) -> list[DataPartition]:
+    """Repetition ``rep``'s shards, one per node in membership order."""
+    return partition(world.dataset, cfg.n, cfg.partition, cfg.protocol_seed * 1_000_003 + rep)
+
+
 def _init_model(cfg: ExperimentConfig, spec: ModelSpec, rep: int, nid: Optional[str]) -> ModelParameters:
     if cfg.shared_init or nid is None:
         return spec.init_model(derive_rng(cfg.init_seed, "init", rep))
@@ -109,27 +115,69 @@ def _should_eval(cfg: ExperimentConfig, k: int) -> bool:
     return k % cfg.eval.every_rounds == 0 or k == cfg.stop.max_rounds
 
 
+class _QueuedModel:
+    """A model that ``_Repetition.train`` has queued. Its ``age`` and ``dim``
+    are known at once; its ``values`` are trained on first read, together
+    with every other model in the queue."""
+
+    __slots__ = ("age", "dim", "_repetition", "_trained")
+
+    def __init__(self, age: int, dim: int, repetition: _Repetition):
+        self.age, self.dim = age, dim
+        self._repetition = repetition
+        self._trained: Optional[ModelParameters] = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._trained is None:
+            self._repetition.flush()
+        return self._trained.values
+
+
 class _Repetition:
     """What every algorithm shares within one repetition: the shards and
-    compute seconds of each node, the training and init streams, the test
-    split and its evaluation recorder, and the ledger. Each algorithm's run
-    function only moves models."""
+    compute seconds of each node, the training and init streams, the
+    training queue, the test split and its evaluation recorder, and the
+    ledger. Each algorithm's run function only moves models.
+
+    ``train`` queues a model and returns it untrained: wire sizes read only
+    its ``dim``, and no event time depends on its values. The queue trains
+    with one ``local_train_many`` call when it holds ``_TRAIN_CHUNK`` models,
+    when any queued model's values are read (a merge, an average or a
+    checkpoint) and at the end of an engine run. Each model trains on its
+    own stream, so it comes out bit for bit as if it trained alone."""
 
     def __init__(self, cfg: ExperimentConfig, world: World, rep: int):
         self.cfg, self.world, self.rep = cfg, world, rep
         nodes = world.membership.nodes
-        parts = partition(world.dataset, cfg.n, cfg.partition, cfg.protocol_seed * 1_000_003 + rep)
-        self.shards = dict(zip(nodes, parts))
+        self.shards = dict(zip(nodes, deal_shards(cfg, world, rep)))
         self.test = EvalSplit(world.dataset.X, world.dataset.y, world.dataset.test)
         steps = cfg.trainer.local_steps
         self.compute_s = {nid: compute_time(world.membership.profile(nid), steps) for nid in nodes}
         self.ledger = MetricsLedger()
+        self._queue: list[tuple[ModelParameters, str, np.random.Generator, _QueuedModel]] = []
 
     def rng(self, stream: str, nid: str, key: int) -> np.random.Generator:
         return derive_rng(self.cfg.protocol_seed, stream, self.rep, nid, key)
 
-    def train(self, stream: str, nid: str, key: int, model: ModelParameters) -> ModelParameters:
-        return local_train(model, self.world.spec, self.shards[nid], self.cfg.trainer, self.rng(stream, nid, key))
+    def train(self, stream: str, nid: str, key: int, model: ModelParameters) -> _QueuedModel:
+        model.values  # a queued input trains now, before its successor joins the queue
+        out = _QueuedModel(model.age + self.cfg.trainer.local_steps, model.dim, self)
+        self._queue.append((model, nid, self.rng(stream, nid, key), out))
+        if len(self._queue) == _TRAIN_CHUNK:
+            self.flush()
+        return out
+
+    def flush(self) -> None:
+        """Train every queued model with one ``local_train_many`` call."""
+        if not self._queue:
+            return
+        models, nids, rngs, outs = zip(*self._queue)
+        self._queue = []
+        parts = [self.shards[nid] for nid in nids]
+        trained = local_train_many(list(models), self.world.spec, parts, self.cfg.trainer, list(rngs))
+        for out, model in zip(outs, trained):
+            out._trained = model
 
     def init(self, nid: Optional[str]) -> ModelParameters:
         return _init_model(self.cfg, self.world.spec, self.rep, nid)
@@ -158,7 +206,8 @@ def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable,
     """Register ``nodes``, inject each one's ``start(node)`` effects at t=0
     in membership order, run to the time budget and copy the engine's totals
     into the ledger. A ``checkpoint(t)`` runs at each multiple t
-    of ``eval.every_seconds``, with the engine paused after every event <= t."""
+    of ``eval.every_seconds``, with the engine paused after every event <= t.
+    Trainings still queued at the end run then, so a divergence raises."""
     for node in nodes:
         engine.register(node.me, node)
         engine.inject(0.0, node.me, start(node))
@@ -168,6 +217,7 @@ def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable,
             engine.run(until=at)
             checkpoint(at)
     engine.run(until=horizon)
+    r.flush()
     r.ledger.bytes_total = engine.bytes_total
     r.ledger.train_seconds_total = engine.train_seconds_total
     r.ledger.final_time_s = engine.now

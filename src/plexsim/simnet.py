@@ -11,7 +11,10 @@ a transfer is constrained by its sender's uplink and its receiver's downlink,
 all concurrent transfers at a port get equal shares, and capacity freed by a
 bottlenecked transfer is redistributed to the others. Rates are recomputed
 only when a transfer starts or finishes, so between recomputations every rate
-is constant and completion times are exact. Each recomputation schedules one
+is constant and completion times are exact. A recomputation re-solves only
+the transfers connected, through shared ports, to a port that a start or
+finish touched: a transfer's rate depends only on its connected component,
+so every other rate keeps its bits. Each recomputation schedules one
 completion event, for the transfer that finishes first (ties go to the
 earliest sent); the next recomputation makes it stale.
 
@@ -182,6 +185,10 @@ class Engine:
         self._heap: list = []
         self._seq = 0
         self._transfers: dict[int, TransferRecord] = {}
+        # The live transfers at each port, and the ports whose set changed
+        # since the last rate solve.
+        self._port_tids: dict[tuple[str, NodeId], set[int]] = defaultdict(set)
+        self._touched: set[tuple[str, NodeId]] = set()
         self._next_tid = 0
         self._last_advance = 0.0
         self._solves = 0
@@ -288,8 +295,12 @@ class Engine:
             )
             return False
         self._advance()
-        self._transfers[self._next_tid] = TransferRecord(src, eff.dst, eff.msg, float(eff.nbytes))
+        tid = self._next_tid
+        self._transfers[tid] = TransferRecord(src, eff.dst, eff.msg, float(eff.nbytes))
         self._next_tid += 1
+        for port in (("u", src), ("d", eff.dst)):
+            self._port_tids[port].add(tid)
+            self._touched.add(port)
         return True
 
     def _one_way(self, a: NodeId, b: NodeId) -> float:
@@ -305,14 +316,16 @@ class Engine:
         self._last_advance = self.now
 
     def _recompute_rates(self) -> None:
-        flows = [(tid, rec.src, rec.dst) for tid, rec in self._transfers.items()]
-        if not flows:
+        touched, self._touched = self._touched, set()
+        if not self._transfers:
             return
-        rates = maxmin_rates(flows, self._uplink, self._downlink)
+        flows = self._component(touched)
+        if flows:
+            for tid, rate in maxmin_rates(flows, self._uplink, self._downlink).items():
+                self._transfers[tid].rate = rate
         self._solves += 1
         estimates = []
         for tid, rec in self._transfers.items():
-            rec.rate = rates[tid]
             if rec.rate <= 0:
                 raise SimulationError(f"transfer {tid} got zero rate")
             remaining = max(0.0, rec.total_bytes - rec.bytes_done)
@@ -321,11 +334,30 @@ class Engine:
         at, tid = min(estimates)
         self._schedule(at, partial(self._on_transfer_event, TransferRateRecompute(tid, self._solves)))
 
+    def _component(self, ports: set[tuple[str, NodeId]]) -> list[tuple[int, NodeId, NodeId]]:
+        """The live flows (tid, src, dst) linked to ``ports`` through shared
+        ports, in tid order."""
+        seen, frontier, flows = set(ports), list(ports), {}
+        while frontier:
+            for tid in self._port_tids.get(frontier.pop(), ()):
+                if tid in flows:
+                    continue
+                rec = self._transfers[tid]
+                flows[tid] = (tid, rec.src, rec.dst)
+                for port in (("u", rec.src), ("d", rec.dst)):
+                    if port not in seen:
+                        seen.add(port)
+                        frontier.append(port)
+        return sorted(flows.values())
+
     def _on_transfer_event(self, ev: TransferRateRecompute) -> None:
         if ev.solve_no != self._solves:
             return  # superseded by a later rate solve
         self._advance()
         rec = self._transfers.pop(ev.tid)
+        for port in (("u", rec.src), ("d", rec.dst)):
+            self._port_tids[port].discard(ev.tid)
+            self._touched.add(port)
         drift = abs(rec.total_bytes - rec.bytes_done)
         if drift > 1e-6 * max(1.0, rec.total_bytes):
             raise SimulationError(

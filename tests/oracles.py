@@ -8,12 +8,13 @@ never checks code against itself.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 
 import numpy as np
 
 from plexsim.core import derive_rng
 from plexsim.sampler import node_rank_key
-from plexsim.simnet import SimulationError
+from plexsim.simnet import SimulationError, TransferRateRecompute
 
 
 # ------------------------------------------------------ sample reference --
@@ -70,6 +71,27 @@ def maxmin_reference(flows, uplink: dict, downlink: dict) -> dict:
                 cap[port] = max(0.0, cap[port] - share)
         members[bottleneck].clear()
     return rates
+
+
+def recompute_every_rate(engine) -> None:
+    """``Engine._recompute_rates`` as it was before it re-solved only the
+    components that a start or finish touched: every live flow is solved
+    again, here by ``maxmin_reference``. Install it on ``Engine`` with a
+    monkeypatch; the component re-solve must give the same bits."""
+    flows = [(tid, rec.src, rec.dst) for tid, rec in engine._transfers.items()]
+    if not flows:
+        return
+    rates = maxmin_reference(flows, engine._uplink, engine._downlink)
+    engine._solves += 1
+    estimates = []
+    for tid, rec in engine._transfers.items():
+        rec.rate = rates[tid]
+        if rec.rate <= 0:
+            raise SimulationError(f"transfer {tid} got zero rate")
+        remaining = max(0.0, rec.total_bytes - rec.bytes_done)
+        estimates.append((engine.now + remaining / rec.rate, tid))
+    at, tid = min(estimates)
+    engine._schedule(at, partial(engine._on_transfer_event, TransferRateRecompute(tid, engine._solves)))
 
 
 # ------------------------------------------------- fluid max-min transfer --

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 import yaml
 
+from plexsim import cli
 from plexsim.cli import main
 from plexsim.config import config_from_dict, load_config
 from plexsim.runner import build_membership_from_config
+from plexsim.simnet import SimulationError
 from plexsim.traces import load_device_profiles, load_latency_matrix
 
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIGS_DIR.glob("*.yaml"))
 
 TINY = {
     "algorithm": "plexus",
@@ -229,6 +232,40 @@ def test_run_validate_rejects_an_eval_period_past_the_budget(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: eval.every_seconds (500) exceeds stop.max_virtual_s")
+
+
+def test_run_validate_deals_the_partition(tmp_path, capsys):
+    # plexus-small has 960 train rows; 20 nodes of 60 label shards need
+    # 1200. The world builds, so only the deal catches it.
+    raw = yaml.safe_load((CONFIGS_DIR / "plexus-small.yaml").read_text())
+    raw["partition"] = {"kind": "label_shards", "shards_per_node": 60}
+    p = tmp_path / "exp.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    rc = main(["run", str(p), "--validate"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot cut 960 samples into 1200 shards")
+
+
+def _raise_simulation_error(*args, **kwargs):
+    raise SimulationError("transfer 3 byte conservation off by 0.021")
+
+
+def test_run_reports_a_simulation_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", _raise_simulation_error)
+    rc = main(["run", write_cfg(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: transfer 3 byte conservation off by 0.021\n"
+
+
+def test_sweep_reports_a_simulation_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", _raise_simulation_error)
+    rc = main(["sweep", write_cfg(tmp_path), "--param", "n", "--values", "8", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: transfer 3 byte conservation off by 0.021\n"
 
 
 def test_run_missing_config(tmp_path, capsys):

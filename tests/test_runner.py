@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ from plexsim.config import (
     TracesConfig,
     load_config,
 )
-from plexsim.core import derive_rng
-from plexsim import runner
+from plexsim.core import ModelParameters, derive_rng
+from plexsim import learning, runner, simnet
 from plexsim.learning import (
     EvalSplit,
     PartitionScheme,
@@ -35,6 +36,7 @@ from plexsim.runner import (
     run_single,
 )
 from plexsim.sampler import sample
+from plexsim.simnet import maxmin_rates
 
 from oracles import fedavg_reference
 
@@ -257,6 +259,140 @@ def test_dpsgd_trains_each_round_in_one_call(monkeypatch):
     led = run_single(cfg, build_world(cfg), 0)
     assert len(led.rounds) == cfg.stop.max_rounds
     assert batches == [cfg.n] * cfg.stop.max_rounds
+
+
+# ------------------------------------------------------------ training queue --
+
+
+def _train_at_once(r, stream, nid, key, model):
+    """``_Repetition.train`` without the queue: one ``local_train`` call."""
+    return local_train(model, r.world.spec, r.shards[nid], r.cfg.trainer, r.rng(stream, nid, key))
+
+
+def _count_training(monkeypatch) -> list[int]:
+    """Record the number of models of every ``local_train_many`` call."""
+    batches = []
+
+    def counting(models, spec, parts, cfg, rngs):
+        batches.append(len(models))
+        return local_train_many(models, spec, parts, cfg, rngs)
+
+    monkeypatch.setattr(runner, "local_train_many", counting)
+    return batches
+
+
+QUEUE_CFGS = {
+    # Rounds of 12 trainers, more than one chunk.
+    "plexus": lambda **kw: tiny_cfg(n=16, sample_size=12, success_fraction=0.75, **kw),
+    "fl": lambda **kw: tiny_cfg(algorithm="fl", n=16, sample_size=12, success_fraction=0.75, **kw),
+    "gl": lambda **kw: tiny_cfg(
+        algorithm="gl", n=24, gl_timeout_s=5.0,
+        stop=StopConfig(max_rounds=1, max_virtual_s=130.0),
+        eval=EvalConfig(every_rounds=1, every_seconds=50.0), **kw,
+    ),
+}
+
+
+def _run_scoring(monkeypatch, cfg, world):
+    """``run_single``, the (age, values) of the models of every checkpoint,
+    and the size of every ``local_train_many`` call."""
+    scored = []
+
+    def scoring(models, spec, split):
+        scored.append([(m.age, m.values) for m in models])
+        return evaluate_many(models, spec, split)
+
+    monkeypatch.setattr(runner, "evaluate_many", scoring)
+    batches = _count_training(monkeypatch)
+    return run_single(cfg, world, 0), scored, batches
+
+
+@pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
+def test_queued_training_matches_training_each_model_at_once(monkeypatch, algorithm):
+    cfg = QUEUE_CFGS[algorithm]()
+    world = build_world(cfg)
+    queued, queued_models, batches = _run_scoring(monkeypatch, cfg, world)
+    monkeypatch.setattr(runner._Repetition, "train", _train_at_once)
+    alone, alone_models, _ = _run_scoring(monkeypatch, cfg, world)
+    assert max(batches) > 1  # the queue did batch
+    assert queued == alone
+    assert len(queued_models) == len(alone_models) >= 2
+    for got, want in zip(queued_models, alone_models):
+        assert [age for age, _ in got] == [age for age, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+def test_a_queued_model_knows_its_age_and_dim_before_it_trains(monkeypatch):
+    batches = _count_training(monkeypatch)
+    cfg = tiny_cfg()
+    world = build_world(cfg)
+    r = runner._Repetition(cfg, world, 0)
+    model = ModelParameters(_init_model(cfg, world.spec, 0, None).values, age=5)
+    nodes = world.membership.nodes
+    keys = [(nodes[i % len(nodes)], i) for i in range(learning._TRAIN_CHUNK + 1)]
+    queued = [r.train("train", nid, key, model) for nid, key in keys[: learning._TRAIN_CHUNK - 1]]
+    assert batches == []
+    assert all(q.age == 5 + cfg.trainer.local_steps and q.dim == model.dim for q in queued)
+    # The chunk's last model trains the queue; the next one trains when read.
+    queued += [r.train("train", nid, key, model) for nid, key in keys[learning._TRAIN_CHUNK - 1 :]]
+    assert batches == [learning._TRAIN_CHUNK]
+    assert queued[-1].age == 5 + cfg.trainer.local_steps and queued[-1].dim == model.dim
+    for q, (nid, key) in zip(queued[::-1], keys[::-1]):
+        want = _train_at_once(r, "train", nid, key, model)
+        assert np.array_equal(q.values, want.values)
+    assert batches == [learning._TRAIN_CHUNK, 1]
+
+
+@pytest.mark.parametrize("algorithm", ["plexus", "gl"])
+def test_a_diverging_queued_run_raises(algorithm):
+    cfg = QUEUE_CFGS[algorithm](trainer=TrainerConfig(eta=1e308, batch_size=16, local_steps=2))
+    with pytest.raises(ValueError, match="divergence"), np.errstate(all="ignore"):
+        run_single(cfg, build_world(cfg), 0)
+
+
+# Work budgets: the rate solves, the flows they solve and the training calls
+# of two small engine runs. A change that lowers one updates it here; a change
+# that raises one must say why.
+WORK_BUDGETS = {
+    "plexus-small": (
+        lambda: load_config(CONFIGS / "plexus-small.yaml"),
+        {"maxmin_calls": 178, "flows_solved": 364, "train_calls": 21, "models_trained": 100},
+    ),
+    "gl-n100": (
+        lambda: replace(
+            load_config(CONFIGS / "plexus-small.yaml"),
+            algorithm="gl", n=100, gl_timeout_s=60.0,
+            stop=StopConfig(max_rounds=1, max_virtual_s=600.0),
+            eval=EvalConfig(every_rounds=1, every_seconds=250.0),
+        ),
+        {"maxmin_calls": 1001, "flows_solved": 1002, "train_calls": 132, "models_trained": 991},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORK_BUDGETS))
+def test_work_budget(monkeypatch, name):
+    make_cfg, want = WORK_BUDGETS[name]
+    solved = []
+
+    def solving(flows, up, down):
+        solved.append(len(flows))
+        return maxmin_rates(flows, up, down)
+
+    monkeypatch.setattr(simnet, "maxmin_rates", solving)
+    batches = _count_training(monkeypatch)
+    cfg = make_cfg()
+    led = run_single(cfg, build_world(cfg, CONFIGS), 0)
+    # Every training a node started and finished ran, the ones after the
+    # last checkpoint too.
+    assert sum(batches) == led.counters["models_trained"]
+    work = {
+        "maxmin_calls": len(solved),
+        "flows_solved": sum(solved),
+        "train_calls": len(batches),
+        "models_trained": sum(batches),
+    }
+    assert work == want
 
 
 def test_run_plexus_partial_rounds_count_late_models():

@@ -13,6 +13,7 @@ from plexsim.core import (
     Terminal,
     Train,
 )
+from plexsim import simnet
 from plexsim.simnet import (
     Engine,
     LatencyMatrix,
@@ -23,7 +24,7 @@ from plexsim.simnet import (
 )
 
 from conftest import make_membership
-from oracles import fluid_completions, fluid_rates, maxmin_reference
+from oracles import fluid_completions, fluid_rates, maxmin_reference, recompute_every_rate
 
 
 class Recorder:
@@ -532,6 +533,88 @@ def test_a_rate_solve_schedules_one_completion_event():
     assert [t for t, _, _, _ in eng.delivery_log] == [
         pytest.approx(3.0), pytest.approx(5.0), pytest.approx(6.0)
     ]
+
+
+def _replying_run(membership, latency, transfers):
+    """Run ``transfers`` (src, dst, bytes, start, reply bytes) on a fresh
+    engine: the ones with one start and sender are sent together, and a
+    receiver answers a transfer with a nonzero reply by sending that many
+    bytes back. Returns the delivery log, times in hex, and the byte total."""
+    eng = Engine(membership, latency, record_deliveries=True)
+
+    class Replier:
+        def on_message(self, now, src, msg):
+            reply = transfers[msg][4] if isinstance(msg, int) else 0
+            return [Send(src, ("reply", msg), reply)] if reply else []
+
+        def on_timer(self):
+            return []
+
+    for nid in membership.nodes:
+        eng.register(nid, Replier())
+    batches = defaultdict(list)
+    for i, (a, b, nbytes, start, _) in enumerate(transfers):
+        batches[start, a].append(Send(membership.nodes[b], i, nbytes))
+    for (start, a), sends in batches.items():
+        eng.inject(start, membership.nodes[a], sends)
+    eng.run()
+    return [(t.hex(), src, dst, nb) for t, src, dst, nb in eng.delivery_log], eng.bytes_total
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_component_resolve_matches_a_full_resolve_bit_for_bit(data):
+    # Tied capacities, a few sizes and start times, and replies sent at a
+    # completion instant: shares tie, transfers finish together, and a
+    # start lands on a finish. With ``crowd`` every transfer leaves node 0.
+    n = data.draw(st.integers(1, 8))
+    caps = st.sampled_from([1e6, 1e6 + 1e-10, 2e6, 3e6])
+    cities = data.draw(st.sampled_from([1, 2]))
+    m = make_membership(
+        n,
+        uplink=[data.draw(caps) for _ in range(n)],
+        downlink=[data.draw(caps) for _ in range(n)],
+        cities=cities,
+    )
+    latency = LatencyMatrix.zero() if cities == 1 else LatencyMatrix(
+        ("a", "b"), np.array([[0.0, 20.0], [20.0, 0.0]])
+    )
+    node = st.integers(0, n - 1)
+    transfer = st.tuples(
+        st.just(0) if data.draw(st.booleans()) else node,
+        node,  # the sender itself makes a free hand-off
+        st.sampled_from([1_000, 3_000_000, 6_000_000, 6_000_001]),
+        st.sampled_from([0.0, 1.0, 1.5, 3.0]),
+        st.sampled_from([0, 0, 2_000_000]),
+    )
+    transfers = data.draw(st.lists(transfer, min_size=1, max_size=12))
+    got = _replying_run(m, latency, transfers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_recompute_rates", recompute_every_rate)
+        want = _replying_run(m, latency, transfers)
+    assert got == want
+
+
+def test_a_start_or_finish_re_solves_only_its_component(monkeypatch):
+    # n000 -> n001 and n002 -> n003 share no port. The second start solves
+    # only its own flow, and its finish leaves no flow at its ports to solve.
+    solved = []
+
+    def counting(flows, up, down):
+        solved.append([tid for tid, _, _ in flows])
+        return maxmin_rates(flows, up, down)
+
+    monkeypatch.setattr(simnet, "maxmin_rates", counting)
+    m = make_membership(4, uplink=1e6, downlink=1e6)
+    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
+    for nid in m.nodes:
+        eng.register(nid, Recorder())
+    eng.inject(0.0, "n000", [Send("n001", ping("a"), 3_000_000)])
+    eng.inject(0.0, "n002", [Send("n003", ping("b"), 1_000_000)])
+    eng.run()
+    assert solved == [[0], [1]]
+    assert eng._solves == 3  # the finish at t=1 still schedules the next completion
+    assert [(t, dst) for t, _, dst, _ in eng.delivery_log] == [(1.0, "n003"), (3.0, "n001")]
 
 
 def test_past_scheduling_is_rejected():
