@@ -42,11 +42,9 @@ class RegularTopology:
 
     adjacency: tuple[tuple[int, ...], ...]
 
-    def out_neighbors(self, i: int, k: int) -> tuple[int, ...]:
-        return self.adjacency[i]
-
-    def in_neighbors(self, i: int, k: int) -> tuple[int, ...]:
-        return self.adjacency[i]
+    def in_neighbors(self, k: int) -> np.ndarray:
+        """Row i of the (n, d) table lists i's neighbors, in ascending order."""
+        return np.array(self.adjacency, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -56,13 +54,15 @@ class OnePeerExponential:
 
     n: int
 
-    def out_neighbors(self, i: int, k: int) -> tuple[int, ...]:
-        # Adding a constant offset modulo n, so every round is a permutation.
-        return ((i + _one_peer_offset(k, self.n)) % self.n,)
-
-    def in_neighbors(self, i: int, k: int) -> tuple[int, ...]:
-        offset = _one_peer_offset(k, self.n)
-        return ((i - offset) % self.n,)
+    def in_neighbors(self, k: int) -> np.ndarray:
+        """Row i of the (n, 1) table holds the node i receives from in round
+        k. The offset is the same for every node, so a round is a permutation."""
+        if self.n < 2:
+            raise ValueError("one-peer topology needs n >= 2")
+        if k < 1:
+            raise ValueError("round number must be >= 1")
+        offset = 1 << ((k - 1) % math.ceil(math.log2(self.n)))
+        return ((np.arange(self.n, dtype=np.intp) - offset) % self.n)[:, None]
 
 
 def make_regular_topology(n: int, degree: int, seed: int) -> RegularTopology:
@@ -139,15 +139,6 @@ def _is_connected(adjacency: list[list[int]]) -> bool:
     return len(seen) == len(adjacency)
 
 
-def _one_peer_offset(k: int, n: int) -> int:
-    if n < 2:
-        raise ValueError("one-peer topology needs n >= 2")
-    if k < 1:
-        raise ValueError("round number must be >= 1")
-    cycle = max(1, math.ceil(math.log2(n)))
-    return 1 << ((k - 1) % cycle)
-
-
 # ----------------------------------------------------------- fl baseline --
 
 
@@ -185,7 +176,7 @@ def fl_round(
     if not participants:
         raise ValueError("no candidates")
     threshold = success_threshold(len(participants), sf)
-    nbytes = model_size_bytes(model)
+    nbytes = model_size_bytes(model.dim)
     arrivals = []
     train_seconds = 0.0
     for nid in participants:
@@ -225,68 +216,70 @@ def uniform_selector(membership: Membership, rng: np.random.Generator):
 
 @dataclass(frozen=True)
 class DpsgdRoundResult:
-    models: list[ModelParameters]
+    models: np.ndarray
     duration_s: float
     bytes: int
     train_seconds: float
 
 
+# Rows that mixing gathers neighbors for at a time: no full-size gathers.
+_MIX_ROWS = 16
+
+
 def dpsgd_round(
-    models: list[ModelParameters],
-    membership: Membership,
+    models: np.ndarray,
     topology,
     k: int,
     latency: LatencyMatrix,
     *,
-    train_fn: Callable[[int, list[ModelParameters]], list[ModelParameters]],
+    train_fn: Callable[[int, np.ndarray], np.ndarray],
+    uplink_bps: np.ndarray,
+    downlink_bps: np.ndarray,
+    city_index: np.ndarray,
     compute_seconds: list[float],
 ) -> DpsgdRoundResult:
-    """One synchronous D-PSGD round: everyone trains, everyone exchanges
+    """One synchronous D-PSGD round over the (n, dim) stack ``models``, one
+    row per node in membership order: everyone trains, everyone exchanges
     models with its round-k neighbors, everyone averages what it holds with
     what it received. No node starts round k+1 before the slowest node is
     done, so the round's duration is the max over nodes of compute plus
-    transfer completion. ``train_fn(k, models)`` trains all n models of
-    round k at once.
+    transfer completion. ``train_fn(k, models)`` trains all n rows of round
+    k at once; the links, cities and compute seconds are per node.
 
     Port contention is modeled per endpoint: a sender's uploads share its
     uplink, a receiver's downloads cannot beat its downlink, and a transfer
     cannot arrive before its sender finished training plus one-way latency.
     """
-    n = len(models)
-    nbytes = model_size_bytes(models[0])
+    n, dim = models.shape
+    nbytes = model_size_bytes(dim)
     trained = train_fn(k, models)
-    profiles = [membership.profile(nid) for nid in membership.nodes]
+    ins = topology.in_neighbors(k)  # row i: the nodes i receives from
+    d = ins.shape[1]
+    compute = np.asarray(compute_seconds)
 
-    outs = [topology.out_neighbors(i, k) for i in range(n)]
-    # When the last byte of each node's uploads left it.
-    out_done = [
-        compute_seconds[i] + len(outs[i]) * nbytes / profiles[i].uplink_bps for i in range(n)
-    ]
-    duration = 0.0
-    mixed = []
-    for i in range(n):
-        ins = topology.in_neighbors(i, k)
-        arrivals = []
-        first_possible = []
-        for j in ins:
-            lat = latency.one_way_s(profiles[j].city_index, profiles[i].city_index)
-            arrivals.append(out_done[j] + lat)
-            first_possible.append(compute_seconds[j] + lat)
-        downlink_bound = min(first_possible) + len(ins) * nbytes / profiles[i].downlink_bps
-        in_done = max(max(arrivals), downlink_bound)
-        duration = max(duration, out_done[i], in_done)
+    # When the last byte of each node's uploads left it: a node sends to
+    # every node whose row names it.
+    sends = np.bincount(ins.ravel(), minlength=n)
+    out_done = compute + sends * nbytes / uplink_bps
+    # LatencyMatrix.one_way_s of every (sender, receiver) pair.
+    lat = latency.rtt_ms[city_index[ins], city_index[:, None]] / 2.0 / 1000.0
+    downlink_bound = (compute[ins] + lat).min(axis=1) + d * nbytes / downlink_bps
+    in_done = np.maximum((out_done[ins] + lat).max(axis=1), downlink_bound)
 
-        # The float sequence of np.mean over the stacked models, own first.
-        mean = trained[i].values.copy()
-        for j in ins:
-            mean += trained[j].values
-        mean /= len(ins) + 1
-        mean.flags.writeable = False
-        mixed.append(ModelParameters(mean, age=trained[i].age))
+    # Own row first, then each neighbor slot in turn: the float sequence of
+    # np.mean over each node's stacked models.
+    mixed = trained.copy()
+    for lo in range(0, n, _MIX_ROWS):
+        for slot in ins[lo : lo + _MIX_ROWS].T:
+            mixed[lo : lo + _MIX_ROWS] += trained[slot]
+    mixed /= d + 1
+    if not np.isfinite(mixed).all():
+        raise ValueError("model values must be finite")
+    mixed.flags.writeable = False
     return DpsgdRoundResult(
         models=mixed,
-        duration_s=duration,
-        bytes=sum(map(len, outs)) * nbytes,
+        duration_s=float(max(out_done.max(), in_done.max())),
+        bytes=ins.size * nbytes,
         train_seconds=float(sum(compute_seconds)),
     )
 

@@ -56,6 +56,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         summary = run_experiment(cfg, out, base_dir=base_dir)
     except (ValueError, SimulationError) as exc:
         return _fail(str(exc))
+    _warn_empty_repetitions(summary)
     print(f"wrote {out}/summary.json")
     for target, entry in summary["cross_seed"].items():
         print(
@@ -64,6 +65,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"not_reached={entry['not_reached']}"
         )
     return 0
+
+
+def _warn_empty_repetitions(summary: dict) -> None:
+    for rep in summary["reps"]:
+        if rep["final_accuracy"] is None:
+            print(f"warning: repetition {rep['rep']} recorded no accuracy point", file=sys.stderr)
 
 
 def _fmt(v) -> str:
@@ -108,6 +115,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             summary = run_experiment(swept, out, base_dir=Path(args.config).parent)
         except (ValueError, SimulationError) as exc:
             return _fail(str(exc))
+        _warn_empty_repetitions(summary)
         stats = [r["round_stats"] for r in summary["reps"] if r["round_stats"]]
         mean_dur = sum(s["mean"] for s in stats) / len(stats) if stats else None
         target = repr(cfg.targets[0])

@@ -92,10 +92,10 @@ def average_models(models: Sequence[ModelParameters]) -> ModelParameters:
     return ModelParameters(mean, age=0)
 
 
-def model_size_bytes(model: ModelParameters) -> int:
-    """Wire size of a model transfer: 8 bytes per parameter plus a
-    16-byte header (dimension and age)."""
-    return 8 * model.dim + 16
+def model_size_bytes(dim: int) -> int:
+    """Wire size of the transfer of a model of ``dim`` parameters: 8 bytes
+    per parameter plus a 16-byte header (dimension and age)."""
+    return 8 * dim + 16
 
 
 # -------------------------------------------------------------- topology --
@@ -196,7 +196,7 @@ def message_size_bytes(msg: Message) -> int:
     model = getattr(msg, "model", None)
     if model is None:
         return 0
-    return model_size_bytes(model)
+    return model_size_bytes(model.dim)
 
 
 # --------------------------------------------------------------- effects --

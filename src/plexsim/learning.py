@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -346,7 +347,8 @@ def local_train(
     """Run ``local_steps`` minibatch SGD steps and return a new model with
     age advanced by the step count. The input model is never modified and
     the momentum buffer starts at zero on every invocation."""
-    return local_train_many([model], spec, [part], cfg, [rng])[0]
+    (values,) = local_train_many([model.values], spec, [part], cfg, [rng])
+    return ModelParameters(values, age=model.age + cfg.local_steps)
 
 
 # Models that one stacked SGD step trains together. On the dpsgd-desk shapes
@@ -358,30 +360,30 @@ _TRAIN_CHUNK = 10
 
 
 def local_train_many(
-    models: list[ModelParameters],
+    thetas: Sequence[np.ndarray],
     spec: ModelSpec,
     parts: list[DataPartition],
     cfg: TrainerConfig,
     rngs: list[np.random.Generator],
-) -> list[ModelParameters]:
-    """``local_train`` of each model on its own shard and stream: model i
-    trains on ``parts[i]`` with batches drawn from ``rngs[i]``, and comes
-    out float for float as if it trained alone. Each model draws all of its
-    batches first, in the order a step-by-step loop draws them; each step
-    then moves a chunk of ``_TRAIN_CHUNK`` models as one stack, whose
+) -> np.ndarray:
+    """A new (models, dim) stack of ``local_train`` of each parameter vector
+    (or stack row) in ``thetas``: row i trains on ``parts[i]`` with batches
+    from ``rngs[i]``, float for float as if alone. Each model draws all of
+    its batches first, in the order a step-by-step loop draws them; each
+    step then moves a chunk of ``_TRAIN_CHUNK`` rows as one stack, whose
     gradient makes the same products and sums per model as one model's."""
     if any(len(part) == 0 for part in parts):
         raise ValueError("cannot train on an empty shard")
-    trained: list[ModelParameters] = []
-    for lo in range(0, len(models), _TRAIN_CHUNK):
+    trained = np.array(thetas, dtype=np.float64)
+    for lo in range(0, len(trained), _TRAIN_CHUNK):
         hi = lo + _TRAIN_CHUNK
-        trained += _train_chunk(models[lo:hi], spec, parts[lo:hi], cfg, rngs[lo:hi])
+        _train_chunk(trained[lo:hi], spec, parts[lo:hi], cfg, rngs[lo:hi])
     return trained
 
 
-def _train_chunk(models, spec, parts, cfg, rngs) -> list[ModelParameters]:
-    """``local_train_many`` of at most ``_TRAIN_CHUNK`` models."""
-    k, steps, size = len(models), cfg.local_steps, cfg.batch_size
+def _train_chunk(theta, spec, parts, cfg, rngs) -> None:
+    """``local_train_many`` of at most ``_TRAIN_CHUNK`` rows, in place."""
+    k, steps, size = len(theta), cfg.local_steps, cfg.batch_size
     rows = np.empty((k, steps, size), dtype=np.intp)
     labels = np.empty((k, steps, size), dtype=parts[0].y.dtype)
     for i, (part, rng) in enumerate(zip(parts, rngs)):
@@ -393,9 +395,6 @@ def _train_chunk(models, spec, parts, cfg, rngs) -> list[ModelParameters]:
                 idx = rng.integers(0, m, size=size)
             rows[i, s] = part.rows[idx]
         labels[i] = part.y[rows[i]]
-    theta = np.empty((k, spec.dim))
-    for i, model in enumerate(models):
-        theta[i] = model.values
     velocity = np.zeros_like(theta)
     step = np.empty_like(theta)
     X = np.empty((k, size, spec.d_in))
@@ -411,12 +410,6 @@ def _train_chunk(models, spec, parts, cfg, rngs) -> list[ModelParameters]:
         theta -= step
     if not np.isfinite(theta).all():
         raise ValueError("divergence: reduce eta")
-    trained = []
-    for model, values in zip(models, theta):
-        values = values.copy()
-        values.flags.writeable = False
-        trained.append(ModelParameters(values, age=model.age + steps))
-    return trained
 
 
 class EvalSplit:
@@ -450,9 +443,10 @@ _EVAL_ROWS = 512
 _EVAL_COLS = 512
 
 
-def evaluate_many(models: list[ModelParameters], spec: ModelSpec, split: EvalSplit) -> list[float]:
-    """Top-1 accuracy of each model on ``split``, equal float for float to
-    scoring each model alone with ``logits`` over all of its rows.
+def evaluate_many(thetas: Sequence[np.ndarray], spec: ModelSpec, split: EvalSplit) -> list[float]:
+    """Top-1 accuracy on ``split`` of each parameter vector (or stack row) in
+    ``thetas``, equal float for float to scoring each alone with ``logits``
+    over all of the split's rows.
 
     Linear models are scored in blocks, one float32 GEMM per tile of rows,
     and each (model, row) pair is decided from certified margins. Let z* be
@@ -488,14 +482,14 @@ def evaluate_many(models: list[ModelParameters], spec: ModelSpec, split: EvalSpl
         raise ValueError(f"test labels must lie in [0, {spec.classes})")
     if spec.family != "linear":
         X, y = split.X[split.rows], split.y[split.rows]
-        return [_count_correct(spec, m.values, X, y) / y.size for m in models]
+        return [_count_correct(spec, theta, X, y) / y.size for theta in thetas]
     c, N = spec.classes, labels.size
     per_block = max(1, _EVAL_COLS // c)
     accs: list[float] = []
-    for first in range(0, len(models), per_block):
-        thetas = np.stack([m.values for m in models[first : first + per_block]])
-        B = len(thetas)
-        W, b = spec._unpack_linear(thetas)
+    for first in range(0, len(thetas), per_block):
+        block = np.stack(thetas[first : first + per_block])
+        B = len(block)
+        W, b = spec._unpack_linear(block)
         w, bias = np.sqrt(np.einsum("mcd,mcd->mc", W, W)).max(axis=1), np.abs(b).max(axis=1)
         s64, o64 = _linear_logit_error_bound(w, bias, spec.d_in)
         s32, o32 = _float32_logit_error_bound(w, bias, spec.d_in)
@@ -524,7 +518,7 @@ def evaluate_many(models: list[ModelParameters], spec: ModelSpec, split: EvalSpl
             pending = unsure[:, rows]
             correct += np.count_nonzero(hit & pending, axis=1)
             for i in np.flatnonzero((still & pending).any(axis=1)):
-                correct[i] = _count_correct(spec, thetas[i], split.X[split.rows], split.y[split.rows])
+                correct[i] = _count_correct(spec, block[i], split.X[split.rows], split.y[split.rows])
         accs.extend(int(k) / N for k in correct)
     return accs
 

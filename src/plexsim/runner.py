@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -175,19 +175,20 @@ class _Repetition:
         models, nids, rngs, outs = zip(*self._queue)
         self._queue = []
         parts = [self.shards[nid] for nid in nids]
-        trained = local_train_many(list(models), self.world.spec, parts, self.cfg.trainer, list(rngs))
-        for out, model in zip(outs, trained):
-            out._trained = model
+        values = [model.values for model in models]
+        trained = local_train_many(values, self.world.spec, parts, self.cfg.trainer, list(rngs))
+        for out, row in zip(outs, trained):
+            out._trained = ModelParameters(row, out.age)
 
     def init(self, nid: Optional[str]) -> ModelParameters:
         return _init_model(self.cfg, self.world.spec, self.rep, nid)
 
     def score(
-        self, at: float, round_no: int, models: list[ModelParameters], bytes_total: int, train_seconds_total: float
+        self, at: float, round_no: int, thetas: Sequence[np.ndarray], bytes_total: int, train_seconds_total: float
     ) -> AccuracyPoint:
-        """The mean and std accuracy of ``models``, with the byte and
-        training-second totals given."""
-        accs = evaluate_many(models, self.world.spec, self.test)
+        """The mean and std accuracy of the parameter vectors ``thetas``,
+        with the byte and training-second totals given."""
+        accs = evaluate_many(thetas, self.world.spec, self.test)
         return AccuracyPoint(
             at, round_no, float(np.mean(accs)), float(np.std(accs)), bytes_total, train_seconds_total,
         )
@@ -198,7 +199,7 @@ class _Repetition:
         """Record the score of ``models`` with the byte and training-second
         totals ``totals`` (the ledger or the engine) hold now."""
         self.ledger.accuracy.append(
-            self.score(at, round_no, models, totals.bytes_total, totals.train_seconds_total)
+            self.score(at, round_no, [m.values for m in models], totals.bytes_total, totals.train_seconds_total)
         )
 
 
@@ -316,10 +317,15 @@ def _run_dpsgd(r: _Repetition) -> None:
     node_ids = world.membership.nodes
     shards = [r.shards[nid] for nid in node_ids]
     compute_secs = [r.compute_s[nid] for nid in node_ids]
-    models = [r.init(nid) for nid in node_ids]
+    profiles = [world.membership.profile(nid) for nid in node_ids]
+    keys = ("uplink_bps", "downlink_bps", "city_index")
+    links = {key: np.array([getattr(p, key) for p in profiles]) for key in keys}
+    # One row per node; read-only, as every round's, while the scorer holds it.
+    models = np.stack([r.init(nid).values for nid in node_ids])
+    models.flags.writeable = False
     checkpoints = deque(_multiples(cfg.eval.every_seconds, cfg.stop.max_virtual_s))
 
-    def train_round(k: int, models: list[ModelParameters]) -> list[ModelParameters]:
+    def train_round(k: int, models: np.ndarray) -> np.ndarray:
         rngs = [r.rng("train", nid, k) for nid in node_ids]
         return local_train_many(models, world.spec, shards, cfg.trainer, rngs)
 
@@ -331,13 +337,7 @@ def _run_dpsgd(r: _Repetition) -> None:
     with ThreadPoolExecutor(max_workers=1) as scorer:
         for k in range(1, cfg.stop.max_rounds + 1):
             res = dpsgd_round(
-                models,
-                world.membership,
-                topology,
-                k,
-                world.latency,
-                train_fn=train_round,
-                compute_seconds=compute_secs,
+                models, topology, k, world.latency, train_fn=train_round, compute_seconds=compute_secs, **links
             )
             t_end = ledger.final_time_s + res.duration_s
             # Checkpoints inside this round observe the models committed before it.

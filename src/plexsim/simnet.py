@@ -358,8 +358,12 @@ class Engine:
         for port in (("u", rec.src), ("d", rec.dst)):
             self._port_tids[port].discard(ev.tid)
             self._touched.add(port)
+        # The last solve, at t, set this event at fl(t + fl(fl(total - done) /
+        # rate)); since then only this event's _advance (any other is followed
+        # by a solve) added fl(rate * fl(now - t)). Six roundings within u =
+        # 2^-53 each leave <= u (5 total + rate * now) bytes; 32u is allowed.
         drift = abs(rec.total_bytes - rec.bytes_done)
-        if drift > 1e-6 * max(1.0, rec.total_bytes):
+        if drift > 2.0**-48 * (rec.total_bytes + rec.rate * self.now):
             raise SimulationError(
                 f"transfer {ev.tid} byte conservation off by {drift}"
             )

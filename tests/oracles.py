@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from plexsim.core import derive_rng
+from plexsim.core import derive_rng, model_size_bytes
 from plexsim.sampler import node_rank_key
 from plexsim.simnet import SimulationError, TransferRateRecompute
 
@@ -186,6 +186,44 @@ def mean_by_loop(vectors: list) -> np.ndarray:
     return acc / len(vectors)
 
 
+# -------------------------------------------------------- dpsgd reference --
+
+
+def dpsgd_round_reference(models, topology, k, latency, *, train_fn, uplink_bps, downlink_bps, city_index, compute_seconds):
+    """``dpsgd_round`` as first written: a loop over the nodes reads each
+    row of the round's neighbour table, looks every pair's latency up with
+    ``one_way_s`` and averages each node's own model and its neighbours' in
+    turn. Returns (mixed models, duration, bytes, training seconds)."""
+    n, dim = models.shape
+    nbytes = model_size_bytes(dim)
+    trained = train_fn(k, models)
+    table = topology.in_neighbors(k)
+    sends = [0] * n
+    for row in table:
+        for j in row:
+            sends[j] += 1
+    out_done = [compute_seconds[i] + sends[i] * nbytes / uplink_bps[i] for i in range(n)]
+    duration = 0.0
+    mixed = []
+    for i in range(n):
+        ins = [int(j) for j in table[i]]
+        arrivals = []
+        first_possible = []
+        for j in ins:
+            lat = latency.one_way_s(city_index[j], city_index[i])
+            arrivals.append(out_done[j] + lat)
+            first_possible.append(compute_seconds[j] + lat)
+        downlink_bound = min(first_possible) + len(ins) * nbytes / downlink_bps[i]
+        in_done = max(max(arrivals), downlink_bound)
+        duration = max(duration, out_done[i], in_done)
+        mean = trained[i].copy()
+        for j in ins:
+            mean += trained[j]
+        mean /= len(ins) + 1
+        mixed.append(mean)
+    return np.stack(mixed), duration, sum(sends) * nbytes, float(sum(compute_seconds))
+
+
 # ------------------------------------------------------- fedavg reference --
 
 
@@ -231,16 +269,15 @@ def synth_dataset_reference(seed, n_samples, d_in, classes, noise=0.0, class_sep
 # ------------------------------------------------------------ evaluation --
 
 
-def evaluate_reference(models, spec, X, y) -> list:
-    """Top-1 accuracy of each model in turn: unpack its vector, compute its
-    logits over all of X with one matrix product per layer and take the
+def evaluate_reference(thetas, spec, X, y) -> list:
+    """Top-1 accuracy of each parameter vector in turn: unpack it, compute
+    its logits over all of X with one matrix product per layer and take the
     first maximal class of every row."""
     if y.size == 0:
         raise ValueError("empty test set")
     c, d, h = spec.classes, spec.d_in, spec.hidden
     accs = []
-    for model in models:
-        theta = model.values
+    for theta in thetas:
         if spec.family == "linear":
             W, b = theta[: c * d].reshape(c, d), theta[c * d:]
             z = X @ W.T + b

@@ -160,7 +160,7 @@ FUNCTIONS = [
 
 # Parameters that some definition of a method name reads. A method shares
 # its signature with every other definition of that name (a topology's
-# ``out_neighbors(i, k)``, a handler's ``on_message(now, src, msg)``), so one
+# ``in_neighbors(k)``, a handler's ``on_message(now, src, msg)``), so one
 # implementation may ignore what another needs.
 READ_BY_NAME: dict = {}
 for _, fn in FUNCTIONS:

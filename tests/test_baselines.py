@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plexsim.baselines import (
@@ -17,7 +17,7 @@ from plexsim.core import GossipModel, ModelParameters, Send, SetTimer
 from plexsim.simnet import Engine, LatencyMatrix
 
 from conftest import make_membership
-from oracles import mean_by_loop
+from oracles import dpsgd_round_reference, mean_by_loop
 
 
 def flat(*vals):
@@ -106,7 +106,11 @@ def test_regular_topology_equals_networkx():
 
 def test_regular_topology_neighbors_constant_over_rounds():
     topo = make_regular_topology(12, 4, seed=0)
-    assert topo.out_neighbors(3, 1) == topo.out_neighbors(3, 99) == topo.in_neighbors(3, 7)
+    table = topo.in_neighbors(1)
+    assert table.shape == (12, 4) and table.dtype == np.intp
+    assert np.array_equal(table, topo.in_neighbors(99))
+    assert np.array_equal(table, topo.in_neighbors(7))
+    assert [tuple(row) for row in table.tolist()] == list(topo.adjacency)
 
 
 def test_regular_topology_validation():
@@ -116,29 +120,36 @@ def test_regular_topology_validation():
         make_regular_topology(5, 3, seed=0)
 
 
+def receivers(topo, k, sender):
+    """The nodes whose round-k row of the neighbour table names ``sender``."""
+    return tuple(np.flatnonzero((topo.in_neighbors(k) == sender).any(axis=1)).tolist())
+
+
 def test_one_peer_offsets_cycle_through_powers_of_two():
     # n=8: cycle length ceil(log2 8) = 3, offsets 1, 2, 4, repeating.
-    assert [OnePeerExponential(8).out_neighbors(0, k) for k in (1, 2, 3, 4)] == [(1,), (2,), (4,), (1,)]
-    assert OnePeerExponential(8).out_neighbors(7, 1) == (0,)  # wraps around the ring
+    assert [receivers(OnePeerExponential(8), k, 0) for k in (1, 2, 3, 4)] == [(1,), (2,), (4,), (1,)]
+    assert receivers(OnePeerExponential(8), 1, 7) == (0,)  # wraps around the ring
+    assert OnePeerExponential(8).in_neighbors(1)[0].tolist() == [7]
     # n=5: offsets still 1, 2, 4 (cycle ceil(log2 5) = 3).
-    assert [OnePeerExponential(5).out_neighbors(0, k) for k in (1, 2, 3)] == [(1,), (2,), (4,)]
+    assert [receivers(OnePeerExponential(5), k, 0) for k in (1, 2, 3)] == [(1,), (2,), (4,)]
 
 
 def test_one_peer_is_a_permutation_each_round():
     topo = OnePeerExponential(10)
     for k in (1, 2, 3, 4, 5):
-        outs = [topo.out_neighbors(i, k)[0] for i in range(10)]
-        assert sorted(outs) == list(range(10))
+        table = topo.in_neighbors(k)
+        assert table.shape == (10, 1) and table.dtype == np.intp
+        assert sorted(table[:, 0].tolist()) == list(range(10))
         for i in range(10):
-            j = topo.out_neighbors(i, k)[0]
-            assert topo.in_neighbors(j, k) == (i,)
+            j = int(table[i, 0])
+            assert receivers(topo, k, j) == (i,)
 
 
 def test_one_peer_validation():
     with pytest.raises(ValueError):
-        OnePeerExponential(1).out_neighbors(0, 1)
+        OnePeerExponential(1).in_neighbors(1)
     with pytest.raises(ValueError):
-        OnePeerExponential(8).out_neighbors(0, 0)
+        OnePeerExponential(8).in_neighbors(0)
 
 
 # ---------------------------------------------------------------- fedavg fl --
@@ -253,23 +264,40 @@ def k3_topology():
     return make_regular_topology(3, 2, seed=0)
 
 
+def stack(*rows):
+    models = np.array(rows, dtype=np.float64)
+    models.flags.writeable = False
+    return models
+
+
+def keep(k, models):
+    return models
+
+
+def node_arrays(m, compute_seconds):
+    """The per-node keyword arguments of ``dpsgd_round`` for membership m."""
+    profiles = [m.profile(nid) for nid in m.nodes]
+    return {
+        "uplink_bps": np.array([p.uplink_bps for p in profiles]),
+        "downlink_bps": np.array([p.downlink_bps for p in profiles]),
+        "city_index": np.array([p.city_index for p in profiles]),
+        "compute_seconds": compute_seconds,
+    }
+
+
 def test_dpsgd_mixing_on_complete_graph_reaches_consensus():
     m = make_membership(3, uplink=96.0, downlink=96.0, step=1.0)
-    models = [flat(0.0), flat(3.0), flat(6.0)]
+    models = stack([0.0], [3.0], [6.0])
     res = dpsgd_round(
-        models,
-        m,
-        k3_topology(),
-        k=1,
-        latency=LatencyMatrix.zero(),
-        train_fn=lambda k, models: models,
-        compute_seconds=[1.0, 1.0, 1.0],
+        models, k3_topology(), k=1, latency=LatencyMatrix.zero(),
+        train_fn=keep, **node_arrays(m, [1.0, 1.0, 1.0]),
     )
     for mixed in res.models:
-        assert np.array_equal(mixed.values, [3.0])  # mean of 0, 3, 6
+        assert np.array_equal(mixed, [3.0])  # mean of 0, 3, 6
     # Everyone ships 2 models of 24 bytes (dim 1).
     assert res.bytes == 3 * 2 * 24
     assert res.train_seconds == pytest.approx(3.0)
+    assert not res.models.flags.writeable
 
 
 def test_dpsgd_duration_uniform_hand_case():
@@ -278,15 +306,9 @@ def test_dpsgd_duration_uniform_hand_case():
     # 1 s for both arrivals after the earliest sender finished at 1 s:
     # the receive bound max(3, 1 + 1) = 3. Duration 3.
     m = make_membership(3, uplink=96.0, downlink=192.0, step=1.0)
-    models = [ModelParameters(np.zeros(10)) for _ in range(3)]
     res = dpsgd_round(
-        models,
-        m,
-        k3_topology(),
-        k=1,
-        latency=LatencyMatrix.zero(),
-        train_fn=lambda k, models: models,
-        compute_seconds=[1.0, 1.0, 1.0],
+        np.zeros((3, 10)), k3_topology(), k=1, latency=LatencyMatrix.zero(),
+        train_fn=keep, **node_arrays(m, [1.0, 1.0, 1.0]),
     )
     assert res.duration_s == pytest.approx(3.0)
 
@@ -297,15 +319,9 @@ def test_dpsgd_duration_heterogeneous_two_nodes():
     # at 96 B/s -> send done at 2 s. No latency; wide downlinks. The round
     # must wait for the slowest leg: 4 s.
     m = make_membership(2, uplink=[48.0, 96.0], downlink=[9600.0, 9600.0])
-    models = [ModelParameters(np.zeros(10)), ModelParameters(np.zeros(10))]
     res = dpsgd_round(
-        models,
-        m,
-        OnePeerExponential(2),
-        k=1,
-        latency=LatencyMatrix.zero(),
-        train_fn=lambda k, models: models,
-        compute_seconds=[2.0, 1.0],
+        np.zeros((2, 10)), OnePeerExponential(2), k=1, latency=LatencyMatrix.zero(),
+        train_fn=keep, **node_arrays(m, [2.0, 1.0]),
     )
     assert res.duration_s == pytest.approx(4.0)
     assert res.bytes == 2 * 96
@@ -315,50 +331,94 @@ def test_dpsgd_latency_delays_arrivals():
     m = make_membership(2, uplink=96.0, downlink=9600.0, cities=2)
     lat = LatencyMatrix(("a", "b"), np.array([[0.0, 100.0], [100.0, 0.0]]))
     res = dpsgd_round(
-        [ModelParameters(np.zeros(10)), ModelParameters(np.zeros(10))],
-        m,
-        OnePeerExponential(2),
-        k=1,
-        latency=lat,
-        train_fn=lambda k, models: models,
-        compute_seconds=[1.0, 1.0],
+        np.zeros((2, 10)), OnePeerExponential(2), k=1, latency=lat,
+        train_fn=keep, **node_arrays(m, [1.0, 1.0]),
     )
     # send done at 2 s, plus 50 ms one-way.
     assert res.duration_s == pytest.approx(2.05)
 
 
-def test_dpsgd_one_peer_mixes_pairwise_and_keeps_age():
+def test_dpsgd_one_peer_mixes_pairwise():
     m = make_membership(4, uplink=9600.0, downlink=9600.0)
-    models = [ModelParameters(np.array([float(i)]), age=i) for i in range(4)]
+    models = stack([0.0], [1.0], [2.0], [3.0])
     res = dpsgd_round(
-        models,
-        m,
-        OnePeerExponential(4),
-        k=1,  # offset 1: i receives from i-1
-        latency=LatencyMatrix.zero(),
-        train_fn=lambda k, models: models,
-        compute_seconds=[0.0] * 4,
+        models, OnePeerExponential(4), k=1,  # offset 1: i receives from i-1
+        latency=LatencyMatrix.zero(), train_fn=keep, **node_arrays(m, [0.0] * 4),
     )
     for i in range(4):
-        want = (models[i].values + models[(i - 1) % 4].values) / 2.0
-        assert np.array_equal(res.models[i].values, want)
-        assert res.models[i].age == models[i].age
+        want = (models[i] + models[(i - 1) % 4]) / 2.0
+        assert np.array_equal(res.models[i], want)
 
 
 def test_dpsgd_round_varies_with_one_peer_round_number():
     m = make_membership(4, uplink=9600.0, downlink=9600.0)
-    models = [ModelParameters(np.array([float(i)])) for i in range(4)]
-    r1 = dpsgd_round(
-        models, m, OnePeerExponential(4), k=1, latency=LatencyMatrix.zero(),
-        train_fn=lambda k, models: models, compute_seconds=[0.0] * 4,
+    models = stack([0.0], [1.0], [2.0], [3.0])
+    r1, r2 = (
+        dpsgd_round(
+            models, OnePeerExponential(4), k=k, latency=LatencyMatrix.zero(),
+            train_fn=keep, **node_arrays(m, [0.0] * 4),
+        )
+        for k in (1, 2)
     )
-    r2 = dpsgd_round(
-        models, m, OnePeerExponential(4), k=2, latency=LatencyMatrix.zero(),
-        train_fn=lambda k, models: models, compute_seconds=[0.0] * 4,
+    assert not np.array_equal(r1.models, r2.models)
+
+
+def test_dpsgd_round_rejects_a_mix_that_overflows():
+    m = make_membership(3, uplink=96.0, downlink=96.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        dpsgd_round(
+            stack([1e308], [1e308], [1e308]), k3_topology(), k=1, latency=LatencyMatrix.zero(),
+            train_fn=keep, **node_arrays(m, [1.0] * 3),
+        )
+
+
+@st.composite
+def dpsgd_rounds(draw):
+    """A round's inputs: a connected regular graph or a one-peer graph on
+    2 to 24 nodes, a round number, each node's links, city and compute
+    seconds, a symmetric latency matrix and a stack of models."""
+    n = draw(st.integers(2, 24))
+    if draw(st.booleans()):
+        topology = OnePeerExponential(n)
+    else:
+        degree = draw(st.integers(1, n - 1).filter(lambda d: n * d % 2 == 0 and (d > 1 or n == 2)))
+        try:
+            topology = make_regular_topology(n, degree, draw(st.integers(0, 1000)))
+        except ValueError:
+            assume(False)
+    cities = draw(st.integers(1, 4))
+    rtt = np.array(draw(st.lists(st.floats(0.0, 500.0), min_size=cities * cities, max_size=cities * cities)))
+    rtt = rtt.reshape(cities, cities)
+    rates = st.floats(1.0, 1e9)
+    seconds = st.floats(0.0, 1e4)
+    dim = draw(st.integers(1, 6))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    return dict(
+        models=np.array(draw(st.lists(values, min_size=n * dim, max_size=n * dim))).reshape(n, dim),
+        topology=topology,
+        k=draw(st.integers(1, 8)),
+        latency=LatencyMatrix(tuple(f"c{c}" for c in range(cities)), rtt + rtt.T),
+        uplink_bps=np.array(draw(st.lists(rates, min_size=n, max_size=n))),
+        downlink_bps=np.array(draw(st.lists(rates, min_size=n, max_size=n))),
+        city_index=np.array(draw(st.lists(st.integers(0, cities - 1), min_size=n, max_size=n))),
+        compute_seconds=draw(st.lists(seconds, min_size=n, max_size=n)),
     )
-    assert not all(
-        np.array_equal(a.values, b.values) for a, b in zip(r1.models, r2.models)
-    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(dpsgd_rounds())
+def test_dpsgd_round_matches_the_per_node_reference(case):
+    def train(k, models):
+        return models * 0.5 + k
+
+    res = dpsgd_round(train_fn=train, **case)
+    models, duration, nbytes, train_seconds = dpsgd_round_reference(train_fn=train, **case)
+    assert res.duration_s == duration
+    assert res.bytes == nbytes
+    assert res.train_seconds == train_seconds
+    assert res.models.shape == models.shape
+    for got, want in zip(res.models, models):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- gossip --

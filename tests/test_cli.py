@@ -279,7 +279,9 @@ def test_run_executes_and_writes_summary(tmp_path, capsys):
     out_dir = tmp_path / "results"
     rc = main(["run", cfg, "--out", str(out_dir)])
     assert rc == 0
-    printed = capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.err == ""  # every repetition recorded accuracy points
+    printed = captured.out
     assert "summary.json" in printed
     assert "target 0.5:" in printed
     with open(out_dir / "summary.json") as fh:
@@ -332,6 +334,45 @@ def test_sweep_runs_each_value(tmp_path, capsys):
     assert (out_root / "sweep.csv").exists()
     sweep_rows = (out_root / "sweep.csv").read_text().strip().splitlines()
     assert len(sweep_rows) == 3  # header + 2 values
+
+
+def desk_cfg(tmp_path, name, **stop_and_eval):
+    """A committed desk config with some ``stop`` and ``eval`` keys set."""
+    raw = yaml.safe_load((CONFIGS_DIR / name).read_text())
+    for section, values in stop_and_eval.items():
+        raw[section].update(values)
+    p = tmp_path / name
+    p.write_text(json.dumps(raw))
+    return str(p)
+
+
+EMPTY_RUNS = {
+    # Two rounds end before the first checkpoint at 3000 s.
+    "dpsgd": ("dpsgd-desk.yaml", {"stop": {"max_rounds": 2}, "eval": {"every_seconds": 3000.0}}),
+    # No round fires within one virtual second.
+    "plexus": ("plexus-desk.yaml", {"stop": {"max_virtual_s": 1.0}}),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(EMPTY_RUNS))
+def test_run_warns_of_a_repetition_without_accuracy_points(tmp_path, capsys, algorithm):
+    name, overrides = EMPTY_RUNS[algorithm]
+    out_dir = tmp_path / "out"
+    rc = main(["run", desk_cfg(tmp_path, name, **overrides), "--out", str(out_dir)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: repetition 0 recorded no accuracy point\n"
+    assert "wrote" in captured.out
+    assert (out_dir / "rep0" / "accuracy.csv").read_text() == "time_s,round,accuracy,accuracy_std\n"
+    assert json.loads((out_dir / "summary.json").read_text())["reps"][0]["final_accuracy"] is None
+
+
+def test_sweep_warns_of_each_repetition_without_accuracy_points(tmp_path, capsys):
+    name, overrides = EMPTY_RUNS["plexus"]
+    cfg = desk_cfg(tmp_path, name, **overrides)
+    rc = main(["sweep", cfg, "--param", "protocol_seed", "--values", "1,2", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == "warning: repetition 0 recorded no accuracy point\n" * 2
 
 
 def test_sweep_rejects_unknown_param(tmp_path, capsys):

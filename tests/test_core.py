@@ -149,7 +149,7 @@ def test_average_permutation_invariant_and_bounded(seed, count, dim):
 
 def test_model_size_formula():
     m = ModelParameters(np.zeros(1000))
-    assert model_size_bytes(m) == 8016
+    assert model_size_bytes(m.dim) == 8016
     assert message_size_bytes(Train(1, m)) == 8016
     assert message_size_bytes(Aggregate(1, m)) == 8016
 

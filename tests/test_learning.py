@@ -275,16 +275,18 @@ def test_local_train_many_matches_the_reference_model_by_model(
     y = rng.normal(size=15) if family == "squared" else rng.integers(0, 3, 15)
     parts = [DataPartition(X, y, np.sort(rng.choice(15, m, replace=False))) for m in shards]
     models = [ModelParameters(rng.normal(0.0, 1.0, spec.dim), age=i) for i in range(len(shards))]
+    thetas = np.stack([model.values for model in models])
+    thetas.flags.writeable = False
     cfg = TrainerConfig(eta=0.05, momentum=momentum, batch_size=batch_size, local_steps=local_steps)
     rngs = [derive_rng(seed, "sgd", i) for i in range(len(shards))]
-    trained = local_train_many(models, spec, parts, cfg, rngs)
-    assert len(trained) == len(models)
+    trained = local_train_many(thetas, spec, parts, cfg, rngs)
+    assert trained.shape == thetas.shape
     for i, (model, part, got) in enumerate(zip(models, parts, trained)):
         want = local_train_reference(model, spec, whole(X[part.rows], y[part.rows]), cfg, derive_rng(seed, "sgd", i))
-        assert np.array_equal(bits(got.values), bits(want.values))
-        assert got.age == want.age == i + local_steps
+        assert np.array_equal(bits(got), bits(want.values))
+        assert np.array_equal(bits(thetas[i]), bits(model.values))  # the input stack is left alone
     alone = local_train(models[0], spec, parts[0], cfg, derive_rng(seed, "sgd", 0))
-    assert np.array_equal(bits(alone.values), bits(trained[0].values))
+    assert np.array_equal(bits(alone.values), bits(trained[0]))
 
 
 def test_training_reduces_loss_on_separable_data():
@@ -296,7 +298,7 @@ def test_training_reduces_loss_on_separable_data():
     out = local_train(theta0, LINEAR_DS, part, TrainerConfig(eta=0.2, local_steps=60, batch_size=64), derive_rng(3))
     l1, _ = loss_grad_reference(LINEAR_DS, out.values, X_train, y_train)
     assert l1 < 0.5 * l0
-    assert evaluate_many([out], LINEAR_DS, EvalSplit(ds.X, ds.y, ds.test))[0] > 0.85
+    assert evaluate_many([out.values], LINEAR_DS, EvalSplit(ds.X, ds.y, ds.test))[0] > 0.85
 
 
 LINEAR_DS = ModelSpec("linear", d_in=6, classes=3)
@@ -464,10 +466,10 @@ def test_evaluate_counts_top1():
     theta = np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0])
     X = np.array([[2.0, 0.0], [-2.0, 0.0], [3.0, 1.0], [-1.0, 5.0]])
     y = np.array([0, 1, 0, 0])  # last one is wrong on purpose
-    acc = evaluate_many([ModelParameters(theta)], spec, split_of(X, y))[0]
+    acc = evaluate_many([theta], spec, split_of(X, y))[0]
     assert acc == pytest.approx(0.75)
     with pytest.raises(ValueError, match="empty test set"):
-        evaluate_many([ModelParameters(theta)], spec, split_of(X[:0], y[:0]))
+        evaluate_many([theta], spec, split_of(X[:0], y[:0]))
 
 
 def with_tied_classes(spec, theta, src, dst, ulps=0, shift=0.0):
@@ -528,10 +530,9 @@ def test_evaluate_many_equals_the_per_model_loop(
             with_tied_classes(spec, theta, src, dst, ulps, shift)
         elif ties == "zero":
             theta[:] = 0.0
-    models = [ModelParameters(theta) for theta in thetas]
     with mock.patch.object(learning, "_count_correct", wraps=learning._count_correct) as solo:
-        accs = evaluate_many(models, spec, EvalSplit(X, y, test))
-    assert accs == evaluate_reference(models, spec, X[test], y[test])
+        accs = evaluate_many(thetas, spec, EvalSplit(X, y, test))
+    assert accs == evaluate_reference(thetas, spec, X[test], y[test])
     if family == "linear" and ties == "f32-near":
         # The float64 recheck settles every pair: no model is scored alone.
         assert solo.call_count == 0
@@ -568,12 +569,12 @@ def test_evaluate_many_breaks_ties_at_the_first_class(monkeypatch):
     spec = ModelSpec("linear", d_in=2, classes=4)
     X = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, -1.0], [0.5, 0.5], [1.0, 2.0]])
     y = np.array([0, 1, 2, 3, 2])
-    zero = ModelParameters(np.zeros(spec.dim))
+    zero = np.zeros(spec.dim)
     # Classes 3 and 2 lead together on every row with x0 > 0: class 2 wins.
     lead = np.zeros(spec.dim)
     lead[3 * 2] = 5.0
-    lead = ModelParameters(with_tied_classes(spec, lead, 3, 2))
-    plain = ModelParameters(np.random.default_rng(0).normal(size=spec.dim))
+    lead = with_tied_classes(spec, lead, 3, 2)
+    plain = np.random.default_rng(0).normal(size=spec.dim)
     calls = count_solo_scores(monkeypatch)
     accs = evaluate_many([zero, plain, lead], spec, split_of(X, y))
     assert accs[0] == 1 / 5 and accs[2] == 2 / 5
@@ -589,7 +590,7 @@ def test_evaluate_many_scores_desk_shaped_models_in_blocks(monkeypatch):
     spec = ModelSpec("linear", d_in=256, classes=10)
     part = DataPartition(ds.X, ds.y, ds.train)
     models = [
-        local_train(spec.init_model(derive_rng(i, "init")), spec, part, TrainerConfig(), derive_rng(i))
+        local_train(spec.init_model(derive_rng(i, "init")), spec, part, TrainerConfig(), derive_rng(i)).values
         for i in range(block_models(spec) + 5)
     ]
     calls = count_solo_scores(monkeypatch)
@@ -614,7 +615,7 @@ def test_evaluate_many_rechecks_a_prediction_that_float32_rounding_flips(monkeyp
     assert z32[0, 1] > z32[0, 0]
     calls = count_solo_scores(monkeypatch)
     rechecked = count_rechecks(monkeypatch)
-    assert evaluate_many([ModelParameters(theta)], spec, split_of(X, y)) == [1.0]
+    assert evaluate_many([theta], spec, split_of(X, y)) == [1.0]
     assert rechecked == [1] and calls == []
 
 
@@ -653,7 +654,6 @@ def test_float32_logits_lie_within_the_certified_bound(d_in, classes, rows, scal
                         spread_values(rng, classes, scales[2], spread)])
         for _ in range(2)
     ])
-    models = [ModelParameters(theta) for theta in thetas]
     tiles = []
     certify = learning._certify
 
@@ -666,8 +666,8 @@ def test_float32_logits_lie_within_the_certified_bound(d_in, classes, rows, scal
 
     split = split_of(X, y)
     with mock.patch.object(learning, "_certify", spy), np.errstate(all="ignore"):
-        accs = evaluate_many(models, spec, split)
-        assert accs == evaluate_reference(models, spec, X, y)
+        accs = evaluate_many(list(thetas), spec, split)
+        assert accs == evaluate_reference(thetas, spec, X, y)
     [(z32, unsure)] = tiles
     W, b = spec._unpack_linear(thetas)
     w = np.sqrt(np.einsum("mcd,mcd->mc", W, W)).max(axis=1)
@@ -675,7 +675,7 @@ def test_float32_logits_lie_within_the_certified_bound(d_in, classes, rows, scal
     # The tile holds the rows in label order.
     X = X[split.order]
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-    for m in range(len(models)):
+    for m in range(len(thetas)):
         for i in range(rows):
             if not np.all(np.isfinite(z32[:, m, i])):
                 assert unsure[m, i]
@@ -688,7 +688,7 @@ def test_float32_logits_lie_within_the_certified_bound(d_in, classes, rows, scal
 
 def test_evaluate_many_scores_mlp_models_alone(monkeypatch):
     X, y = toy_batch(MLP)
-    models = [MLP.init_model(derive_rng(i)) for i in range(3)]
+    models = [MLP.init_model(derive_rng(i)).values for i in range(3)]
     calls = count_solo_scores(monkeypatch)
     assert evaluate_many(models, MLP, split_of(X, y)) == evaluate_reference(models, MLP, X, y)
     assert len(calls) == 3
@@ -696,14 +696,14 @@ def test_evaluate_many_scores_mlp_models_alone(monkeypatch):
 
 def test_evaluate_many_rejects_squared_and_empty_test_sets():
     X, y = toy_batch(LINEAR)
-    model = LINEAR.init_model(derive_rng(0))
+    model = LINEAR.init_model(derive_rng(0)).values
     for models in ([], [model]):
         with pytest.raises(ValueError, match="no class logits"):
             evaluate_many(models, SQUARED, split_of(X[:, :2], y))
         with pytest.raises(ValueError, match="empty test set"):
             evaluate_many(models, LINEAR, split_of(X[:0], y[:0]))
     with pytest.raises(ValueError, match="no class logits"):
-        evaluate_many([ModelParameters(np.zeros(2))], SQUARED, split_of(X[:, :2], y))
+        evaluate_many([np.zeros(2)], SQUARED, split_of(X[:, :2], y))
 
 
 @pytest.mark.parametrize("label", [-1, LINEAR.classes])
@@ -712,4 +712,4 @@ def test_evaluate_many_rejects_labels_outside_the_classes(label):
     X, y = toy_batch(LINEAR)
     y[3] = label
     with pytest.raises(ValueError, match="labels"):
-        evaluate_many([LINEAR.init_model(derive_rng(0))], LINEAR, split_of(X, y))
+        evaluate_many([LINEAR.init_model(derive_rng(0)).values], LINEAR, split_of(X, y))

@@ -127,7 +127,7 @@ def test_train_schedules_compute_then_uploads_to_aggregator():
     assert isinstance(send.msg, Aggregate)
     assert send.msg.k == 1
     assert np.array_equal(send.msg.model.values, [2.0, 3.0])  # +k with k=1
-    assert send.nbytes == model_size_bytes(send.msg.model)
+    assert send.nbytes == model_size_bytes(send.msg.model.dim)
 
 
 def test_duplicate_train_is_a_violation_not_retrained():

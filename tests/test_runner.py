@@ -293,16 +293,19 @@ QUEUE_CFGS = {
 }
 
 
+_RECORD_EVAL = runner._Repetition.record_eval
+
+
 def _run_scoring(monkeypatch, cfg, world):
     """``run_single``, the (age, values) of the models of every checkpoint,
     and the size of every ``local_train_many`` call."""
     scored = []
 
-    def scoring(models, spec, split):
+    def scoring(self, at, round_no, models, totals):
         scored.append([(m.age, m.values) for m in models])
-        return evaluate_many(models, spec, split)
+        return _RECORD_EVAL(self, at, round_no, models, totals)
 
-    monkeypatch.setattr(runner, "evaluate_many", scoring)
+    monkeypatch.setattr(runner._Repetition, "record_eval", scoring)
     batches = _count_training(monkeypatch)
     return run_single(cfg, world, 0), scored, batches
 
@@ -428,7 +431,7 @@ def test_run_plexus_matches_fedavg_oracle_exactly():
     )
     for point in led.accuracy:
         ds = world.dataset
-        want = evaluate_many([history[point.round - 1]], world.spec, EvalSplit(ds.X, ds.y, ds.test))[0]
+        want = evaluate_many([history[point.round - 1].values], world.spec, EvalSplit(ds.X, ds.y, ds.test))[0]
         assert point.accuracy == want
 
 

@@ -396,6 +396,60 @@ def test_engine_matches_fluid_completion_oracle(seed):
     assert eng.bytes_total == sum(nb for _, _, _, nb, _ in transfers)
 
 
+def test_a_fast_transfer_late_on_the_clock_conserves_its_bytes():
+    # 1000 B at 1 GB/s from t = 2 days: the completion time rounds to the
+    # clock's spacing there, 2.9e-11 s, which moves 0.0076 bytes at this
+    # rate. That is rounding, not lost bytes, and must not raise.
+    m = make_membership(2, uplink=1e9, downlink=1e9)
+    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
+    start = 172800.0
+    eng.send_at(start, "n000", "n001", ping(), 1000)
+    eng.run()
+    [(at, _, _, nbytes)] = eng.delivery_log
+    assert nbytes == eng.bytes_total == 1000
+    assert abs(at - (start + 1e-6)) <= np.spacing(start)
+
+
+@st.composite
+def fast_and_slow_transfers(draw):
+    """1 to 5 transfers among 3 nodes whose links run at 1 B/s to 1e12 B/s,
+    of 1 to 1e8 bytes, sent at 0 to 1e6 s."""
+    rates = st.floats(1.0, 1e12)
+    up = draw(st.lists(rates, min_size=3, max_size=3))
+    down = draw(st.lists(rates, min_size=3, max_size=3))
+    transfers = []
+    for tid in range(draw(st.integers(1, 5))):
+        src = draw(st.integers(0, 2))
+        dst = (src + draw(st.integers(1, 2))) % 3
+        transfers.append((tid, f"n{src:03d}", f"n{dst:03d}", draw(st.integers(1, 10**8)), draw(st.floats(0.0, 1e6))))
+    return make_membership(3, uplink=up, downlink=down), transfers
+
+
+@settings(max_examples=300, deadline=None)
+@given(fast_and_slow_transfers())
+def test_bytes_are_conserved_at_any_link_speed(case):
+    # No rounding of the clock or of the byte counts trips the conservation
+    # check, and every delivery lies within 1e-9 of its transfer's lifetime,
+    # plus 16 clock spacings, plus 1e-14 s of the fluid oracle's completion
+    # time: the oracle starts a transfer up to 1e-15 s early.
+    m, transfers = case
+    eng = Engine(m, LatencyMatrix.zero())
+    recorders = {nid: Recorder() for nid in m.nodes}
+    for nid, rec in recorders.items():
+        eng.register(nid, rec)
+    for tid, src, dst, nbytes, start in transfers:
+        eng.send_at(start, src, dst, Train(tid, ModelParameters(np.zeros(1))), nbytes)
+    eng.run()
+    got = {msg.k: at for rec in recorders.values() for at, _, msg in rec.messages}
+    up = {nid: m.profile(nid).uplink_bps for nid in m.nodes}
+    down = {nid: m.profile(nid).downlink_bps for nid in m.nodes}
+    want = fluid_completions(transfers, up, down)
+    assert sorted(got) == sorted(want) == list(range(len(transfers)))
+    for tid, _, _, _, start in transfers:
+        assert abs(got[tid] - want[tid]) <= 1e-9 * (want[tid] - start) + 16 * np.spacing(want[tid]) + 1e-14
+    assert eng.bytes_total == sum(nbytes for _, _, _, nbytes, _ in transfers)
+
+
 def test_engine_is_deterministic():
     def run_once():
         m, transfers = _staggered_scenario(3)
