@@ -309,6 +309,7 @@ class GossipNode:
     one invocation; while training it drops incoming models, counted in
     ``drops``, so merges and training commits never interleave.
 
+    ``merge_fn(mine, received)`` merges, as ``gl_merge`` does.
     ``train_fn(count, model)`` trains; ``count`` is ``merges`` after the merge
     it follows, so a dropped model does not advance it and training j gets j."""
 
@@ -319,6 +320,7 @@ class GossipNode:
         *,
         model: ModelParameters,
         timeout_s: float,
+        merge_fn: Callable[[ModelParameters, ModelParameters], ModelParameters],
         train_fn: Callable[[int, ModelParameters], ModelParameters],
         compute_seconds: float,
         peer_rng: np.random.Generator,
@@ -327,6 +329,7 @@ class GossipNode:
         self.membership = membership
         self.model = model
         self.timeout_s = timeout_s
+        self.merge_fn = merge_fn
         self.train_fn = train_fn
         self.compute_seconds = compute_seconds
         self.peer_rng = peer_rng
@@ -356,7 +359,7 @@ class GossipNode:
         if self.busy:
             self.drops += 1
             return []
-        merged = gl_merge(self.model, msg.model)
+        merged = self.merge_fn(self.model, msg.model)
         self.model = merged
         self.merges += 1
         self.busy = True

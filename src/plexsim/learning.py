@@ -368,37 +368,58 @@ def local_train_many(
 ) -> np.ndarray:
     """A new (models, dim) stack of ``local_train`` of each parameter vector
     (or stack row) in ``thetas``: row i trains on ``parts[i]`` with batches
-    from ``rngs[i]``, float for float as if alone. Each model draws all of
-    its batches first, in the order a step-by-step loop draws them; each
-    step then moves a chunk of ``_TRAIN_CHUNK`` rows as one stack, whose
-    gradient makes the same products and sums per model as one model's."""
-    if any(len(part) == 0 for part in parts):
+    from ``rngs[i]``, float for float as if alone. It is ``train_steps`` on
+    each model's ``draw_batches``."""
+    batches = [draw_batches(part, cfg, rng) for part, rng in zip(parts, rngs)]
+    return train_steps(thetas, spec, parts, cfg, batches)
+
+
+def draw_batches(part: DataPartition, cfg: TrainerConfig, rng: np.random.Generator) -> np.ndarray:
+    """The dataset rows of the ``local_steps`` minibatches that local SGD on
+    ``part`` draws from ``rng``, one (steps, batch_size) row per step, in the
+    order a step-by-step loop draws them. They depend only on the stream
+    and the shard, never on a model."""
+    m, size = len(part), cfg.batch_size
+    if m == 0:
         raise ValueError("cannot train on an empty shard")
+    rows = np.empty((cfg.local_steps, size), dtype=np.intp)
+    for s in range(cfg.local_steps):
+        if m >= size:
+            idx = rng.choice(m, size=size, replace=False)
+        else:
+            idx = rng.integers(0, m, size=size)
+        rows[s] = part.rows[idx]
+    return rows
+
+
+def train_steps(
+    thetas: Sequence[np.ndarray],
+    spec: ModelSpec,
+    parts: list[DataPartition],
+    cfg: TrainerConfig,
+    batches: Sequence[np.ndarray],
+) -> np.ndarray:
+    """A new (models, dim) stack: row i of ``thetas`` after ``local_steps``
+    SGD steps on ``parts[i]``, step s on the rows ``batches[i][s]`` that
+    ``draw_batches`` drew. Each step moves a chunk of ``_TRAIN_CHUNK`` rows
+    as one stack, whose gradient makes the same products and sums per model
+    as one model's."""
     trained = np.array(thetas, dtype=np.float64)
     for lo in range(0, len(trained), _TRAIN_CHUNK):
         hi = lo + _TRAIN_CHUNK
-        _train_chunk(trained[lo:hi], spec, parts[lo:hi], cfg, rngs[lo:hi])
+        _step_chunk(trained[lo:hi], spec, parts[lo:hi], cfg, batches[lo:hi])
     return trained
 
 
-def _train_chunk(theta, spec, parts, cfg, rngs) -> None:
-    """``local_train_many`` of at most ``_TRAIN_CHUNK`` rows, in place."""
-    k, steps, size = len(theta), cfg.local_steps, cfg.batch_size
-    rows = np.empty((k, steps, size), dtype=np.intp)
-    labels = np.empty((k, steps, size), dtype=parts[0].y.dtype)
-    for i, (part, rng) in enumerate(zip(parts, rngs)):
-        m = len(part)
-        for s in range(steps):
-            if m >= size:
-                idx = rng.choice(m, size=size, replace=False)
-            else:
-                idx = rng.integers(0, m, size=size)
-            rows[i, s] = part.rows[idx]
-        labels[i] = part.y[rows[i]]
+def _step_chunk(theta, spec, parts, cfg, batches) -> None:
+    """``train_steps`` of at most ``_TRAIN_CHUNK`` rows, in place."""
+    k, size = len(theta), cfg.batch_size
+    rows = np.stack(batches)
+    labels = np.stack([part.y[r] for part, r in zip(parts, rows)])
     velocity = np.zeros_like(theta)
     step = np.empty_like(theta)
     X = np.empty((k, size, spec.d_in))
-    for s in range(steps):
+    for s in range(cfg.local_steps):
         for i, part in enumerate(parts):
             # The rows are the shard's own, so "clip" never moves one; it
             # spares the copy that "raise" makes of every gather.

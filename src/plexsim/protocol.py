@@ -29,7 +29,6 @@ from .core import (
     Send,
     Terminal,
     Train,
-    average_models,
     message_size_bytes,
 )
 from .sampler import SampleSchedule
@@ -71,11 +70,13 @@ class ProtocolViolation(RuntimeError):
 class PlexusNode:
     """One node's view of the protocol.
 
-    The node is wired to its surroundings by three callables so the state
+    The node is wired to its surroundings by these arguments so the state
     machine stays independent of the learning stack and the clock:
 
     * ``init_model() -> ModelParameters`` builds this node's round-1 model.
     * ``train_fn(k, theta) -> ModelParameters`` runs local training.
+    * ``average_fn(models) -> ModelParameters`` aggregates, as
+      ``average_models`` does.
     * ``compute_seconds`` is the virtual duration of one training invocation.
 
     ``round_hook(k, theta_agg, now)`` is an observation-only callback fired
@@ -94,6 +95,7 @@ class PlexusNode:
         *,
         init_model: Callable[[], ModelParameters],
         train_fn: Callable[[int, ModelParameters], ModelParameters],
+        average_fn: Callable[[list[ModelParameters]], ModelParameters],
         compute_seconds: float,
         round_hook: Optional[Callable[[int, ModelParameters, float], None]] = None,
         schedule: Optional[SampleSchedule] = None,
@@ -106,6 +108,7 @@ class PlexusNode:
         self.config = config
         self.init_model = init_model
         self.train_fn = train_fn
+        self.average_fn = average_fn
         self.compute_seconds = compute_seconds
         self.round_hook = round_hook
         self.pending: dict[int, dict[NodeId, ModelParameters]] = {}
@@ -173,7 +176,7 @@ class PlexusNode:
             return []
         # Threshold reached: average exactly the models present, in a
         # canonical (sender id) order so the result is arrival-order free.
-        theta_agg = average_models([bucket[sender] for sender in sorted(bucket)])
+        theta_agg = self.average_fn([bucket[sender] for sender in sorted(bucket)])
         self.rounds_aggregated.add(k)
         del self.pending[k]
         if self.round_hook is not None:

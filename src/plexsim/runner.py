@@ -10,13 +10,20 @@ algorithms or repetitions.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import pickle
+import queue
+import signal
+import threading
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,21 +32,24 @@ from .baselines import (
     OnePeerExponential,
     dpsgd_round,
     fl_round,
+    gl_merge,
     make_regular_topology,
     uniform_selector,
 )
 from .config import ExperimentConfig, resolve_trace_path
-from .core import Membership, ModelParameters, derive_rng
+from .core import Membership, ModelParameters, average_models, derive_rng
 from .learning import (
     _TRAIN_CHUNK,
     DataPartition,
     Dataset,
     EvalSplit,
     ModelSpec,
+    draw_batches,
     evaluate_many,
     local_train_many,
     partition,
     synth_dataset,
+    train_steps,
 )
 from .metrics import (
     AccuracyPoint, MetricsLedger, RoundRecord, cta, mean_excluding_none, round_duration_stats, rta, tta,
@@ -116,9 +126,9 @@ def _should_eval(cfg: ExperimentConfig, k: int) -> bool:
 
 
 class _QueuedModel:
-    """A model that ``_Repetition.train`` has queued. Its ``age`` and ``dim``
-    are known at once; its ``values`` are trained on first read, together
-    with every other model in the queue."""
+    """A model that ``_Repetition.enqueue`` has queued. Its ``age`` and
+    ``dim`` are known at once; its ``values`` are trained on first read,
+    together with every other model in the queue."""
 
     __slots__ = ("age", "dim", "_repetition", "_trained")
 
@@ -140,12 +150,14 @@ class _Repetition:
     training queue, the test split and its evaluation recorder, and the
     ledger. Each algorithm's run function only moves models.
 
-    ``train`` queues a model and returns it untrained: wire sizes read only
-    its ``dim``, and no event time depends on its values. The queue trains
-    with one ``local_train_many`` call when it holds ``_TRAIN_CHUNK`` models,
-    when any queued model's values are read (a merge, an average or a
-    checkpoint) and at the end of an engine run. Each model trains on its
-    own stream, so it comes out bit for bit as if it trained alone."""
+    A training is two parts. ``draw`` draws its batch rows, which depend
+    only on the stream key and the shard. ``enqueue`` queues the model to
+    step on them and returns it untrained: wire sizes read only its ``dim``,
+    and no event time depends on its values. The queue trains with one
+    ``train_steps`` call when it holds ``_TRAIN_CHUNK`` models, when any
+    queued model's values are read (a merge, an average or a checkpoint) and
+    at the end of an engine run. Each model trains on its own rows, so it
+    comes out bit for bit as if it trained alone."""
 
     def __init__(self, cfg: ExperimentConfig, world: World, rep: int):
         self.cfg, self.world, self.rep = cfg, world, rep
@@ -155,28 +167,36 @@ class _Repetition:
         steps = cfg.trainer.local_steps
         self.compute_s = {nid: compute_time(world.membership.profile(nid), steps) for nid in nodes}
         self.ledger = MetricsLedger()
-        self._queue: list[tuple[ModelParameters, str, np.random.Generator, _QueuedModel]] = []
+        self._queue: list[tuple[ModelParameters, str, np.ndarray, _QueuedModel]] = []
 
     def rng(self, stream: str, nid: str, key: int) -> np.random.Generator:
         return derive_rng(self.cfg.protocol_seed, stream, self.rep, nid, key)
 
+    def draw(self, stream: str, nid: str, key: int) -> np.ndarray:
+        """The batch rows of node ``nid``'s training ``key`` on ``stream``."""
+        return draw_batches(self.shards[nid], self.cfg.trainer, self.rng(stream, nid, key))
+
     def train(self, stream: str, nid: str, key: int, model: ModelParameters) -> _QueuedModel:
+        """Draw and enqueue in this process, as FL does."""
+        return self.enqueue(model, nid, self.draw(stream, nid, key))
+
+    def enqueue(self, model: ModelParameters, nid: str, rows: np.ndarray) -> _QueuedModel:
         model.values  # a queued input trains now, before its successor joins the queue
         out = _QueuedModel(model.age + self.cfg.trainer.local_steps, model.dim, self)
-        self._queue.append((model, nid, self.rng(stream, nid, key), out))
+        self._queue.append((model, nid, rows, out))
         if len(self._queue) == _TRAIN_CHUNK:
             self.flush()
         return out
 
     def flush(self) -> None:
-        """Train every queued model with one ``local_train_many`` call."""
+        """Train every queued model with one ``train_steps`` call."""
         if not self._queue:
             return
-        models, nids, rngs, outs = zip(*self._queue)
+        models, nids, rows, outs = zip(*self._queue)
         self._queue = []
         parts = [self.shards[nid] for nid in nids]
         values = [model.values for model in models]
-        trained = local_train_many(values, self.world.spec, parts, self.cfg.trainer, list(rngs))
+        trained = train_steps(values, self.world.spec, parts, self.cfg.trainer, rows)
         for out, row in zip(outs, trained):
             out._trained = ModelParameters(row, out.age)
 
@@ -203,12 +223,279 @@ class _Repetition:
         )
 
 
+# ------------------------------------------------------- engine op log --
+#
+# An engine run (Plexus, GL) splits in two. The simulating process runs the
+# engine and the nodes, and draws each training's batch rows; its models are
+# ``_ModelRef``s, which carry no values. Each model operation appends one
+# record to an ``_OpLog``, and a ``_Replay`` applies the records in order
+# with the model values: the training queue, ``gl_merge``,
+# ``average_models`` and every ``ModelParameters`` check. Where ``os.fork``
+# exists the replay runs in a forked worker process (``_Worker``), so the
+# engine never waits on a model; elsewhere it runs inline (``_InlineHost``).
+# Either way a checkpoint's (models, dim) stack is scored in this process.
+
+_INIT, _TRAIN, _MERGE, _AVERAGE, _SCORE, _DROP = range(6)
+
+# Records per message to the worker. A larger batch costs fewer writes and
+# a longer wait before the worker starts on it.
+_BATCH_RECORDS = 256
+
+
+class _ModelRef:
+    """A model of an engine run as the simulating process holds it: its
+    ``age`` and ``dim``, and the ``id`` under which the replay holds its
+    values. A node, a message in flight or a pending compute may hold it;
+    when the last reference goes, the log tells the replay to drop the
+    values."""
+
+    __slots__ = ("id", "age", "dim", "_log")
+
+    def __init__(self, log: _OpLog, age: int, dim: int):
+        self.id, self.age, self.dim, self._log = next(log.ids), age, dim, log
+
+    def __del__(self) -> None:
+        self._log.records.append((_DROP, self.id))
+
+
+class _OpLog:
+    """The model operations of one engine run, logged for a host that
+    replays them. Each returns a ``_ModelRef`` with the age and dim that
+    the operation gives; the nodes take them as their ``init_model``,
+    ``train_fn``, ``merge_fn`` and ``average_fn``."""
+
+    def __init__(self, r: _Repetition, host: _Worker | _InlineHost):
+        self.r, self.host = r, host
+        self.ids = itertools.count()
+        self.records: list[tuple] = []
+
+    def _new(self, age: int, dim: int, kind: int, *args) -> _ModelRef:
+        ref = _ModelRef(self, age, dim)
+        self.records.append((kind, ref.id, *args))
+        if len(self.records) >= _BATCH_RECORDS:
+            self.send()
+        return ref
+
+    def init(self, nid: str) -> _ModelRef:
+        return self._new(0, self.r.world.spec.dim, _INIT, nid)
+
+    def train(self, stream: str, nid: str, key: int, model: _ModelRef) -> _ModelRef:
+        age = model.age + self.r.cfg.trainer.local_steps
+        return self._new(age, model.dim, _TRAIN, model.id, nid, self.r.draw(stream, nid, key))
+
+    def merge(self, left: _ModelRef, right: _ModelRef) -> _ModelRef:
+        return self._new(max(left.age, right.age), left.dim, _MERGE, left.id, right.id)
+
+    def average(self, models: list[_ModelRef]) -> _ModelRef:
+        return self._new(0, models[0].dim, _AVERAGE, *[m.id for m in models])
+
+    def checkpoint(self, at: float, round_no: int, models: list[_ModelRef], totals: Engine) -> None:
+        """Score ``models`` as they are now, with the engine's totals."""
+        point = (at, round_no, totals.bytes_total, totals.train_seconds_total)
+        self.records.append((_SCORE, point, *[m.id for m in models]))
+        self.send()
+
+    def send(self) -> None:
+        records, self.records = self.records, []
+        self.host.send(records)
+
+
+class _Replay:
+    """The model values of an engine run: it applies an ``_OpLog``'s records
+    in order, training through the ``_Repetition``'s queue, and hands each
+    checkpoint's stack to ``emit(point, stack)``."""
+
+    def __init__(self, r: _Repetition):
+        self.r = r
+        self.models: dict[int, ModelParameters | _QueuedModel] = {}
+
+    def run(self, records: list[tuple], emit: Callable[[tuple, np.ndarray], None]) -> None:
+        models = self.models
+        for kind, out, *args in records:
+            if kind == _DROP:
+                del models[out]
+            elif kind == _INIT:
+                models[out] = self.r.init(*args)
+            elif kind == _TRAIN:
+                model, nid, rows = args
+                models[out] = self.r.enqueue(models[model], nid, rows)
+            elif kind == _MERGE:
+                models[out] = gl_merge(models[args[0]], models[args[1]])
+            elif kind == _AVERAGE:
+                models[out] = average_models([models[i] for i in args])
+            else:  # _SCORE: ``out`` is the checkpoint's point
+                emit(out, np.stack([models[i].values for i in args]))
+
+
+def _record_score(r: _Repetition, point: tuple, stack: np.ndarray) -> None:
+    at, round_no, bytes_total, train_seconds_total = point
+    r.ledger.accuracy.append(r.score(at, round_no, stack, bytes_total, train_seconds_total))
+
+
+class _InlineHost:
+    """A ``_Replay`` in the simulating process: where ``os.fork`` is
+    missing, and as the tests' reference."""
+
+    def __init__(self, r: _Repetition):
+        self.replay = _Replay(r)
+
+    def send(self, records: list[tuple]) -> None:
+        self.replay.run(records, partial(_record_score, self.replay.r))
+
+    def finish(self) -> None:
+        self.replay.r.flush()
+
+    def close(self, failed: bool) -> None:
+        pass
+
+
+class _Worker:
+    """A ``_Replay`` in a forked worker process. The simulating process
+    writes batches of records to one pipe; the worker reads them ahead on a
+    thread, replays them, and writes each checkpoint's stack and then its
+    outcome, ``("done",)`` or ``("error", exc)``, to the other. A thread of
+    the simulating process reads that pipe and scores each stack. As each
+    side drains the pipe it reads on a thread, neither deadlocks on a full
+    one.
+
+    Build it before the run starts any thread: ``fork`` copies only the
+    calling thread. The worker always leaves through ``os._exit``."""
+
+    def __init__(self, r: _Repetition):
+        self.r = r
+        ops_read, ops_write = os.pipe()
+        results_read, results_write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (ops_read, ops_write, results_read, results_write):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(ops_write)
+                os.close(results_read)
+                _serve(_Replay(r), ops_read, results_write)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(ops_read)
+        os.close(results_write)
+        self._ops = open(ops_write, "wb")
+        self._results = open(results_read, "rb")
+        self._outcome: Optional[BaseException] = None
+        self._reader = threading.Thread(target=self._read_results, name="plexsim-scorer")
+        self._reader.start()
+
+    def _read_results(self) -> None:
+        """Score each stack the worker sends, in order, until its outcome."""
+        try:
+            while (msg := pickle.load(self._results))[0] == "stack":
+                _record_score(self.r, *msg[1:])
+                del msg  # before the next stack loads
+            if msg[0] == "error":
+                self._outcome = msg[1]
+        except EOFError:
+            self._outcome = RuntimeError("the replay worker ended without a word")
+        except Exception as exc:  # scoring failed: the run raises it
+            self._outcome = exc
+
+    def _raise_outcome(self) -> None:
+        self._reader.join()
+        if self._outcome is not None:
+            raise self._outcome
+
+    def send(self, records: list[tuple]) -> None:
+        if not self._reader.is_alive():  # the worker failed, or scoring did
+            self._raise_outcome()
+        try:
+            pickle.dump(records, self._ops, protocol=pickle.HIGHEST_PROTOCOL)
+            self._ops.flush()
+        except BrokenPipeError:  # the worker failed
+            self._raise_outcome()
+            raise
+
+    def finish(self) -> None:
+        """Wait for the worker to train what it still queues and end, and
+        raise its error, or a scoring error, if there was one."""
+        self._ops.close()
+        self._raise_outcome()
+
+    def close(self, failed: bool) -> None:
+        """Stop the worker (killed first if the run is ``failed``), join the
+        reader and reap the worker."""
+        if failed:
+            os.kill(self.pid, signal.SIGKILL)
+        try:
+            try:
+                self._ops.close()
+            except BrokenPipeError:
+                pass
+            self._reader.join()
+            self._results.close()
+        finally:
+            os.waitpid(self.pid, 0)
+
+
+def _serve(replay: _Replay, ops_fd: int, results_fd: int) -> None:
+    """The worker's main: replay each batch of records from ``ops_fd`` as it
+    arrives, then train what is still queued; send each checkpoint's stack,
+    then the outcome, to ``results_fd``. A thread reads ahead, so that the
+    simulating process never waits on a full pipe."""
+    batches: queue.SimpleQueue = queue.SimpleQueue()
+
+    def read_ahead() -> None:
+        with open(ops_fd, "rb") as ops:
+            while True:
+                try:
+                    batches.put(pickle.load(ops))
+                except Exception as exc:  # EOFError when the simulation is done
+                    batches.put(exc)
+                    return
+
+    threading.Thread(target=read_ahead, daemon=True).start()
+    with open(results_fd, "wb") as out:
+
+        def write(*msg) -> None:
+            pickle.dump(msg, out, protocol=pickle.HIGHEST_PROTOCOL)
+            out.flush()
+
+        try:
+            while not isinstance(records := batches.get(), Exception):
+                replay.run(records, partial(write, "stack"))
+            if not isinstance(records, EOFError):
+                raise records
+            replay.r.flush()
+            outcome: tuple = ("done",)
+        except Exception as exc:
+            outcome = ("error", exc)
+        write(*outcome)
+
+
+@contextmanager
+def _op_log(r: _Repetition) -> Iterator[_OpLog]:
+    """An ``_OpLog`` for one engine run, replayed by a forked worker where
+    ``os.fork`` exists and inline elsewhere. On a normal exit it waits for
+    the replay, so every checkpoint is in the ledger; on any exit it stops
+    the worker, killing it first if the run raised."""
+    host = _Worker(r) if hasattr(os, "fork") else _InlineHost(r)
+    failed = True
+    try:
+        log = _OpLog(r, host)
+        yield log
+        log.send()
+        host.finish()
+        failed = False
+    finally:
+        host.close(failed)
+
+
 def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable, checkpoint=None) -> None:
     """Register ``nodes``, inject each one's ``start(node)`` effects at t=0
     in membership order, run to the time budget and copy the engine's totals
     into the ledger. A ``checkpoint(t)`` runs at each multiple t
-    of ``eval.every_seconds``, with the engine paused after every event <= t.
-    Trainings still queued at the end run then, so a divergence raises."""
+    of ``eval.every_seconds``, with the engine paused after every event <= t."""
     for node in nodes:
         engine.register(node.me, node)
         engine.inject(0.0, node.me, start(node))
@@ -218,7 +505,6 @@ def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable,
             engine.run(until=at)
             checkpoint(at)
     engine.run(until=horizon)
-    r.flush()
     r.ledger.bytes_total = engine.bytes_total
     r.ledger.train_seconds_total = engine.train_seconds_total
     r.ledger.final_time_s = engine.now
@@ -237,26 +523,28 @@ def _run_plexus(r: _Repetition) -> None:
     schedule = SampleSchedule(pcfg.s, world.membership)
     engine = Engine(world.membership, world.latency)
     fired: list[tuple[int, float]] = []  # (round, virtual time it fired)
+    with _op_log(r) as log:
 
-    def round_hook(k: int, model: ModelParameters, now: float) -> None:
-        fired.append((k, now))
-        if _should_eval(cfg, k):
-            r.record_eval(now, k, [model], engine)
+        def round_hook(k: int, model: _ModelRef, now: float) -> None:
+            fired.append((k, now))
+            if _should_eval(cfg, k):
+                log.checkpoint(now, k, [model], engine)
 
-    nodes = [
-        PlexusNode(
-            nid,
-            world.membership,
-            pcfg,
-            init_model=partial(r.init, nid),
-            train_fn=partial(r.train, "train", nid),
-            compute_seconds=r.compute_s[nid],
-            round_hook=round_hook,
-            schedule=schedule,
-        )
-        for nid in world.membership.nodes
-    ]
-    _run_on_engine(r, engine, nodes, lambda node: node.bootstrap())
+        nodes = [
+            PlexusNode(
+                nid,
+                world.membership,
+                pcfg,
+                init_model=partial(log.init, nid),
+                train_fn=partial(log.train, "train", nid),
+                average_fn=log.average,
+                compute_seconds=r.compute_s[nid],
+                round_hook=round_hook,
+                schedule=schedule,
+            )
+            for nid in world.membership.nodes
+        ]
+        _run_on_engine(r, engine, nodes, lambda node: node.bootstrap())
 
     late_by_round: Counter[int] = Counter()
     for node in nodes:
@@ -365,18 +653,6 @@ def _run_dpsgd(r: _Repetition) -> None:
 def _run_gl(r: _Repetition) -> None:
     cfg, world = r.cfg, r.world
     engine = Engine(world.membership, world.latency)
-    nodes = [
-        GossipNode(
-            nid,
-            world.membership,
-            model=r.init(nid),
-            timeout_s=cfg.gl_timeout_s,
-            train_fn=partial(r.train, "gl-train", nid),
-            compute_seconds=r.compute_s[nid],
-            peer_rng=derive_rng(cfg.protocol_seed, "gl-peer", r.rep, nid),
-        )
-        for nid in world.membership.nodes
-    ]
 
     def start(node: GossipNode) -> list:
         stagger = float(
@@ -384,10 +660,24 @@ def _run_gl(r: _Repetition) -> None:
         )
         return node.initial_effects(stagger)
 
-    _run_on_engine(
-        r, engine, nodes, start,
-        checkpoint=lambda at: r.record_eval(at, 0, [node.model for node in nodes], engine),
-    )
+    with _op_log(r) as log:
+        nodes = [
+            GossipNode(
+                nid,
+                world.membership,
+                model=log.init(nid),
+                timeout_s=cfg.gl_timeout_s,
+                merge_fn=log.merge,
+                train_fn=partial(log.train, "gl-train", nid),
+                compute_seconds=r.compute_s[nid],
+                peer_rng=derive_rng(cfg.protocol_seed, "gl-peer", r.rep, nid),
+            )
+            for nid in world.membership.nodes
+        ]
+        _run_on_engine(
+            r, engine, nodes, start,
+            checkpoint=lambda at: log.checkpoint(at, 0, [node.model for node in nodes], engine),
+        )
     # A node drops models while it trains: trainings are merges, less any still running.
     r.ledger.counters = {
         "models_trained": float(sum(node.merges - node.busy for node in nodes)),

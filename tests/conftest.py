@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,26 @@ def small_membership():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def child_pids():
+    """The ids of this process's child processes, zombies too, read from
+    /proc and never reaped here; None where /proc is missing."""
+    tasks = Path("/proc/self/task")
+    if not tasks.is_dir():
+        return None
+    return {pid for children in tasks.glob("*/children") for pid in children.read_text().split()}
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process of the test process alive or
+    unreaped, such as an engine run's replay worker. Skipped where /proc is
+    missing."""
+    before = child_pids()
+    yield
+    if before is None:
+        return
+    left = child_pids() - before
+    if left:
+        pytest.fail(f"the test left child processes {sorted(left, key=int)}")

@@ -154,7 +154,7 @@ def fluid_completions(transfers: list, up: dict, down: dict) -> dict:
     while len(done) < len(transfers):
         guard += 1
         assert guard < 10_000, "fluid oracle failed to make progress"
-        while i < len(starts) and starts[i][0] <= t + 1e-15:
+        while i < len(starts) and starts[i][0] <= t:
             tid = starts[i][1]
             active[tid] = meta[tid]
             i += 1
@@ -167,7 +167,8 @@ def fluid_completions(transfers: list, up: dict, down: dict) -> dict:
         dt = min(dt_done, dt_start)
         for tid in list(active):
             remaining[tid] -= rates[tid] * dt
-        t += dt
+        # Land on a start time exactly, so that the start is taken next.
+        t = starts[i][0] if dt == dt_start else t + dt
         for tid in sorted(active):
             if remaining[tid] <= 1e-9 * max(1.0, float(dict((x[0], x[3]) for x in transfers)[tid])):
                 done[tid] = t

@@ -44,7 +44,7 @@ from plexsim.config import (
     TopologyConfig,
     TracesConfig,
 )
-from plexsim.core import Membership, ModelParameters, derive_rng, message_size_bytes
+from plexsim.core import Membership, ModelParameters, average_models, derive_rng, message_size_bytes
 from plexsim.learning import (
     ModelSpec,
     PartitionScheme,
@@ -178,6 +178,7 @@ def test_full_protocol_matches_fedavg_reference():
             pcfg,
             init_model=lambda: theta0,
             train_fn=lambda k, th, nid=nid: train(nid, k, th),
+            average_fn=average_models,
             compute_seconds=compute_time(m.profile(nid), tcfg.local_steps),
             round_hook=hook,
         )
@@ -411,6 +412,7 @@ def test_resource_ledgers_match_closed_form():
             pcfg,
             init_model=lambda: theta0,
             train_fn=lambda k, th: th,
+            average_fn=average_models,
             compute_seconds=compute_time(m.profile(nid), steps),
         )
         nodes[nid] = node

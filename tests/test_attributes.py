@@ -57,7 +57,7 @@ KEPT_UNREFERENCED = {
     "Engine.quiescent": "ROADMAP item 5 reports a drained queue with it",
     "ModelParameters.with_values": "tests/oracles.py uses it",
     "node_rank_key": "tests/oracles.py uses it",
-    "local_train": "the acceptance gate uses it; runs train through local_train_many",
+    "local_train": "the acceptance gate uses it; runs train through train_steps",
     "RoundStats.p50": "summary.json writes it through asdict",
     "RoundStats.p95": "summary.json writes it through asdict",
     "RankKey.node": "order=True compares it, to break a digest tie",

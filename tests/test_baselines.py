@@ -456,6 +456,7 @@ def gossip_node(me, m, timeout=60.0, compute=1.0, seed=0, model=None):
         m,
         model=model or flat(0.0),
         timeout_s=timeout,
+        merge_fn=gl_merge,
         train_fn=lambda count, theta: theta.with_values(theta.values + 1.0, age=theta.age + 5),
         compute_seconds=compute,
         peer_rng=np.random.default_rng(seed),

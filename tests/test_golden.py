@@ -1,6 +1,7 @@
-"""The four desk configs write the bytes recorded in ``golden_desk.json``, and
-no output depends on the string hash seed, although node ids are strings
-kept in sets and dicts."""
+"""The four desk configs write the bytes recorded in ``golden_desk.json``
+(on the machine it names) and, on any machine, those of
+``golden_portable.json``; no output depends on the string hash seed,
+although node ids are strings kept in sets and dicts."""
 
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 from golden_desk import GOLDEN, ROOT, digests, fingerprint, run_desk
+from golden_portable import PORTABLE, portable_digests
 
 HASH_SEED_CONFIGS = ("plexus-desk", "gl-desk")
 
@@ -22,9 +24,9 @@ RERUN = (
 
 @pytest.fixture(scope="module")
 def desk_runs(tmp_path_factory):
-    """The digests of the four desk runs made in this process, and those of
-    plexus-desk and gl-desk rerun in a subprocess under another
-    PYTHONHASHSEED. The two overlap."""
+    """The directory and the digests of the four desk runs made in this
+    process, and the digests of plexus-desk and gl-desk rerun in a
+    subprocess under another PYTHONHASHSEED. The two overlap."""
     here, there = tmp_path_factory.mktemp("in_process"), tmp_path_factory.mktemp("subprocess")
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     path = os.pathsep.join([str(ROOT / "src"), str(GOLDEN.parent)])
@@ -40,7 +42,7 @@ def desk_runs(tmp_path_factory):
     finally:
         _, err = proc.communicate(timeout=600)
     assert proc.returncode == 0, err.decode()
-    return ours, digests(there)
+    return here, ours, digests(there)
 
 
 def test_desk_outputs_match_the_golden_digests(desk_runs):
@@ -48,11 +50,18 @@ def test_desk_outputs_match_the_golden_digests(desk_runs):
     machine = fingerprint()
     if machine != golden["fingerprint"]:
         pytest.skip(f"digests taken on {golden['fingerprint']}; this machine is {machine}")
-    ours = desk_runs[0]
+    ours = desk_runs[1]
     changed = sorted(f for f in golden["files"].keys() | ours.keys() if golden["files"].get(f) != ours.get(f))
     assert not changed, f"outputs differ from tests/golden_desk.json: {changed}"
 
 
+def test_desk_outputs_match_the_portable_digests(desk_runs):
+    golden = json.loads(PORTABLE.read_text())["files"]
+    ours = portable_digests(desk_runs[0])
+    changed = sorted(f for f in golden.keys() | ours.keys() if golden.get(f) != ours.get(f))
+    assert not changed, f"outputs differ from tests/golden_portable.json: {changed}"
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(desk_runs):
-    ours, rerun = desk_runs
+    _, ours, rerun = desk_runs
     assert rerun and rerun == {f: h for f, h in ours.items() if f.split("/")[0] in HASH_SEED_CONFIGS}

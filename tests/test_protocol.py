@@ -11,6 +11,7 @@ from plexsim.core import (
     Send,
     Terminal,
     Train,
+    average_models,
     model_size_bytes,
 )
 from plexsim.protocol import (
@@ -43,6 +44,7 @@ def make_node(me, membership, config, hook=None, train=bump_train, theta0=None):
         config,
         init_model=lambda: theta0,
         train_fn=train,
+        average_fn=average_models,
         compute_seconds=1.0,
         round_hook=hook,
     )
@@ -83,7 +85,7 @@ def cfg(s=3, sf=1.0, rounds=4):
 def test_schedule_must_match_node():
     m = make_membership(6)
     other = make_membership(6)
-    kw = dict(init_model=lambda: flat([0.0]), train_fn=bump_train, compute_seconds=1.0)
+    kw = dict(init_model=lambda: flat([0.0]), train_fn=bump_train, average_fn=average_models, compute_seconds=1.0)
     PlexusNode("n000", m, cfg(s=3), schedule=SampleSchedule(3, m), **kw)
     with pytest.raises(ValueError, match="schedule"):
         PlexusNode("n000", m, cfg(s=3), schedule=SampleSchedule(4, m), **kw)
@@ -260,6 +262,7 @@ def run_plexus(n=8, s=3, sf=1.0, rounds=5, latency=None, theta_dim=4, seed=0):
             c,
             init_model=lambda: theta0,
             train_fn=train(nid),
+            average_fn=average_models,
             compute_seconds=1.0,
             round_hook=(lambda k, theta, now, _nid=nid: completions.setdefault(k, (now, _nid, theta))),
         )
@@ -334,6 +337,7 @@ def test_full_run_with_latency_still_completes():
             c,
             init_model=lambda: flat([0.0]),
             train_fn=bump_train,
+            average_fn=average_models,
             compute_seconds=2.0,
             round_hook=lambda k, theta, now: completions.setdefault(k, now),
         )
@@ -370,6 +374,7 @@ def test_sf1_run_equals_centralized_fedavg_to_1e_12():
             c,
             init_model=lambda: theta0,
             train_fn=(lambda k, model, _nid=nid: train_for(_nid, k, model)),
+            average_fn=average_models,
             compute_seconds=1.0,
             round_hook=lambda k, theta, now: finals.setdefault(k, theta),
         )

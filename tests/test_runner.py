@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import threading
 from concurrent.futures import Future
@@ -27,6 +28,7 @@ from plexsim.learning import (
     local_train,
     local_train_many,
     partition,
+    train_steps,
 )
 from plexsim.runner import (
     _init_model,
@@ -38,6 +40,7 @@ from plexsim.runner import (
 from plexsim.sampler import sample
 from plexsim.simnet import maxmin_rates
 
+from conftest import child_pids
 from oracles import fedavg_reference
 
 
@@ -264,20 +267,33 @@ def test_dpsgd_trains_each_round_in_one_call(monkeypatch):
 # ------------------------------------------------------------ training queue --
 
 
-def _train_at_once(r, stream, nid, key, model):
-    """``_Repetition.train`` without the queue: one ``local_train`` call."""
-    return local_train(model, r.world.spec, r.shards[nid], r.cfg.trainer, r.rng(stream, nid, key))
+def _replay_inline(monkeypatch) -> None:
+    """Make engine runs replay their op log in this process, as where
+    ``os.fork`` is missing, so that patches and counts here see it."""
+    monkeypatch.delattr(os, "fork", raising=False)
+
+
+def _draw_stream(r, stream, nid, key):
+    """``_Repetition.draw`` that hands on the training's stream itself."""
+    return r.rng(stream, nid, key)
+
+
+def _train_at_once(r, model, nid, rng):
+    """``_Repetition.enqueue`` of ``_draw_stream``'s stream, without the
+    queue: one ``local_train`` call."""
+    return local_train(model, r.world.spec, r.shards[nid], r.cfg.trainer, rng)
 
 
 def _count_training(monkeypatch) -> list[int]:
-    """Record the number of models of every ``local_train_many`` call."""
+    """Record the number of models of every ``train_steps`` call made in
+    this process."""
     batches = []
 
-    def counting(models, spec, parts, cfg, rngs):
-        batches.append(len(models))
-        return local_train_many(models, spec, parts, cfg, rngs)
+    def counting(thetas, spec, parts, cfg, rows):
+        batches.append(len(thetas))
+        return train_steps(thetas, spec, parts, cfg, rows)
 
-    monkeypatch.setattr(runner, "local_train_many", counting)
+    monkeypatch.setattr(runner, "train_steps", counting)
     return batches
 
 
@@ -294,20 +310,35 @@ QUEUE_CFGS = {
 
 
 _RECORD_EVAL = runner._Repetition.record_eval
+_CHECKPOINT = runner._OpLog.checkpoint
+_SCORE = runner._Repetition.score
 
 
 def _run_scoring(monkeypatch, cfg, world):
-    """``run_single``, the (age, values) of the models of every checkpoint,
-    and the size of every ``local_train_many`` call."""
-    scored = []
+    """``run_single`` replayed inline, the (age, values) of the models of
+    every checkpoint, and the size of every ``train_steps`` call."""
+    ages, values = [], []
 
-    def scoring(self, at, round_no, models, totals):
-        scored.append([(m.age, m.values) for m in models])
+    def recording(self, at, round_no, models, totals):  # FL
+        ages.append([m.age for m in models])
         return _RECORD_EVAL(self, at, round_no, models, totals)
 
-    monkeypatch.setattr(runner._Repetition, "record_eval", scoring)
+    def checkpointing(self, at, round_no, models, totals):  # Plexus and GL
+        ages.append([m.age for m in models])
+        return _CHECKPOINT(self, at, round_no, models, totals)
+
+    def scoring(self, at, round_no, thetas, bytes_total, train_seconds_total):
+        values.append([np.array(theta) for theta in thetas])
+        return _SCORE(self, at, round_no, thetas, bytes_total, train_seconds_total)
+
+    _replay_inline(monkeypatch)
+    monkeypatch.setattr(runner._Repetition, "record_eval", recording)
+    monkeypatch.setattr(runner._OpLog, "checkpoint", checkpointing)
+    monkeypatch.setattr(runner._Repetition, "score", scoring)
     batches = _count_training(monkeypatch)
-    return run_single(cfg, world, 0), scored, batches
+    led = run_single(cfg, world, 0)
+    assert len(ages) == len(values)
+    return led, [list(zip(a, v)) for a, v in zip(ages, values)], batches
 
 
 @pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
@@ -315,7 +346,8 @@ def test_queued_training_matches_training_each_model_at_once(monkeypatch, algori
     cfg = QUEUE_CFGS[algorithm]()
     world = build_world(cfg)
     queued, queued_models, batches = _run_scoring(monkeypatch, cfg, world)
-    monkeypatch.setattr(runner._Repetition, "train", _train_at_once)
+    monkeypatch.setattr(runner._Repetition, "draw", _draw_stream)
+    monkeypatch.setattr(runner._Repetition, "enqueue", _train_at_once)
     alone, alone_models, _ = _run_scoring(monkeypatch, cfg, world)
     assert max(batches) > 1  # the queue did batch
     assert queued == alone
@@ -341,7 +373,7 @@ def test_a_queued_model_knows_its_age_and_dim_before_it_trains(monkeypatch):
     assert batches == [learning._TRAIN_CHUNK]
     assert queued[-1].age == 5 + cfg.trainer.local_steps and queued[-1].dim == model.dim
     for q, (nid, key) in zip(queued[::-1], keys[::-1]):
-        want = _train_at_once(r, "train", nid, key, model)
+        want = _train_at_once(r, model, nid, r.rng("train", nid, key))
         assert np.array_equal(q.values, want.values)
     assert batches == [learning._TRAIN_CHUNK, 1]
 
@@ -353,9 +385,81 @@ def test_a_diverging_queued_run_raises(algorithm):
         run_single(cfg, build_world(cfg), 0)
 
 
-# Work budgets: the rate solves, the flows they solve and the training calls
-# of two small engine runs. A change that lowers one updates it here; a change
-# that raises one must say why.
+# ------------------------------------------------------------ replay worker --
+
+
+@pytest.mark.parametrize("algorithm", ["plexus", "gl"])
+def test_a_forked_replay_matches_an_inline_one(monkeypatch, algorithm):
+    cfg = QUEUE_CFGS[algorithm]()
+    world = build_world(cfg)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    forked = run_single(cfg, world, 0)
+    assert forks == [os.getpid()]
+    _replay_inline(monkeypatch)
+    inline = run_single(cfg, world, 0)
+    assert len(forked.accuracy) >= 2
+    assert forked == inline
+
+
+def _run_leaving_nothing_behind(cfg, world):
+    """``run_single`` (its ledger or its exception), checking that it leaves
+    no child process and no extra thread behind."""
+    threads, children = threading.active_count(), child_pids()
+    try:
+        return run_single(cfg, world, 0)
+    except Exception as exc:
+        return exc
+    finally:
+        assert threading.active_count() == threads
+        assert child_pids() == children
+
+
+@pytest.mark.parametrize("algorithm", ["plexus", "gl"])
+def test_a_run_ends_its_worker(algorithm):
+    cfg = QUEUE_CFGS[algorithm]()
+    led = _run_leaving_nothing_behind(cfg, build_world(cfg))
+    assert led.accuracy
+
+
+@pytest.mark.parametrize("algorithm", ["plexus", "gl"])
+def test_a_worker_error_is_raised_as_it_would_be_inline(monkeypatch, algorithm):
+    cfg = QUEUE_CFGS[algorithm](trainer=TrainerConfig(eta=1e308, batch_size=16, local_steps=2))
+    world = build_world(cfg)
+    with np.errstate(all="ignore"):
+        forked = _run_leaving_nothing_behind(cfg, world)
+        _replay_inline(monkeypatch)
+        inline = _run_leaving_nothing_behind(cfg, world)
+    assert type(forked) is type(inline) is ValueError
+    assert str(forked) == str(inline)
+
+
+@pytest.mark.parametrize("algorithm", ["plexus", "gl"])
+def test_a_simulation_error_stops_the_worker(monkeypatch, algorithm):
+    solves = []
+
+    def failing(flows, up, down):
+        solves.append(len(flows))
+        if len(solves) == 30:
+            raise simnet.SimulationError("rates failed")
+        return maxmin_rates(flows, up, down)
+
+    monkeypatch.setattr(simnet, "maxmin_rates", failing)
+    cfg = QUEUE_CFGS[algorithm]()
+    err = _run_leaving_nothing_behind(cfg, build_world(cfg))
+    assert isinstance(err, simnet.SimulationError) and str(err) == "rates failed"
+
+
+# Work budgets: the rate solves, the flows they solve and the ``train_steps``
+# calls of two small engine runs, replayed inline so that the calls are
+# counted here. A change that lowers one updates it here; a change that
+# raises one must say why.
 WORK_BUDGETS = {
     "plexus-small": (
         lambda: load_config(CONFIGS / "plexus-small.yaml"),
@@ -383,6 +487,7 @@ def test_work_budget(monkeypatch, name):
         return maxmin_rates(flows, up, down)
 
     monkeypatch.setattr(simnet, "maxmin_rates", solving)
+    _replay_inline(monkeypatch)
     batches = _count_training(monkeypatch)
     cfg = make_cfg()
     led = run_single(cfg, build_world(cfg, CONFIGS), 0)
