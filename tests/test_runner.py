@@ -456,6 +456,20 @@ def test_a_simulation_error_stops_the_worker(monkeypatch, algorithm):
     assert isinstance(err, simnet.SimulationError) and str(err) == "rates failed"
 
 
+def test_the_stack_pipe_holds_a_megabyte_where_linux_allows():
+    fcntl = pytest.importorskip("fcntl")
+    limit = Path("/proc/sys/fs/pipe-max-size")
+    if not hasattr(fcntl, "F_GETPIPE_SZ") or not limit.exists() or int(limit.read_text()) < 1 << 20:
+        pytest.skip("pipes cannot hold 1 MB here")
+    read, write = os.pipe()
+    try:
+        runner._widen_pipe(write)
+        assert fcntl.fcntl(write, fcntl.F_GETPIPE_SZ) == 1 << 20
+    finally:
+        os.close(read)
+        os.close(write)
+
+
 # Work budgets: the rate solves, the flows they solve and the ``train_steps``
 # calls of two small engine runs, replayed inline so that the calls are
 # counted here. A change that lowers one updates it here; a change that
