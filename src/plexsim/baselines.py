@@ -26,7 +26,6 @@ from .core import (
     ScheduleCompute,
     Send,
     SetTimer,
-    average_models,
     message_size_bytes,
     model_size_bytes,
 )
@@ -162,6 +161,7 @@ def fl_round(
     *,
     select_fn: Callable[[int], tuple[NodeId, ...]],
     train_fn: Callable[[NodeId, int, ModelParameters], ModelParameters],
+    average_fn: Callable[[list[ModelParameters]], ModelParameters],
     compute_seconds: Callable[[NodeId], float],
 ) -> FlRoundResult:
     """One synchronous FedAvg round against an unconstrained server.
@@ -171,6 +171,10 @@ def fl_round(
     at the floor(s*sf)-th completed upload (upload limited by the client's
     uplink only). Slow clients still consume bandwidth and compute; their
     models are simply not aggregated.
+
+    ``train_fn(nid, k, model)`` trains client ``nid``'s copy, and
+    ``average_fn(models)`` aggregates the counted ones, in id order, as
+    ``average_models`` does.
     """
     participants = tuple(select_fn(s))
     if not participants:
@@ -187,7 +191,7 @@ def fl_round(
     arrivals.sort()
     duration = arrivals[threshold - 1][0]
     chosen = sorted(nid for _, nid in arrivals[:threshold])
-    new_model = average_models([train_fn(nid, k, model) for nid in chosen])
+    new_model = average_fn([train_fn(nid, k, model) for nid in chosen])
     return FlRoundResult(
         model=new_model,
         duration_s=duration,

@@ -125,39 +125,11 @@ def _should_eval(cfg: ExperimentConfig, k: int) -> bool:
     return k % cfg.eval.every_rounds == 0 or k == cfg.stop.max_rounds
 
 
-class _QueuedModel:
-    """A model that ``_Repetition.enqueue`` has queued. Its ``age`` and
-    ``dim`` are known at once; its ``values`` are trained on first read,
-    together with every other model in the queue."""
-
-    __slots__ = ("age", "dim", "_repetition", "_trained")
-
-    def __init__(self, age: int, dim: int, repetition: _Repetition):
-        self.age, self.dim = age, dim
-        self._repetition = repetition
-        self._trained: Optional[ModelParameters] = None
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._trained is None:
-            self._repetition.flush()
-        return self._trained.values
-
-
 class _Repetition:
     """What every algorithm shares within one repetition: the shards and
-    compute seconds of each node, the training and init streams, the
-    training queue, the test split and its evaluation recorder, and the
-    ledger. Each algorithm's run function only moves models.
-
-    A training is two parts. ``draw`` draws its batch rows, which depend
-    only on the stream key and the shard. ``enqueue`` queues the model to
-    step on them and returns it untrained: wire sizes read only its ``dim``,
-    and no event time depends on its values. The queue trains with one
-    ``train_steps`` call when it holds ``_TRAIN_CHUNK`` models, when any
-    queued model's values are read (a merge, an average or a checkpoint) and
-    at the end of an engine run. Each model trains on its own rows, so it
-    comes out bit for bit as if it trained alone."""
+    compute seconds of each node, the training and init streams, the test
+    split and its scoring, and the ledger. Each algorithm's run function
+    only moves models."""
 
     def __init__(self, cfg: ExperimentConfig, world: World, rep: int):
         self.cfg, self.world, self.rep = cfg, world, rep
@@ -167,7 +139,6 @@ class _Repetition:
         steps = cfg.trainer.local_steps
         self.compute_s = {nid: compute_time(world.membership.profile(nid), steps) for nid in nodes}
         self.ledger = MetricsLedger()
-        self._queue: list[tuple[ModelParameters, str, np.ndarray, _QueuedModel]] = []
 
     def rng(self, stream: str, nid: str, key: int) -> np.random.Generator:
         return derive_rng(self.cfg.protocol_seed, stream, self.rep, nid, key)
@@ -175,30 +146,6 @@ class _Repetition:
     def draw(self, stream: str, nid: str, key: int) -> np.ndarray:
         """The batch rows of node ``nid``'s training ``key`` on ``stream``."""
         return draw_batches(self.shards[nid], self.cfg.trainer, self.rng(stream, nid, key))
-
-    def train(self, stream: str, nid: str, key: int, model: ModelParameters) -> _QueuedModel:
-        """Draw and enqueue in this process, as FL does."""
-        return self.enqueue(model, nid, self.draw(stream, nid, key))
-
-    def enqueue(self, model: ModelParameters, nid: str, rows: np.ndarray) -> _QueuedModel:
-        model.values  # a queued input trains now, before its successor joins the queue
-        out = _QueuedModel(model.age + self.cfg.trainer.local_steps, model.dim, self)
-        self._queue.append((model, nid, rows, out))
-        if len(self._queue) == _TRAIN_CHUNK:
-            self.flush()
-        return out
-
-    def flush(self) -> None:
-        """Train every queued model with one ``train_steps`` call."""
-        if not self._queue:
-            return
-        models, nids, rows, outs = zip(*self._queue)
-        self._queue = []
-        parts = [self.shards[nid] for nid in nids]
-        values = [model.values for model in models]
-        trained = train_steps(values, self.world.spec, parts, self.cfg.trainer, rows)
-        for out, row in zip(outs, trained):
-            out._trained = ModelParameters(row, out.age)
 
     def init(self, nid: Optional[str]) -> ModelParameters:
         return _init_model(self.cfg, self.world.spec, self.rep, nid)
@@ -213,27 +160,19 @@ class _Repetition:
             at, round_no, float(np.mean(accs)), float(np.std(accs)), bytes_total, train_seconds_total,
         )
 
-    def record_eval(
-        self, at: float, round_no: int, models: list[ModelParameters], totals: MetricsLedger | Engine
-    ) -> None:
-        """Record the score of ``models`` with the byte and training-second
-        totals ``totals`` (the ledger or the engine) hold now."""
-        self.ledger.accuracy.append(
-            self.score(at, round_no, [m.values for m in models], totals.bytes_total, totals.train_seconds_total)
-        )
 
-
-# ------------------------------------------------------- engine op log --
+# ----------------------------------------------------------------- op log --
 #
-# An engine run (Plexus, GL) splits in two. The simulating process runs the
-# engine and the nodes, and draws each training's batch rows; its models are
-# ``_ModelRef``s, which carry no values. Each model operation appends one
-# record to an ``_OpLog``, and a ``_Replay`` applies the records in order
-# with the model values: the training queue, ``gl_merge``,
-# ``average_models`` and every ``ModelParameters`` check. Where ``os.fork``
-# exists the replay runs in a forked worker process (``_Worker``), so the
-# engine never waits on a model; elsewhere it runs inline (``_InlineHost``).
-# Either way a checkpoint's (models, dim) stack is scored in this process.
+# A Plexus, GL or FL run splits in two. The simulating process runs the
+# engine and the nodes (or FL's rounds), and draws each training's batch
+# rows; its models are ``_ModelRef``s, which carry no values. Each model
+# operation appends one record to an ``_OpLog``, and a ``_Replay`` applies
+# the records in order with the model values: the training queue,
+# ``gl_merge``, ``average_models`` and every ``ModelParameters`` check.
+# Where ``os.fork`` exists the replay runs in a forked worker process
+# (``_Worker``), so the simulation never waits on a model; elsewhere it runs
+# inline (``_InlineHost``). Either way a checkpoint's (models, dim) stack is
+# scored in this process.
 
 _INIT, _TRAIN, _MERGE, _AVERAGE, _SCORE, _DROP = range(6)
 
@@ -243,7 +182,7 @@ _BATCH_RECORDS = 256
 
 
 class _ModelRef:
-    """A model of an engine run as the simulating process holds it: its
+    """A model of a logged run as the simulating process holds it: its
     ``age`` and ``dim``, and the ``id`` under which the replay holds its
     values. A node, a message in flight or a pending compute may hold it;
     when the last reference goes, the log tells the replay to drop the
@@ -259,10 +198,10 @@ class _ModelRef:
 
 
 class _OpLog:
-    """The model operations of one engine run, logged for a host that
-    replays them. Each returns a ``_ModelRef`` with the age and dim that
-    the operation gives; the nodes take them as their ``init_model``,
-    ``train_fn``, ``merge_fn`` and ``average_fn``."""
+    """The model operations of one run, logged for a host that replays
+    them. Each returns a ``_ModelRef`` with the age and dim that the
+    operation gives; the nodes and ``fl_round`` take them as their
+    ``init_model``, ``train_fn``, ``merge_fn`` and ``average_fn``."""
 
     def __init__(self, r: _Repetition, host: _Worker | _InlineHost):
         self.r, self.host = r, host
@@ -276,7 +215,7 @@ class _OpLog:
             self.send()
         return ref
 
-    def init(self, nid: str) -> _ModelRef:
+    def init(self, nid: Optional[str]) -> _ModelRef:
         return self._new(0, self.r.world.spec.dim, _INIT, nid)
 
     def train(self, stream: str, nid: str, key: int, model: _ModelRef) -> _ModelRef:
@@ -289,8 +228,11 @@ class _OpLog:
     def average(self, models: list[_ModelRef]) -> _ModelRef:
         return self._new(0, models[0].dim, _AVERAGE, *[m.id for m in models])
 
-    def checkpoint(self, at: float, round_no: int, models: list[_ModelRef], totals: Engine) -> None:
-        """Score ``models`` as they are now, with the engine's totals."""
+    def checkpoint(
+        self, at: float, round_no: int, models: list[_ModelRef], totals: MetricsLedger | Engine
+    ) -> None:
+        """Score ``models`` as they are now, with the byte and
+        training-second totals ``totals`` (the ledger or the engine) hold."""
         point = (at, round_no, totals.bytes_total, totals.train_seconds_total)
         self.records.append((_SCORE, point, *[m.id for m in models]))
         self.send()
@@ -301,30 +243,63 @@ class _OpLog:
 
 
 class _Replay:
-    """The model values of an engine run: it applies an ``_OpLog``'s records
-    in order, training through the ``_Repetition``'s queue, and hands each
-    checkpoint's stack to ``emit(point, stack)``."""
+    """The model values of a run: it applies an ``_OpLog``'s records in
+    order and hands each checkpoint's stack to ``emit(point, stack)``.
+
+    A training joins a queue, which ``flush`` trains with one
+    ``train_steps`` call: when it holds ``_TRAIN_CHUNK`` models, before a
+    record reads a queued model (a training of it, a merge, an average or a
+    checkpoint) and at the end of the log. Each model trains on its own
+    rows, so it comes out bit for bit as if it trained alone. A queued model
+    that is dropped still trains, so that a diverging run raises, but its
+    values are not kept."""
 
     def __init__(self, r: _Repetition):
         self.r = r
-        self.models: dict[int, ModelParameters | _QueuedModel] = {}
+        self.models: dict[int, ModelParameters] = {}
+        self._queue: list[tuple[int, ModelParameters, str, np.ndarray]] = []
+        self._queued: set[int] = set()  # the ids in the queue, less the dropped ones
 
     def run(self, records: list[tuple], emit: Callable[[tuple, np.ndarray], None]) -> None:
-        models = self.models
+        models, queued = self.models, self._queued
         for kind, out, *args in records:
             if kind == _DROP:
-                del models[out]
-            elif kind == _INIT:
+                if out in queued:
+                    queued.remove(out)
+                else:
+                    del models[out]
+                continue
+            if kind == _INIT:
                 models[out] = self.r.init(*args)
-            elif kind == _TRAIN:
+                continue
+            if not queued.isdisjoint(args[:1] if kind == _TRAIN else args):
+                self.flush()
+            if kind == _TRAIN:
                 model, nid, rows = args
-                models[out] = self.r.enqueue(models[model], nid, rows)
+                self._queue.append((out, models[model], nid, rows))
+                queued.add(out)
+                if len(self._queue) == _TRAIN_CHUNK:
+                    self.flush()
             elif kind == _MERGE:
                 models[out] = gl_merge(models[args[0]], models[args[1]])
             elif kind == _AVERAGE:
                 models[out] = average_models([models[i] for i in args])
             else:  # _SCORE: ``out`` is the checkpoint's point
                 emit(out, np.stack([models[i].values for i in args]))
+
+    def flush(self) -> None:
+        """Train every queued model with one ``train_steps`` call."""
+        if not self._queue:
+            return
+        cfg, shards = self.r.cfg, self.r.shards
+        outs, inputs, nids, rows = zip(*self._queue)
+        self._queue = []
+        values = [model.values for model in inputs]
+        trained = train_steps(values, self.r.world.spec, [shards[nid] for nid in nids], cfg.trainer, rows)
+        for out, model, row in zip(outs, inputs, trained):
+            if out in self._queued:
+                self.models[out] = ModelParameters(row, model.age + cfg.trainer.local_steps)
+        self._queued.clear()
 
 
 def _record_score(r: _Repetition, point: tuple, stack: np.ndarray) -> None:
@@ -343,7 +318,7 @@ class _InlineHost:
         self.replay.run(records, partial(_record_score, self.replay.r))
 
     def finish(self) -> None:
-        self.replay.r.flush()
+        self.replay.flush()
 
     def close(self, failed: bool) -> None:
         pass
@@ -485,7 +460,7 @@ def _serve(replay: _Replay, ops_fd: int, results_fd: int) -> None:
                 replay.run(records, partial(write, "stack"))
             if not isinstance(records, EOFError):
                 raise records
-            replay.r.flush()
+            replay.flush()
             outcome: tuple = ("done",)
         except Exception as exc:
             outcome = ("error", exc)
@@ -494,7 +469,7 @@ def _serve(replay: _Replay, ops_fd: int, results_fd: int) -> None:
 
 @contextmanager
 def _op_log(r: _Repetition) -> Iterator[_OpLog]:
-    """An ``_OpLog`` for one engine run, replayed by a forked worker where
+    """An ``_OpLog`` for one run, replayed by a forked worker where
     ``os.fork`` exists and inline elsewhere. On a normal exit it waits for
     the replay, so every checkpoint is in the ledger; on any exit it stops
     the worker, killing it first if the run raised."""
@@ -584,27 +559,29 @@ def _run_plexus(r: _Repetition) -> None:
 def _run_fl(r: _Repetition) -> None:
     cfg, world, ledger = r.cfg, r.world, r.ledger
     select = uniform_selector(world.membership, derive_rng(cfg.protocol_seed, "fl-select", r.rep))
-    model = r.init(None)
-    for k in range(1, cfg.stop.max_rounds + 1):
-        res = fl_round(
-            model,
-            world.membership,
-            k,
-            cfg.sample_size,
-            cfg.success_fraction,
-            select_fn=select,
-            train_fn=partial(r.train, "train"),
-            compute_seconds=r.compute_s.__getitem__,
-        )
-        if ledger.final_time_s + res.duration_s > cfg.stop.max_virtual_s:
-            break
-        ledger.final_time_s += res.duration_s
-        ledger.bytes_total += res.bytes
-        ledger.train_seconds_total += res.train_seconds
-        model = res.model
-        ledger.rounds.append(RoundRecord(k, res.duration_s, len(res.participants), res.aggregated, res.late))
-        if _should_eval(cfg, k):
-            r.record_eval(ledger.final_time_s, k, [model], ledger)
+    with _op_log(r) as log:
+        model = log.init(None)
+        for k in range(1, cfg.stop.max_rounds + 1):
+            res = fl_round(
+                model,
+                world.membership,
+                k,
+                cfg.sample_size,
+                cfg.success_fraction,
+                select_fn=select,
+                train_fn=partial(log.train, "train"),
+                average_fn=log.average,
+                compute_seconds=r.compute_s.__getitem__,
+            )
+            if ledger.final_time_s + res.duration_s > cfg.stop.max_virtual_s:
+                break
+            ledger.final_time_s += res.duration_s
+            ledger.bytes_total += res.bytes
+            ledger.train_seconds_total += res.train_seconds
+            model = res.model
+            ledger.rounds.append(RoundRecord(k, res.duration_s, len(res.participants), res.aggregated, res.late))
+            if _should_eval(cfg, k):
+                log.checkpoint(ledger.final_time_s, k, [model], ledger)
     ledger.counters = {
         "models_trained": float(sum(rec.participants for rec in ledger.rounds)),
         "late_models": float(sum(rec.late_models for rec in ledger.rounds)),

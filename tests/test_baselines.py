@@ -13,7 +13,7 @@ from plexsim.baselines import (
     make_regular_topology,
     uniform_selector,
 )
-from plexsim.core import GossipModel, ModelParameters, Send, SetTimer
+from plexsim.core import GossipModel, ModelParameters, Send, SetTimer, average_models
 from plexsim.simnet import Engine, LatencyMatrix
 
 from conftest import make_membership
@@ -180,6 +180,7 @@ def test_fl_round_full_participation_timing_and_bytes():
         sf=1.0,
         select_fn=fixed_select("n000", "n001", "n002"),
         train_fn=lambda nid, k, theta: theta.with_values(theta.values + 1.0),
+        average_fn=average_models,
         compute_seconds=lambda nid: 1.0,
     )
     assert res.duration_s == pytest.approx(9.0)
@@ -201,6 +202,7 @@ def test_fl_round_threshold_drops_stragglers_but_charges_them():
         sf=2 / 3,
         select_fn=fixed_select("n000", "n001", "n002"),
         train_fn=lambda nid, k, theta: theta.with_values(theta.values + contributions[nid]),
+        average_fn=average_models,
         compute_seconds=lambda nid: 1.0,
     )
     # Fires at the 2nd fastest upload; the slowest still used bandwidth
@@ -223,6 +225,7 @@ def test_fl_round_threshold_follows_actual_selection_size():
         sf=0.5,
         select_fn=fixed_select("n000", "n001", "n002"),  # only 3 showed up
         train_fn=lambda nid, k, theta: theta,
+        average_fn=average_models,
         compute_seconds=lambda nid: 1.0,
     )
     assert res.aggregated == 1  # floor(3 * 0.5)
@@ -240,6 +243,7 @@ def test_fl_round_requires_candidates():
             sf=1.0,
             select_fn=lambda s: (),
             train_fn=lambda nid, k, theta: theta,
+            average_fn=average_models,
             compute_seconds=lambda nid: 1.0,
         )
 

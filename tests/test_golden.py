@@ -1,5 +1,5 @@
 """The four desk configs write the bytes recorded in ``golden_desk.json``
-(on the machine it names) and, on any machine, those of
+(on the machine it names) and, on any machine and BLAS kernel, those of
 ``golden_portable.json``; no output depends on the string hash seed,
 although node ids are strings kept in sets and dicts."""
 
@@ -14,6 +14,7 @@ from golden_desk import GOLDEN, ROOT, digests, fingerprint, run_desk
 from golden_portable import PORTABLE, portable_digests
 
 HASH_SEED_CONFIGS = ("plexus-desk", "gl-desk")
+_PATH = os.pathsep.join([str(ROOT / "src"), str(GOLDEN.parent)])
 
 # Runs the configs named on the command line into the directory named first.
 RERUN = (
@@ -29,9 +30,8 @@ def desk_runs(tmp_path_factory):
     subprocess under another PYTHONHASHSEED. The two overlap."""
     here, there = tmp_path_factory.mktemp("in_process"), tmp_path_factory.mktemp("subprocess")
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    path = os.pathsep.join([str(ROOT / "src"), str(GOLDEN.parent)])
     # One BLAS thread, so that the two processes do not fight for the cores.
-    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": _PATH, "OPENBLAS_NUM_THREADS": "1"}
     configs = [str(ROOT / "configs" / f"{name}.yaml") for name in HASH_SEED_CONFIGS]
     proc = subprocess.Popen(
         [sys.executable, "-c", RERUN, str(there), *configs],
@@ -65,3 +65,22 @@ def test_desk_outputs_match_the_portable_digests(desk_runs):
 def test_outputs_do_not_depend_on_the_hash_seed(desk_runs):
     _, ours, rerun = desk_runs
     assert rerun and rerun == {f: h for f, h in ours.items() if f.split("/")[0] in HASH_SEED_CONFIGS}
+
+
+def test_dpsgd_desk_matches_the_portable_digests_on_an_sse_kernel(tmp_path):
+    # OpenBLAS's Nehalem kernels sum the products in another order than the
+    # AVX ones, so the model bits differ; events, bytes and rounds must not.
+    env = {
+        **os.environ, "PYTHONPATH": _PATH, "OPENBLAS_NUM_THREADS": "1",
+        "OPENBLAS_CORETYPE": "Nehalem", "OPENBLAS_VERBOSE": "2",
+    }
+    config = ROOT / "configs" / "dpsgd-desk.yaml"
+    proc = subprocess.run(
+        [sys.executable, "-c", RERUN, str(tmp_path), str(config)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    if b"Core: Nehalem" not in proc.stderr:
+        pytest.skip("OpenBLAS was built without DYNAMIC_ARCH, so OPENBLAS_CORETYPE picks no kernel")
+    golden = json.loads(PORTABLE.read_text())["files"]
+    assert portable_digests(tmp_path) == {f: h for f, h in golden.items() if f.startswith(f"{config.stem}/")}

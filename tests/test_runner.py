@@ -28,7 +28,6 @@ from plexsim.learning import (
     local_train,
     local_train_many,
     partition,
-    train_steps,
 )
 from plexsim.runner import (
     _init_model,
@@ -268,8 +267,8 @@ def test_dpsgd_trains_each_round_in_one_call(monkeypatch):
 
 
 def _replay_inline(monkeypatch) -> None:
-    """Make engine runs replay their op log in this process, as where
-    ``os.fork`` is missing, so that patches and counts here see it."""
+    """Make runs replay their op log in this process, as where ``os.fork``
+    is missing, so that patches and counts here see it."""
     monkeypatch.delattr(os, "fork", raising=False)
 
 
@@ -278,20 +277,25 @@ def _draw_stream(r, stream, nid, key):
     return r.rng(stream, nid, key)
 
 
-def _train_at_once(r, model, nid, rng):
-    """``_Repetition.enqueue`` of ``_draw_stream``'s stream, without the
-    queue: one ``local_train`` call."""
-    return local_train(model, r.world.spec, r.shards[nid], r.cfg.trainer, rng)
+def _train_at_once(thetas, spec, parts, cfg, rngs):
+    """``train_steps`` of ``_draw_stream``'s streams, without stacking: one
+    ``local_train`` call per model."""
+    return [
+        local_train(ModelParameters(theta), spec, part, cfg, rng).values
+        for theta, part, rng in zip(thetas, parts, rngs)
+    ]
 
 
 def _count_training(monkeypatch) -> list[int]:
     """Record the number of models of every ``train_steps`` call made in
-    this process."""
+    this process. It wraps ``runner.train_steps`` as it is now, a patched
+    one too."""
     batches = []
+    train = runner.train_steps
 
     def counting(thetas, spec, parts, cfg, rows):
         batches.append(len(thetas))
-        return train_steps(thetas, spec, parts, cfg, rows)
+        return train(thetas, spec, parts, cfg, rows)
 
     monkeypatch.setattr(runner, "train_steps", counting)
     return batches
@@ -309,7 +313,6 @@ QUEUE_CFGS = {
 }
 
 
-_RECORD_EVAL = runner._Repetition.record_eval
 _CHECKPOINT = runner._OpLog.checkpoint
 _SCORE = runner._Repetition.score
 
@@ -319,11 +322,7 @@ def _run_scoring(monkeypatch, cfg, world):
     every checkpoint, and the size of every ``train_steps`` call."""
     ages, values = [], []
 
-    def recording(self, at, round_no, models, totals):  # FL
-        ages.append([m.age for m in models])
-        return _RECORD_EVAL(self, at, round_no, models, totals)
-
-    def checkpointing(self, at, round_no, models, totals):  # Plexus and GL
+    def checkpointing(self, at, round_no, models, totals):
         ages.append([m.age for m in models])
         return _CHECKPOINT(self, at, round_no, models, totals)
 
@@ -332,7 +331,6 @@ def _run_scoring(monkeypatch, cfg, world):
         return _SCORE(self, at, round_no, thetas, bytes_total, train_seconds_total)
 
     _replay_inline(monkeypatch)
-    monkeypatch.setattr(runner._Repetition, "record_eval", recording)
     monkeypatch.setattr(runner._OpLog, "checkpoint", checkpointing)
     monkeypatch.setattr(runner._Repetition, "score", scoring)
     batches = _count_training(monkeypatch)
@@ -347,7 +345,7 @@ def test_queued_training_matches_training_each_model_at_once(monkeypatch, algori
     world = build_world(cfg)
     queued, queued_models, batches = _run_scoring(monkeypatch, cfg, world)
     monkeypatch.setattr(runner._Repetition, "draw", _draw_stream)
-    monkeypatch.setattr(runner._Repetition, "enqueue", _train_at_once)
+    monkeypatch.setattr(runner, "train_steps", _train_at_once)
     alone, alone_models, _ = _run_scoring(monkeypatch, cfg, world)
     assert max(batches) > 1  # the queue did batch
     assert queued == alone
@@ -357,28 +355,45 @@ def test_queued_training_matches_training_each_model_at_once(monkeypatch, algori
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
 
 
-def test_a_queued_model_knows_its_age_and_dim_before_it_trains(monkeypatch):
+def test_the_replay_trains_its_queue_in_chunks_and_before_a_read(monkeypatch):
     batches = _count_training(monkeypatch)
     cfg = tiny_cfg()
     world = build_world(cfg)
     r = runner._Repetition(cfg, world, 0)
-    model = ModelParameters(_init_model(cfg, world.spec, 0, None).values, age=5)
+    replay = runner._Replay(r)
     nodes = world.membership.nodes
-    keys = [(nodes[i % len(nodes)], i) for i in range(learning._TRAIN_CHUNK + 1)]
-    queued = [r.train("train", nid, key, model) for nid, key in keys[: learning._TRAIN_CHUNK - 1]]
-    assert batches == []
-    assert all(q.age == 5 + cfg.trainer.local_steps and q.dim == model.dim for q in queued)
-    # The chunk's last model trains the queue; the next one trains when read.
-    queued += [r.train("train", nid, key, model) for nid, key in keys[learning._TRAIN_CHUNK - 1 :]]
+    keys = {i: (nodes[i % len(nodes)], i) for i in range(1, learning._TRAIN_CHUNK + 3)}
+
+    def train(out):
+        nid, key = keys[out]
+        return (runner._TRAIN, out, 0, nid, r.draw("train", nid, key))
+
+    scored = []
+    replay.run([(runner._INIT, 0, None)] + [train(i) for i in range(1, learning._TRAIN_CHUNK)], scored.append)
+    assert batches == [] and list(replay.models) == [0]
+    # The chunk's last model trains the queue.
+    replay.run([train(learning._TRAIN_CHUNK)], scored.append)
     assert batches == [learning._TRAIN_CHUNK]
-    assert queued[-1].age == 5 + cfg.trainer.local_steps and queued[-1].dim == model.dim
-    for q, (nid, key) in zip(queued[::-1], keys[::-1]):
-        want = _train_at_once(r, model, nid, r.rng("train", nid, key))
-        assert np.array_equal(q.values, want.values)
-    assert batches == [learning._TRAIN_CHUNK, 1]
+    # A read trains what is left, a queued model dropped before it too,
+    # which leaves no values behind.
+    last, dropped = learning._TRAIN_CHUNK + 1, learning._TRAIN_CHUNK + 2
+    replay.run(
+        [train(last), train(dropped), (runner._DROP, dropped), (runner._SCORE, "point", last)],
+        lambda point, stack: scored.append((point, stack)),
+    )
+    assert batches == [learning._TRAIN_CHUNK, 2]
+    assert sorted(replay.models) == list(range(dropped))
+    model = r.init(None)
+    for out in range(1, dropped):
+        nid, key = keys[out]
+        want = local_train(model, world.spec, r.shards[nid], cfg.trainer, r.rng("train", nid, key))
+        assert replay.models[out].age == want.age == cfg.trainer.local_steps
+        assert np.array_equal(replay.models[out].values, want.values)
+    [(point, stack)] = scored
+    assert point == "point" and np.array_equal(stack, [replay.models[last].values])
 
 
-@pytest.mark.parametrize("algorithm", ["plexus", "gl"])
+@pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
 def test_a_diverging_queued_run_raises(algorithm):
     cfg = QUEUE_CFGS[algorithm](trainer=TrainerConfig(eta=1e308, batch_size=16, local_steps=2))
     with pytest.raises(ValueError, match="divergence"), np.errstate(all="ignore"):
@@ -388,7 +403,7 @@ def test_a_diverging_queued_run_raises(algorithm):
 # ------------------------------------------------------------ replay worker --
 
 
-@pytest.mark.parametrize("algorithm", ["plexus", "gl"])
+@pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
 def test_a_forked_replay_matches_an_inline_one(monkeypatch, algorithm):
     cfg = QUEUE_CFGS[algorithm]()
     world = build_world(cfg)
@@ -421,14 +436,14 @@ def _run_leaving_nothing_behind(cfg, world):
         assert child_pids() == children
 
 
-@pytest.mark.parametrize("algorithm", ["plexus", "gl"])
+@pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
 def test_a_run_ends_its_worker(algorithm):
     cfg = QUEUE_CFGS[algorithm]()
     led = _run_leaving_nothing_behind(cfg, build_world(cfg))
     assert led.accuracy
 
 
-@pytest.mark.parametrize("algorithm", ["plexus", "gl"])
+@pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
 def test_a_worker_error_is_raised_as_it_would_be_inline(monkeypatch, algorithm):
     cfg = QUEUE_CFGS[algorithm](trainer=TrainerConfig(eta=1e308, batch_size=16, local_steps=2))
     world = build_world(cfg)
@@ -471,8 +486,8 @@ def test_the_stack_pipe_holds_a_megabyte_where_linux_allows():
 
 
 # Work budgets: the rate solves, the flows they solve and the ``train_steps``
-# calls of two small engine runs, replayed inline so that the calls are
-# counted here. A change that lowers one updates it here; a change that
+# calls of three small runs, replayed inline so that the calls are counted
+# here. A change that lowers one updates it here; a change that
 # raises one must say why.
 WORK_BUDGETS = {
     "plexus-small": (
@@ -487,6 +502,14 @@ WORK_BUDGETS = {
             eval=EvalConfig(every_rounds=1, every_seconds=250.0),
         ),
         {"maxmin_calls": 1001, "flows_solved": 1002, "train_calls": 132, "models_trained": 991},
+    ),
+    # Rounds of 12 trainers: a chunk of 10, and 2 more trained when the
+    # server averages them. FL trains no late model, so all 12 count.
+    "fl-small": (
+        lambda: replace(
+            load_config(CONFIGS / "plexus-small.yaml"), algorithm="fl", sample_size=12, success_fraction=1.0
+        ),
+        {"maxmin_calls": 0, "flows_solved": 0, "train_calls": 40, "models_trained": 240},
     ),
 }
 
