@@ -220,43 +220,42 @@ def uniform_selector(membership: Membership, rng: np.random.Generator):
 
 @dataclass(frozen=True)
 class DpsgdRoundResult:
-    models: np.ndarray
+    models: list[ModelParameters]
     duration_s: float
     bytes: int
     train_seconds: float
 
 
-# Rows that mixing gathers neighbors for at a time: no full-size gathers.
-_MIX_ROWS = 16
-
-
 def dpsgd_round(
-    models: np.ndarray,
+    models: list[ModelParameters],
     topology,
     k: int,
     latency: LatencyMatrix,
     *,
-    train_fn: Callable[[int, np.ndarray], np.ndarray],
+    train_fn: Callable[[int, int, ModelParameters], ModelParameters],
+    average_fn: Callable[[list[ModelParameters]], ModelParameters],
     uplink_bps: np.ndarray,
     downlink_bps: np.ndarray,
     city_index: np.ndarray,
     compute_seconds: list[float],
 ) -> DpsgdRoundResult:
-    """One synchronous D-PSGD round over the (n, dim) stack ``models``, one
-    row per node in membership order: everyone trains, everyone exchanges
-    models with its round-k neighbors, everyone averages what it holds with
-    what it received. No node starts round k+1 before the slowest node is
-    done, so the round's duration is the max over nodes of compute plus
-    transfer completion. ``train_fn(k, models)`` trains all n rows of round
-    k at once; the links, cities and compute seconds are per node.
+    """One synchronous D-PSGD round over ``models``, one per node in
+    membership order: everyone trains, everyone exchanges models with its
+    round-k neighbors, everyone averages what it holds with what it
+    received. No node starts round k+1 before the slowest node is done, so
+    the round's duration is the max over nodes of compute plus transfer
+    completion. ``train_fn(i, k, model)`` trains node i's model in round k,
+    and ``average_fn(models)`` mixes node i's own trained model with its
+    neighbors', in neighbor order, as ``average_models`` does. The links,
+    cities and compute seconds are per node.
 
     Port contention is modeled per endpoint: a sender's uploads share its
     uplink, a receiver's downloads cannot beat its downlink, and a transfer
     cannot arrive before its sender finished training plus one-way latency.
     """
-    n, dim = models.shape
-    nbytes = model_size_bytes(dim)
-    trained = train_fn(k, models)
+    n = len(models)
+    nbytes = model_size_bytes(models[0].dim)
+    trained = [train_fn(i, k, model) for i, model in enumerate(models)]
     ins = topology.in_neighbors(k)  # row i: the nodes i receives from
     d = ins.shape[1]
     compute = np.asarray(compute_seconds)
@@ -270,16 +269,7 @@ def dpsgd_round(
     downlink_bound = (compute[ins] + lat).min(axis=1) + d * nbytes / downlink_bps
     in_done = np.maximum((out_done[ins] + lat).max(axis=1), downlink_bound)
 
-    # Own row first, then each neighbor slot in turn: the float sequence of
-    # np.mean over each node's stacked models.
-    mixed = trained.copy()
-    for lo in range(0, n, _MIX_ROWS):
-        for slot in ins[lo : lo + _MIX_ROWS].T:
-            mixed[lo : lo + _MIX_ROWS] += trained[slot]
-    mixed /= d + 1
-    if not np.isfinite(mixed).all():
-        raise ValueError("model values must be finite")
-    mixed.flags.writeable = False
+    mixed = [average_fn([own, *(trained[j] for j in row)]) for own, row in zip(trained, ins.tolist())]
     return DpsgdRoundResult(
         models=mixed,
         duration_s=float(max(out_done.max(), in_done.max())),

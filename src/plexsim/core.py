@@ -81,13 +81,19 @@ class ModelParameters:
 
 
 def average_models(models: Sequence[ModelParameters]) -> ModelParameters:
-    """Unweighted elementwise mean of the given models; result age is 0."""
+    """Unweighted elementwise mean of the given models; result age is 0.
+    It adds the models to a copy of the first, in order, and divides by the
+    count: the floats of ``np.stack(...).mean(axis=0)`` for two or more
+    parameters, where NumPy also sums the stack row by row."""
     if not models:
         raise ValueError("nothing to aggregate")
     dim = models[0].dim
     if any(m.dim != dim for m in models):
         raise ValueError("heterogeneous model dimensions")
-    mean = np.stack([m.values for m in models]).mean(axis=0)
+    mean = models[0].values.copy()
+    for m in models[1:]:
+        mean += m.values
+    mean /= len(models)
     mean.flags.writeable = False
     return ModelParameters(mean, age=0)
 

@@ -347,7 +347,7 @@ def local_train(
     """Run ``local_steps`` minibatch SGD steps and return a new model with
     age advanced by the step count. The input model is never modified and
     the momentum buffer starts at zero on every invocation."""
-    (values,) = local_train_many([model.values], spec, [part], cfg, [rng])
+    (values,) = train_steps([model.values], spec, [part], cfg, [draw_batches(part, cfg, rng)])
     return ModelParameters(values, age=model.age + cfg.local_steps)
 
 
@@ -357,21 +357,6 @@ def local_train(
 # in 50 and 204 in 100. A chunk's buffers, and peak memory with them, grow
 # with its size; 10 models gather 655 KB of rows a step.
 _TRAIN_CHUNK = 10
-
-
-def local_train_many(
-    thetas: Sequence[np.ndarray],
-    spec: ModelSpec,
-    parts: list[DataPartition],
-    cfg: TrainerConfig,
-    rngs: list[np.random.Generator],
-) -> np.ndarray:
-    """A new (models, dim) stack of ``local_train`` of each parameter vector
-    (or stack row) in ``thetas``: row i trains on ``parts[i]`` with batches
-    from ``rngs[i]``, float for float as if alone. It is ``train_steps`` on
-    each model's ``draw_batches``."""
-    batches = [draw_batches(part, cfg, rng) for part, rng in zip(parts, rngs)]
-    return train_steps(thetas, spec, parts, cfg, batches)
 
 
 def draw_batches(part: DataPartition, cfg: TrainerConfig, rng: np.random.Generator) -> np.ndarray:

@@ -17,8 +17,7 @@ import pickle
 import queue
 import signal
 import threading
-from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -46,7 +45,6 @@ from .learning import (
     ModelSpec,
     draw_batches,
     evaluate_many,
-    local_train_many,
     partition,
     synth_dataset,
     train_steps,
@@ -163,8 +161,8 @@ class _Repetition:
 
 # ----------------------------------------------------------------- op log --
 #
-# A Plexus, GL or FL run splits in two. The simulating process runs the
-# engine and the nodes (or FL's rounds), and draws each training's batch
+# Every run splits in two. The simulating process runs the engine and the
+# nodes (or FL's and D-PSGD's rounds), and draws each training's batch
 # rows; its models are ``_ModelRef``s, which carry no values. Each model
 # operation appends one record to an ``_OpLog``, and a ``_Replay`` applies
 # the records in order with the model values: the training queue,
@@ -200,8 +198,8 @@ class _ModelRef:
 class _OpLog:
     """The model operations of one run, logged for a host that replays
     them. Each returns a ``_ModelRef`` with the age and dim that the
-    operation gives; the nodes and ``fl_round`` take them as their
-    ``init_model``, ``train_fn``, ``merge_fn`` and ``average_fn``."""
+    operation gives; the nodes, ``fl_round`` and ``dpsgd_round`` take them
+    as their ``init_model``, ``train_fn``, ``merge_fn`` and ``average_fn``."""
 
     def __init__(self, r: _Repetition, host: _Worker | _InlineHost):
         self.r, self.host = r, host
@@ -599,38 +597,28 @@ def _run_dpsgd(r: _Repetition) -> None:
     else:
         topology = OnePeerExponential(n)
     node_ids = world.membership.nodes
-    shards = [r.shards[nid] for nid in node_ids]
     compute_secs = [r.compute_s[nid] for nid in node_ids]
     profiles = [world.membership.profile(nid) for nid in node_ids]
     keys = ("uplink_bps", "downlink_bps", "city_index")
     links = {key: np.array([getattr(p, key) for p in profiles]) for key in keys}
-    # One row per node; read-only, as every round's, while the scorer holds it.
-    models = np.stack([r.init(nid).values for nid in node_ids])
-    models.flags.writeable = False
-    checkpoints = deque(_multiples(cfg.eval.every_seconds, cfg.stop.max_virtual_s))
+    checkpoints = _multiples(cfg.eval.every_seconds, cfg.stop.max_virtual_s)
+    at = next(checkpoints, None)
+    with _op_log(r) as log:
 
-    def train_round(k: int, models: np.ndarray) -> np.ndarray:
-        rngs = [r.rng("train", nid, k) for nid in node_ids]
-        return local_train_many(models, world.spec, shards, cfg.trainer, rngs)
+        def train(i: int, k: int, model: _ModelRef) -> _ModelRef:
+            return log.train("train", node_ids[i], k, model)
 
-    # One worker scores each checkpoint while the next rounds train: both
-    # spend their time in NumPy calls that release the interpreter lock. At
-    # most one checkpoint is in flight, so at most one set of past models is
-    # held; the points are recorded in checkpoint order.
-    scoring = None
-    with ThreadPoolExecutor(max_workers=1) as scorer:
+        models = [log.init(nid) for nid in node_ids]
         for k in range(1, cfg.stop.max_rounds + 1):
             res = dpsgd_round(
-                models, topology, k, world.latency, train_fn=train_round, compute_seconds=compute_secs, **links
+                models, topology, k, world.latency,
+                train_fn=train, average_fn=log.average, compute_seconds=compute_secs, **links,
             )
             t_end = ledger.final_time_s + res.duration_s
             # Checkpoints inside this round observe the models committed before it.
-            while checkpoints and checkpoints[0] <= t_end:
-                if scoring is not None:
-                    ledger.accuracy.append(scoring.result())
-                scoring = scorer.submit(
-                    r.score, checkpoints.popleft(), k - 1, models, ledger.bytes_total, ledger.train_seconds_total
-                )
+            while at is not None and at <= t_end:
+                log.checkpoint(at, k - 1, models, ledger)
+                at = next(checkpoints, None)
             if t_end > cfg.stop.max_virtual_s:
                 break
             ledger.final_time_s = t_end
@@ -638,8 +626,6 @@ def _run_dpsgd(r: _Repetition) -> None:
             ledger.bytes_total += res.bytes
             ledger.train_seconds_total += res.train_seconds
             ledger.rounds.append(RoundRecord(k, res.duration_s, n, n, 0))
-        if scoring is not None:
-            ledger.accuracy.append(scoring.result())
     ledger.counters = {"models_trained": float(n * len(ledger.rounds))}
 
 
@@ -681,14 +667,13 @@ def _run_gl(r: _Repetition) -> None:
     }
 
 
-def _multiples(step: float, horizon: float) -> list[float]:
-    """Multiples of ``step`` up to ``horizon``, clamped to it (3 * 0.1 > 0.3)."""
-    out = []
+def _multiples(step: float, horizon: float) -> Iterator[float]:
+    """Multiples of ``step`` up to ``horizon``, clamped to it (3 * 0.1 > 0.3),
+    one at a time: a run that ends early never builds the later ones."""
     k = 1
     while k * step <= horizon + 1e-9:
-        out.append(min(k * step, horizon))
+        yield min(k * step, horizon)
         k += 1
-    return out
 
 
 # ------------------------------------------------------------- experiment --

@@ -1,3 +1,4 @@
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -51,3 +52,14 @@ def no_child_process_left():
     left = child_pids() - before
     if left:
         pytest.fail(f"the test left child processes {sorted(left, key=int)}")
+
+
+@pytest.fixture(autouse=True)
+def no_plexsim_thread_left():
+    """Fail a test that leaves one of plexsim's threads alive, such as the
+    thread that reads a replay worker's stacks. Their names start with
+    ``plexsim-``."""
+    yield
+    left = sorted(t.name for t in threading.enumerate() if t.name.startswith("plexsim-"))
+    if left:
+        pytest.fail(f"the test left threads {left}")

@@ -179,10 +179,11 @@ def fluid_completions(transfers: list, up: dict, down: dict) -> dict:
 # --------------------------------------------------------- model averages --
 
 
-def mean_by_loop(vectors: list) -> np.ndarray:
-    """Per-coordinate running sum divided by the count; no numpy reductions."""
-    acc = np.zeros_like(vectors[0])
-    for v in vectors:
+def average_reference(vectors: list) -> np.ndarray:
+    """The first vector plus each other one in turn, divided by the count:
+    one running sum per coordinate, with no NumPy reduction."""
+    acc = np.array(vectors[0], dtype=np.float64)
+    for v in vectors[1:]:
         acc = acc + v
     return acc / len(vectors)
 
@@ -194,10 +195,10 @@ def dpsgd_round_reference(models, topology, k, latency, *, train_fn, uplink_bps,
     """``dpsgd_round`` as first written: a loop over the nodes reads each
     row of the round's neighbour table, looks every pair's latency up with
     ``one_way_s`` and averages each node's own model and its neighbours' in
-    turn. Returns (mixed models, duration, bytes, training seconds)."""
-    n, dim = models.shape
-    nbytes = model_size_bytes(dim)
-    trained = train_fn(k, models)
+    turn. Returns (mixed vectors, duration, bytes, training seconds)."""
+    n = len(models)
+    nbytes = model_size_bytes(models[0].dim)
+    trained = [train_fn(i, k, model).values for i, model in enumerate(models)]
     table = topology.in_neighbors(k)
     sends = [0] * n
     for row in table:
@@ -217,12 +218,8 @@ def dpsgd_round_reference(models, topology, k, latency, *, train_fn, uplink_bps,
         downlink_bound = min(first_possible) + len(ins) * nbytes / downlink_bps[i]
         in_done = max(max(arrivals), downlink_bound)
         duration = max(duration, out_done[i], in_done)
-        mean = trained[i].copy()
-        for j in ins:
-            mean += trained[j]
-        mean /= len(ins) + 1
-        mixed.append(mean)
-    return np.stack(mixed), duration, sum(sends) * nbytes, float(sum(compute_seconds))
+        mixed.append(average_reference([trained[i], *(trained[j] for j in ins)]))
+    return mixed, duration, sum(sends) * nbytes, float(sum(compute_seconds))
 
 
 # ------------------------------------------------------- fedavg reference --
@@ -236,7 +233,7 @@ def fedavg_reference(theta0, rounds, participants_fn, train_fn):
     history = []
     for k in range(1, rounds + 1):
         trained = [train_fn(nid, k, theta) for nid in sorted(participants_fn(k))]
-        theta = theta.with_values(mean_by_loop([m.values for m in trained]), age=0)
+        theta = theta.with_values(average_reference([m.values for m in trained]), age=0)
         history.append(theta)
     return history
 

@@ -17,7 +17,7 @@ from plexsim.core import GossipModel, ModelParameters, Send, SetTimer, average_m
 from plexsim.simnet import Engine, LatencyMatrix
 
 from conftest import make_membership
-from oracles import dpsgd_round_reference, mean_by_loop
+from oracles import average_reference, dpsgd_round_reference
 
 
 def flat(*vals):
@@ -211,7 +211,7 @@ def test_fl_round_threshold_drops_stragglers_but_charges_them():
     assert res.aggregated == 2 and res.late == 1
     assert res.bytes == 2 * 3 * 96
     assert res.train_seconds == pytest.approx(3.0)
-    want = mean_by_loop([np.full(10, 3.0), np.full(10, 6.0)])
+    want = average_reference([np.full(10, 3.0), np.full(10, 6.0)])
     assert np.array_equal(res.model.values, want)
 
 
@@ -268,14 +268,16 @@ def k3_topology():
     return make_regular_topology(3, 2, seed=0)
 
 
-def stack(*rows):
-    models = np.array(rows, dtype=np.float64)
-    models.flags.writeable = False
-    return models
+def models_of(*rows):
+    return [ModelParameters(np.array(row, dtype=np.float64)) for row in rows]
 
 
-def keep(k, models):
-    return models
+def zeros(n, dim):
+    return [ModelParameters(np.zeros(dim))] * n
+
+
+def keep(i, k, model):
+    return model
 
 
 def node_arrays(m, compute_seconds):
@@ -291,17 +293,17 @@ def node_arrays(m, compute_seconds):
 
 def test_dpsgd_mixing_on_complete_graph_reaches_consensus():
     m = make_membership(3, uplink=96.0, downlink=96.0, step=1.0)
-    models = stack([0.0], [3.0], [6.0])
+    models = models_of([0.0], [3.0], [6.0])
     res = dpsgd_round(
         models, k3_topology(), k=1, latency=LatencyMatrix.zero(),
-        train_fn=keep, **node_arrays(m, [1.0, 1.0, 1.0]),
+        train_fn=keep, average_fn=average_models, **node_arrays(m, [1.0, 1.0, 1.0]),
     )
     for mixed in res.models:
-        assert np.array_equal(mixed, [3.0])  # mean of 0, 3, 6
+        assert np.array_equal(mixed.values, [3.0])  # mean of 0, 3, 6
     # Everyone ships 2 models of 24 bytes (dim 1).
     assert res.bytes == 3 * 2 * 24
     assert res.train_seconds == pytest.approx(3.0)
-    assert not res.models.flags.writeable
+    assert not any(mixed.values.flags.writeable for mixed in res.models)
 
 
 def test_dpsgd_duration_uniform_hand_case():
@@ -311,8 +313,8 @@ def test_dpsgd_duration_uniform_hand_case():
     # the receive bound max(3, 1 + 1) = 3. Duration 3.
     m = make_membership(3, uplink=96.0, downlink=192.0, step=1.0)
     res = dpsgd_round(
-        np.zeros((3, 10)), k3_topology(), k=1, latency=LatencyMatrix.zero(),
-        train_fn=keep, **node_arrays(m, [1.0, 1.0, 1.0]),
+        zeros(3, 10), k3_topology(), k=1, latency=LatencyMatrix.zero(),
+        train_fn=keep, average_fn=average_models, **node_arrays(m, [1.0, 1.0, 1.0]),
     )
     assert res.duration_s == pytest.approx(3.0)
 
@@ -324,8 +326,8 @@ def test_dpsgd_duration_heterogeneous_two_nodes():
     # must wait for the slowest leg: 4 s.
     m = make_membership(2, uplink=[48.0, 96.0], downlink=[9600.0, 9600.0])
     res = dpsgd_round(
-        np.zeros((2, 10)), OnePeerExponential(2), k=1, latency=LatencyMatrix.zero(),
-        train_fn=keep, **node_arrays(m, [2.0, 1.0]),
+        zeros(2, 10), OnePeerExponential(2), k=1, latency=LatencyMatrix.zero(),
+        train_fn=keep, average_fn=average_models, **node_arrays(m, [2.0, 1.0]),
     )
     assert res.duration_s == pytest.approx(4.0)
     assert res.bytes == 2 * 96
@@ -335,8 +337,8 @@ def test_dpsgd_latency_delays_arrivals():
     m = make_membership(2, uplink=96.0, downlink=9600.0, cities=2)
     lat = LatencyMatrix(("a", "b"), np.array([[0.0, 100.0], [100.0, 0.0]]))
     res = dpsgd_round(
-        np.zeros((2, 10)), OnePeerExponential(2), k=1, latency=lat,
-        train_fn=keep, **node_arrays(m, [1.0, 1.0]),
+        zeros(2, 10), OnePeerExponential(2), k=1, latency=lat,
+        train_fn=keep, average_fn=average_models, **node_arrays(m, [1.0, 1.0]),
     )
     # send done at 2 s, plus 50 ms one-way.
     assert res.duration_s == pytest.approx(2.05)
@@ -344,35 +346,35 @@ def test_dpsgd_latency_delays_arrivals():
 
 def test_dpsgd_one_peer_mixes_pairwise():
     m = make_membership(4, uplink=9600.0, downlink=9600.0)
-    models = stack([0.0], [1.0], [2.0], [3.0])
+    models = models_of([0.0], [1.0], [2.0], [3.0])
     res = dpsgd_round(
         models, OnePeerExponential(4), k=1,  # offset 1: i receives from i-1
-        latency=LatencyMatrix.zero(), train_fn=keep, **node_arrays(m, [0.0] * 4),
+        latency=LatencyMatrix.zero(), train_fn=keep, average_fn=average_models, **node_arrays(m, [0.0] * 4),
     )
     for i in range(4):
-        want = (models[i] + models[(i - 1) % 4]) / 2.0
-        assert np.array_equal(res.models[i], want)
+        want = (models[i].values + models[(i - 1) % 4].values) / 2.0
+        assert np.array_equal(res.models[i].values, want)
 
 
 def test_dpsgd_round_varies_with_one_peer_round_number():
     m = make_membership(4, uplink=9600.0, downlink=9600.0)
-    models = stack([0.0], [1.0], [2.0], [3.0])
+    models = models_of([0.0], [1.0], [2.0], [3.0])
     r1, r2 = (
         dpsgd_round(
             models, OnePeerExponential(4), k=k, latency=LatencyMatrix.zero(),
-            train_fn=keep, **node_arrays(m, [0.0] * 4),
+            train_fn=keep, average_fn=average_models, **node_arrays(m, [0.0] * 4),
         )
         for k in (1, 2)
     )
-    assert not np.array_equal(r1.models, r2.models)
+    assert [a.values.tolist() for a in r1.models] != [b.values.tolist() for b in r2.models]
 
 
 def test_dpsgd_round_rejects_a_mix_that_overflows():
     m = make_membership(3, uplink=96.0, downlink=96.0)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         dpsgd_round(
-            stack([1e308], [1e308], [1e308]), k3_topology(), k=1, latency=LatencyMatrix.zero(),
-            train_fn=keep, **node_arrays(m, [1.0] * 3),
+            models_of([1e308], [1e308], [1e308]), k3_topology(), k=1, latency=LatencyMatrix.zero(),
+            train_fn=keep, average_fn=average_models, **node_arrays(m, [1.0] * 3),
         )
 
 
@@ -380,7 +382,7 @@ def test_dpsgd_round_rejects_a_mix_that_overflows():
 def dpsgd_rounds(draw):
     """A round's inputs: a connected regular graph or a one-peer graph on
     2 to 24 nodes, a round number, each node's links, city and compute
-    seconds, a symmetric latency matrix and a stack of models."""
+    seconds, a symmetric latency matrix and each node's model."""
     n = draw(st.integers(2, 24))
     if draw(st.booleans()):
         topology = OnePeerExponential(n)
@@ -398,7 +400,7 @@ def dpsgd_rounds(draw):
     dim = draw(st.integers(1, 6))
     values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     return dict(
-        models=np.array(draw(st.lists(values, min_size=n * dim, max_size=n * dim))).reshape(n, dim),
+        models=[ModelParameters(np.array(draw(st.lists(values, min_size=dim, max_size=dim)))) for _ in range(n)],
         topology=topology,
         k=draw(st.integers(1, 8)),
         latency=LatencyMatrix(tuple(f"c{c}" for c in range(cities)), rtt + rtt.T),
@@ -412,17 +414,17 @@ def dpsgd_rounds(draw):
 @settings(max_examples=200, deadline=None)
 @given(dpsgd_rounds())
 def test_dpsgd_round_matches_the_per_node_reference(case):
-    def train(k, models):
-        return models * 0.5 + k
+    def train(i, k, model):
+        return ModelParameters(model.values * 0.5 + k)
 
-    res = dpsgd_round(train_fn=train, **case)
+    res = dpsgd_round(train_fn=train, average_fn=average_models, **case)
     models, duration, nbytes, train_seconds = dpsgd_round_reference(train_fn=train, **case)
     assert res.duration_s == duration
     assert res.bytes == nbytes
     assert res.train_seconds == train_seconds
-    assert res.models.shape == models.shape
+    assert len(res.models) == len(models)
     for got, want in zip(res.models, models):
-        assert got.tobytes() == want.tobytes()
+        assert got.values.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- gossip --

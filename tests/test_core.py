@@ -16,7 +16,7 @@ from plexsim.core import (
     validate_node_id,
 )
 
-from oracles import mean_by_loop
+from oracles import average_reference
 
 
 def vec(*vals):
@@ -119,7 +119,7 @@ def test_average_matches_sum_oracle():
     rng = derive_rng(99, "avg-test")
     models = [ModelParameters(rng.normal(size=16)) for _ in range(10)]
     got = average_models(models)
-    want = mean_by_loop([m.values for m in models])
+    want = average_reference([m.values for m in models])
     assert np.max(np.abs(got.values - want)) <= 1e-12
     assert got.age == 0
 
@@ -142,6 +142,19 @@ def test_average_permutation_invariant_and_bounded(seed, count, dim):
     stacked = np.stack([m.values for m in models])
     assert np.all(base <= stacked.max(axis=0) + 1e-12)
     assert np.all(base >= stacked.min(axis=0) - 1e-12)
+
+
+@given(st.integers(1, 40), st.integers(1, 64), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_average_is_the_sequential_mean_bit_for_bit(count, dim, seed):
+    # Each model has its own magnitude, from 1e-3 to 1e3, and random signs.
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, count)
+    vectors = [scale * rng.standard_normal(dim) for scale in scales]
+    got = average_models([ModelParameters(v) for v in vectors]).values
+    assert got.tobytes() == average_reference(vectors).tobytes()
+    if dim >= 2:  # NumPy sums a one-column stack pairwise
+        assert got.tobytes() == np.stack(vectors).mean(axis=0).tobytes()
 
 
 # ------------------------------------------------------------- wire size --

@@ -14,11 +14,12 @@ from plexsim.learning import (
     ModelSpec,
     PartitionScheme,
     TrainerConfig,
+    draw_batches,
     evaluate_many,
     local_train,
-    local_train_many,
     partition,
     synth_dataset,
+    train_steps,
 )
 
 from oracles import (
@@ -264,7 +265,7 @@ def test_local_train_matches_the_reference_bit_for_bit(
 @example(family="linear", momentum=0.9, shards=[2, 12] * learning._TRAIN_CHUNK + [5],
          batch_size=4, local_steps=3, seed=1)
 @settings(max_examples=80, deadline=None)
-def test_local_train_many_matches_the_reference_model_by_model(
+def test_train_steps_matches_the_reference_model_by_model(
     family, momentum, shards, batch_size, local_steps, seed
 ):
     # Every shard indexes one dataset, as the shards of a partition do; the
@@ -278,8 +279,8 @@ def test_local_train_many_matches_the_reference_model_by_model(
     thetas = np.stack([model.values for model in models])
     thetas.flags.writeable = False
     cfg = TrainerConfig(eta=0.05, momentum=momentum, batch_size=batch_size, local_steps=local_steps)
-    rngs = [derive_rng(seed, "sgd", i) for i in range(len(shards))]
-    trained = local_train_many(thetas, spec, parts, cfg, rngs)
+    batches = [draw_batches(part, cfg, derive_rng(seed, "sgd", i)) for i, part in enumerate(parts)]
+    trained = train_steps(thetas, spec, parts, cfg, batches)
     assert trained.shape == thetas.shape
     for i, (model, part, got) in enumerate(zip(models, parts, trained)):
         want = local_train_reference(model, spec, whole(X[part.rows], y[part.rows]), cfg, derive_rng(seed, "sgd", i))

@@ -24,7 +24,7 @@ from plexsim.sampler import SampleSchedule, aggregator, sample
 from plexsim.simnet import Engine, LatencyMatrix
 
 from conftest import make_membership
-from oracles import fedavg_reference, mean_by_loop
+from oracles import average_reference, fedavg_reference
 
 
 def flat(v):
@@ -173,7 +173,7 @@ def test_round_fires_at_threshold_and_pushes_next_round():
     assert len(fired) == 1
     k, theta, now = fired[0]
     assert k == 1 and now == 9.0
-    want = mean_by_loop([contributions[p].values for p in parts])
+    want = average_reference([contributions[p].values for p in parts])
     assert np.max(np.abs(theta.values - want)) <= 1e-12
     # A Train(2) to every round-2 participant and nothing else.
     nxt = sample(2, 3, m.nodes)

@@ -2,7 +2,6 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +25,6 @@ from plexsim.learning import (
     TrainerConfig,
     evaluate_many,
     local_train,
-    local_train_many,
     partition,
 )
 from plexsim.runner import (
@@ -184,85 +182,6 @@ def test_runners_score_all_models_of_a_checkpoint_in_one_call(monkeypatch, algor
     assert all(split is splits[0] for split in splits)
 
 
-def dpsgd_cfg():
-    return tiny_cfg(
-        algorithm="dpsgd",
-        n=20,
-        topology=TopologyConfig(kind="regular", degree=4, seed=1),
-        stop=StopConfig(max_rounds=6, max_virtual_s=1e7),
-        eval=EvalConfig(every_rounds=1, every_seconds=1.0),
-    )
-
-
-class _InlineExecutor:
-    """An executor that runs each task when it is submitted."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
-def test_dpsgd_scores_on_one_worker_as_it_would_inline(monkeypatch):
-    cfg = dpsgd_cfg()
-    world = build_world(cfg)
-    before = threading.active_count()
-    # Switch threads often, so that scoring interleaves with training.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        led = run_single(cfg, world, 0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", _InlineExecutor)
-    inline = run_single(cfg, world, 0)
-    assert len(led.accuracy) >= 3
-    assert led.accuracy == inline.accuracy
-
-
-def test_dpsgd_scoring_errors_reach_the_caller_and_join_the_worker(monkeypatch):
-    calls = []
-
-    def failing(models, spec, split):
-        calls.append(len(models))
-        if len(calls) == 2:
-            raise RuntimeError("scoring failed")
-        return evaluate_many(models, spec, split)
-
-    monkeypatch.setattr(runner, "evaluate_many", failing)
-    cfg = dpsgd_cfg()
-    world = build_world(cfg)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="scoring failed"):
-        run_single(cfg, world, 0)
-    assert threading.active_count() == before
-    assert len(calls) >= 2
-
-
-def test_dpsgd_trains_each_round_in_one_call(monkeypatch):
-    batches = []
-
-    def counting(models, spec, parts, cfg, rngs):
-        batches.append(len(models))
-        return local_train_many(models, spec, parts, cfg, rngs)
-
-    monkeypatch.setattr(runner, "local_train_many", counting)
-    cfg = dpsgd_cfg()
-    led = run_single(cfg, build_world(cfg), 0)
-    assert len(led.rounds) == cfg.stop.max_rounds
-    assert batches == [cfg.n] * cfg.stop.max_rounds
-
-
 # ------------------------------------------------------------ training queue --
 
 
@@ -309,6 +228,13 @@ QUEUE_CFGS = {
         algorithm="gl", n=24, gl_timeout_s=5.0,
         stop=StopConfig(max_rounds=1, max_virtual_s=130.0),
         eval=EvalConfig(every_rounds=1, every_seconds=50.0), **kw,
+    ),
+    # Rounds of 16 trainers: a chunk of 10, and 6 more trained when the
+    # first average reads one of them.
+    "dpsgd": lambda **kw: tiny_cfg(
+        algorithm="dpsgd", n=16, topology=TopologyConfig(kind="regular", degree=4, seed=1),
+        stop=StopConfig(max_rounds=6, max_virtual_s=1e7),
+        eval=EvalConfig(every_rounds=1, every_seconds=1.0), **kw,
     ),
 }
 
@@ -415,7 +341,13 @@ def test_a_forked_replay_matches_an_inline_one(monkeypatch, algorithm):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    forked = run_single(cfg, world, 0)
+    # Switch threads often, so that scoring interleaves with the simulation.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        forked = run_single(cfg, world, 0)
+    finally:
+        sys.setswitchinterval(interval)
     assert forks == [os.getpid()]
     _replay_inline(monkeypatch)
     inline = run_single(cfg, world, 0)
@@ -453,6 +385,25 @@ def test_a_worker_error_is_raised_as_it_would_be_inline(monkeypatch, algorithm):
         inline = _run_leaving_nothing_behind(cfg, world)
     assert type(forked) is type(inline) is ValueError
     assert str(forked) == str(inline)
+
+
+@pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
+def test_a_scoring_error_reaches_the_caller_and_ends_the_worker(monkeypatch, algorithm):
+    # Scoring runs on the thread that reads the worker's stacks; its error
+    # ends the run as the worker's own would.
+    calls = []
+
+    def failing(models, spec, split):
+        calls.append(len(models))
+        if len(calls) == 2:
+            raise RuntimeError("scoring failed")
+        return evaluate_many(models, spec, split)
+
+    monkeypatch.setattr(runner, "evaluate_many", failing)
+    cfg = QUEUE_CFGS[algorithm]()
+    err = _run_leaving_nothing_behind(cfg, build_world(cfg))
+    assert isinstance(err, RuntimeError) and str(err) == "scoring failed"
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("algorithm", ["plexus", "gl"])
@@ -510,6 +461,14 @@ WORK_BUDGETS = {
             load_config(CONFIGS / "plexus-small.yaml"), algorithm="fl", sample_size=12, success_fraction=1.0
         ),
         {"maxmin_calls": 0, "flows_solved": 0, "train_calls": 40, "models_trained": 240},
+    ),
+    # 20 rounds of 20 trainers, two full chunks each; D-PSGD runs no engine.
+    "dpsgd-small": (
+        lambda: replace(
+            load_config(CONFIGS / "plexus-small.yaml"),
+            algorithm="dpsgd", topology=TopologyConfig(kind="regular", degree=4, seed=1),
+        ),
+        {"maxmin_calls": 0, "flows_solved": 0, "train_calls": 40, "models_trained": 400},
     ),
 }
 
