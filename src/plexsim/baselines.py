@@ -2,9 +2,10 @@
 synchronous decentralized SGD over static or one-peer exponential
 topologies, and asynchronous gossip learning.
 
-FL and D-PSGD are round-synchronous, so they are expressed as round
-functions over closed-form transfer times rather than through the event
-loop; gossip learning is event-driven and runs on the simulator engine.
+FL and D-PSGD are round-synchronous, so each round is planned over
+closed-form transfer times rather than through the event loop, and its
+plan moves no model; gossip learning is event-driven and runs on the
+simulator engine.
 """
 
 from __future__ import annotations
@@ -142,45 +143,41 @@ def _is_connected(adjacency: list[list[int]]) -> bool:
 
 
 @dataclass(frozen=True)
-class FlRoundResult:
-    model: ModelParameters
+class FlRoundPlan:
+    """A FedAvg round before any model moves: who takes part, whose models
+    the server averages (in id order), and what the round costs."""
+
+    participants: tuple[NodeId, ...]
+    trainers: tuple[NodeId, ...]
     duration_s: float
     bytes: int
     train_seconds: float
-    participants: tuple[NodeId, ...]
-    aggregated: int
-    late: int
 
 
 def fl_round(
-    model: ModelParameters,
     membership: Membership,
-    k: int,
+    dim: int,
     s: int,
     sf: float,
     *,
     select_fn: Callable[[int], tuple[NodeId, ...]],
-    train_fn: Callable[[NodeId, int, ModelParameters], ModelParameters],
-    average_fn: Callable[[list[ModelParameters]], ModelParameters],
     compute_seconds: Callable[[NodeId], float],
-) -> FlRoundResult:
-    """One synchronous FedAvg round against an unconstrained server.
+) -> FlRoundPlan:
+    """The plan of one synchronous FedAvg round of a ``dim``-parameter model
+    against an unconstrained server.
 
     The server pushes the model to s sampled clients (download limited by
     each client's downlink only), every client trains, and the round fires
     at the floor(s*sf)-th completed upload (upload limited by the client's
     uplink only). Slow clients still consume bandwidth and compute; their
-    models are simply not aggregated.
-
-    ``train_fn(nid, k, model)`` trains client ``nid``'s copy, and
-    ``average_fn(models)`` aggregates the counted ones, in id order, as
-    ``average_models`` does.
+    models are simply not aggregated, so only the counted ones, the plan's
+    ``trainers``, need training.
     """
     participants = tuple(select_fn(s))
     if not participants:
         raise ValueError("no candidates")
     threshold = success_threshold(len(participants), sf)
-    nbytes = model_size_bytes(model.dim)
+    nbytes = model_size_bytes(dim)
     arrivals = []
     train_seconds = 0.0
     for nid in participants:
@@ -189,17 +186,12 @@ def fl_round(
         arrivals.append((nbytes / p.downlink_bps + c + nbytes / p.uplink_bps, nid))
         train_seconds += c
     arrivals.sort()
-    duration = arrivals[threshold - 1][0]
-    chosen = sorted(nid for _, nid in arrivals[:threshold])
-    new_model = average_fn([train_fn(nid, k, model) for nid in chosen])
-    return FlRoundResult(
-        model=new_model,
-        duration_s=duration,
+    return FlRoundPlan(
+        participants=participants,
+        trainers=tuple(sorted(nid for _, nid in arrivals[:threshold])),
+        duration_s=arrivals[threshold - 1][0],
         bytes=2 * len(participants) * nbytes,
         train_seconds=train_seconds,
-        participants=participants,
-        aggregated=threshold,
-        late=len(participants) - threshold,
     )
 
 
@@ -219,45 +211,46 @@ def uniform_selector(membership: Membership, rng: np.random.Generator):
 
 
 @dataclass(frozen=True)
-class DpsgdRoundResult:
-    models: list[ModelParameters]
+class DpsgdRoundPlan:
+    """A D-PSGD round before any model moves: its in-neighbour table (row i
+    lists the nodes i receives from) and what the round costs."""
+
+    ins: np.ndarray
     duration_s: float
     bytes: int
     train_seconds: float
 
+    def mix(self, models: list, average_fn: Callable[[list], object]) -> list:
+        """Each node's ``average_fn`` of its own trained model and then its
+        neighbours', in table order, as ``average_models`` does."""
+        return [average_fn([own, *(models[j] for j in row)]) for own, row in zip(models, self.ins.tolist())]
+
 
 def dpsgd_round(
-    models: list[ModelParameters],
-    topology,
-    k: int,
+    ins: np.ndarray,
     latency: LatencyMatrix,
     *,
-    train_fn: Callable[[int, int, ModelParameters], ModelParameters],
-    average_fn: Callable[[list[ModelParameters]], ModelParameters],
+    dim: int,
     uplink_bps: np.ndarray,
     downlink_bps: np.ndarray,
     city_index: np.ndarray,
     compute_seconds: list[float],
-) -> DpsgdRoundResult:
-    """One synchronous D-PSGD round over ``models``, one per node in
-    membership order: everyone trains, everyone exchanges models with its
-    round-k neighbors, everyone averages what it holds with what it
-    received. No node starts round k+1 before the slowest node is done, so
-    the round's duration is the max over nodes of compute plus transfer
-    completion. ``train_fn(i, k, model)`` trains node i's model in round k,
-    and ``average_fn(models)`` mixes node i's own trained model with its
-    neighbors', in neighbor order, as ``average_models`` does. The links,
-    cities and compute seconds are per node.
+) -> DpsgdRoundPlan:
+    """The plan of one synchronous D-PSGD round of ``dim``-parameter models
+    over the in-neighbour table ``ins`` (row i: the nodes i receives from):
+    everyone trains, everyone exchanges models with its neighbors, everyone
+    averages what it holds with what it received. No node starts the next
+    round before the slowest node is done, so the round's duration is the
+    max over nodes of compute plus transfer completion. The links, cities
+    and compute seconds are per node, in membership order. It reads no
+    model, so rounds with the same table share one plan.
 
     Port contention is modeled per endpoint: a sender's uploads share its
     uplink, a receiver's downloads cannot beat its downlink, and a transfer
     cannot arrive before its sender finished training plus one-way latency.
     """
-    n = len(models)
-    nbytes = model_size_bytes(models[0].dim)
-    trained = [train_fn(i, k, model) for i, model in enumerate(models)]
-    ins = topology.in_neighbors(k)  # row i: the nodes i receives from
-    d = ins.shape[1]
+    n, d = ins.shape
+    nbytes = model_size_bytes(dim)
     compute = np.asarray(compute_seconds)
 
     # When the last byte of each node's uploads left it: a node sends to
@@ -268,10 +261,8 @@ def dpsgd_round(
     lat = latency.rtt_ms[city_index[ins], city_index[:, None]] / 2.0 / 1000.0
     downlink_bound = (compute[ins] + lat).min(axis=1) + d * nbytes / downlink_bps
     in_done = np.maximum((out_done[ins] + lat).max(axis=1), downlink_bound)
-
-    mixed = [average_fn([own, *(trained[j] for j in row)]) for own, row in zip(trained, ins.tolist())]
-    return DpsgdRoundResult(
-        models=mixed,
+    return DpsgdRoundPlan(
+        ins=ins,
         duration_s=float(max(out_done.max(), in_done.max())),
         bytes=ins.size * nbytes,
         train_seconds=float(sum(compute_seconds)),

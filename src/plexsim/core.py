@@ -31,11 +31,15 @@ def derive_rng(root_seed: int, *keys: object) -> np.random.Generator:
     """Deterministic RNG stream named by (root_seed, *keys).
 
     Streams with distinct key tuples are independent; the same tuple always
-    yields the same stream, on any platform.
+    yields the same stream, on any platform. The seed is the first 16 bytes
+    of the key's SHA-256 digest as four little-endian words. ``SeedSequence``
+    pads an int's words with zeros to four, so this is the stream of
+    ``default_rng`` of their 128-bit int, without converting to one.
     """
     material = "|".join([str(root_seed), *(str(k) for k in keys)]).encode()
     digest = hashlib.sha256(material).digest()
-    return np.random.default_rng(int.from_bytes(digest[:16], "little"))
+    seed = np.random.SeedSequence(np.frombuffer(digest, "<u4", count=4))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 # ---------------------------------------------------------------- models --
@@ -138,12 +142,11 @@ class Membership:
 
     def __init__(self, nodes: Iterable[NodeId], profiles: dict[NodeId, DeviceProfile]):
         nodes = tuple(nodes)
-        seen = set()
-        for nid in nodes:
+        self._index: dict[NodeId, int] = {}
+        for i, nid in enumerate(nodes):
             validate_node_id(nid)
-            if nid in seen:
+            if self._index.setdefault(nid, i) != i:
                 raise ValueError(f"duplicate node id {nid!r}")
-            seen.add(nid)
         if not nodes:
             raise ValueError("membership must not be empty")
         missing = [nid for nid in nodes if nid not in profiles]
@@ -159,7 +162,10 @@ class Membership:
         return node_id in self.profiles
 
     def index_of(self, node_id: NodeId) -> int:
-        return self.nodes.index(node_id)
+        try:
+            return self._index[node_id]
+        except KeyError:
+            raise ValueError(f"{node_id!r} is not a member") from None
 
     def profile(self, node_id: NodeId) -> DeviceProfile:
         try:

@@ -347,7 +347,7 @@ def local_train(
     """Run ``local_steps`` minibatch SGD steps and return a new model with
     age advanced by the step count. The input model is never modified and
     the momentum buffer starts at zero on every invocation."""
-    (values,) = train_steps([model.values], spec, [part], cfg, [draw_batches(part, cfg, rng)])
+    (values,) = train_steps([model.values], spec, part.X, part.y, cfg, [draw_batches(part, cfg, rng)])
     return ModelParameters(values, age=model.age + cfg.local_steps)
 
 
@@ -380,36 +380,35 @@ def draw_batches(part: DataPartition, cfg: TrainerConfig, rng: np.random.Generat
 def train_steps(
     thetas: Sequence[np.ndarray],
     spec: ModelSpec,
-    parts: list[DataPartition],
+    X: np.ndarray,
+    y: np.ndarray,
     cfg: TrainerConfig,
     batches: Sequence[np.ndarray],
 ) -> np.ndarray:
     """A new (models, dim) stack: row i of ``thetas`` after ``local_steps``
-    SGD steps on ``parts[i]``, step s on the rows ``batches[i][s]`` that
+    SGD steps, step s on the rows ``batches[i][s]`` of X, y that
     ``draw_batches`` drew. Each step moves a chunk of ``_TRAIN_CHUNK`` rows
     as one stack, whose gradient makes the same products and sums per model
     as one model's."""
     trained = np.array(thetas, dtype=np.float64)
     for lo in range(0, len(trained), _TRAIN_CHUNK):
         hi = lo + _TRAIN_CHUNK
-        _step_chunk(trained[lo:hi], spec, parts[lo:hi], cfg, batches[lo:hi])
+        _step_chunk(trained[lo:hi], spec, X, y, cfg, np.stack(batches[lo:hi]))
     return trained
 
 
-def _step_chunk(theta, spec, parts, cfg, batches) -> None:
-    """``train_steps`` of at most ``_TRAIN_CHUNK`` rows, in place."""
-    k, size = len(theta), cfg.batch_size
-    rows = np.stack(batches)
-    labels = np.stack([part.y[r] for part, r in zip(parts, rows)])
+def _step_chunk(theta, spec, X, y, cfg, rows) -> None:
+    """``train_steps`` of at most ``_TRAIN_CHUNK`` rows, in place, on the
+    (models, steps, batch) dataset rows ``rows``."""
+    labels = y[rows]
     velocity = np.zeros_like(theta)
     step = np.empty_like(theta)
-    X = np.empty((k, size, spec.d_in))
+    batch = np.empty((len(theta), cfg.batch_size, spec.d_in))
     for s in range(cfg.local_steps):
-        for i, part in enumerate(parts):
-            # The rows are the shard's own, so "clip" never moves one; it
-            # spares the copy that "raise" makes of every gather.
-            part.X.take(rows[i, s], axis=0, out=X[i], mode="clip")
-        spec.grad(theta, X, labels[:, s], out=step)
+        # The rows are the dataset's own, so "clip" never moves one; it
+        # spares the copy that "raise" makes of every gather.
+        X.take(rows[:, s], axis=0, out=batch, mode="clip")
+        spec.grad(theta, batch, labels[:, s], out=step)
         velocity *= cfg.momentum
         velocity += step
         np.multiply(velocity, cfg.eta, out=step)

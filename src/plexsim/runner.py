@@ -27,6 +27,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .baselines import (
+    DpsgdRoundPlan,
     GossipNode,
     OnePeerExponential,
     dpsgd_round,
@@ -198,8 +199,9 @@ class _ModelRef:
 class _OpLog:
     """The model operations of one run, logged for a host that replays
     them. Each returns a ``_ModelRef`` with the age and dim that the
-    operation gives; the nodes, ``fl_round`` and ``dpsgd_round`` take them
-    as their ``init_model``, ``train_fn``, ``merge_fn`` and ``average_fn``."""
+    operation gives; the nodes take them as their ``init_model``,
+    ``train_fn``, ``merge_fn`` and ``average_fn``, and FL's and D-PSGD's
+    round loops call them once a round's plan fits the budget."""
 
     def __init__(self, r: _Repetition, host: _Worker | _InlineHost):
         self.r, self.host = r, host
@@ -218,7 +220,7 @@ class _OpLog:
 
     def train(self, stream: str, nid: str, key: int, model: _ModelRef) -> _ModelRef:
         age = model.age + self.r.cfg.trainer.local_steps
-        return self._new(age, model.dim, _TRAIN, model.id, nid, self.r.draw(stream, nid, key))
+        return self._new(age, model.dim, _TRAIN, model.id, self.r.draw(stream, nid, key))
 
     def merge(self, left: _ModelRef, right: _ModelRef) -> _ModelRef:
         return self._new(max(left.age, right.age), left.dim, _MERGE, left.id, right.id)
@@ -255,7 +257,7 @@ class _Replay:
     def __init__(self, r: _Repetition):
         self.r = r
         self.models: dict[int, ModelParameters] = {}
-        self._queue: list[tuple[int, ModelParameters, str, np.ndarray]] = []
+        self._queue: list[tuple[int, ModelParameters, np.ndarray]] = []
         self._queued: set[int] = set()  # the ids in the queue, less the dropped ones
 
     def run(self, records: list[tuple], emit: Callable[[tuple, np.ndarray], None]) -> None:
@@ -273,8 +275,8 @@ class _Replay:
             if not queued.isdisjoint(args[:1] if kind == _TRAIN else args):
                 self.flush()
             if kind == _TRAIN:
-                model, nid, rows = args
-                self._queue.append((out, models[model], nid, rows))
+                model, rows = args
+                self._queue.append((out, models[model], rows))
                 queued.add(out)
                 if len(self._queue) == _TRAIN_CHUNK:
                     self.flush()
@@ -289,11 +291,11 @@ class _Replay:
         """Train every queued model with one ``train_steps`` call."""
         if not self._queue:
             return
-        cfg, shards = self.r.cfg, self.r.shards
-        outs, inputs, nids, rows = zip(*self._queue)
+        cfg, world = self.r.cfg, self.r.world
+        outs, inputs, rows = zip(*self._queue)
         self._queue = []
         values = [model.values for model in inputs]
-        trained = train_steps(values, self.r.world.spec, [shards[nid] for nid in nids], cfg.trainer, rows)
+        trained = train_steps(values, world.spec, world.dataset.X, world.dataset.y, cfg.trainer, rows)
         for out, model, row in zip(outs, inputs, trained):
             if out in self._queued:
                 self.models[out] = ModelParameters(row, model.age + cfg.trainer.local_steps)
@@ -560,24 +562,22 @@ def _run_fl(r: _Repetition) -> None:
     with _op_log(r) as log:
         model = log.init(None)
         for k in range(1, cfg.stop.max_rounds + 1):
-            res = fl_round(
-                model,
+            plan = fl_round(
                 world.membership,
-                k,
+                world.spec.dim,
                 cfg.sample_size,
                 cfg.success_fraction,
                 select_fn=select,
-                train_fn=partial(log.train, "train"),
-                average_fn=log.average,
                 compute_seconds=r.compute_s.__getitem__,
             )
-            if ledger.final_time_s + res.duration_s > cfg.stop.max_virtual_s:
+            if ledger.final_time_s + plan.duration_s > cfg.stop.max_virtual_s:
                 break
-            ledger.final_time_s += res.duration_s
-            ledger.bytes_total += res.bytes
-            ledger.train_seconds_total += res.train_seconds
-            model = res.model
-            ledger.rounds.append(RoundRecord(k, res.duration_s, len(res.participants), res.aggregated, res.late))
+            model = log.average([log.train("train", nid, k, model) for nid in plan.trainers])
+            ledger.final_time_s += plan.duration_s
+            ledger.bytes_total += plan.bytes
+            ledger.train_seconds_total += plan.train_seconds
+            drawn, counted = len(plan.participants), len(plan.trainers)
+            ledger.rounds.append(RoundRecord(k, plan.duration_s, drawn, counted, drawn - counted))
             if _should_eval(cfg, k):
                 log.checkpoint(ledger.final_time_s, k, [model], ledger)
     ledger.counters = {
@@ -601,31 +601,30 @@ def _run_dpsgd(r: _Repetition) -> None:
     profiles = [world.membership.profile(nid) for nid in node_ids]
     keys = ("uplink_bps", "downlink_bps", "city_index")
     links = {key: np.array([getattr(p, key) for p in profiles]) for key in keys}
+    plans: dict[bytes, DpsgdRoundPlan] = {}  # one per distinct in-neighbour table
     checkpoints = _multiples(cfg.eval.every_seconds, cfg.stop.max_virtual_s)
     at = next(checkpoints, None)
     with _op_log(r) as log:
-
-        def train(i: int, k: int, model: _ModelRef) -> _ModelRef:
-            return log.train("train", node_ids[i], k, model)
-
         models = [log.init(nid) for nid in node_ids]
         for k in range(1, cfg.stop.max_rounds + 1):
-            res = dpsgd_round(
-                models, topology, k, world.latency,
-                train_fn=train, average_fn=log.average, compute_seconds=compute_secs, **links,
-            )
-            t_end = ledger.final_time_s + res.duration_s
+            ins = topology.in_neighbors(k)
+            plan = plans.get(ins.tobytes())
+            if plan is None:
+                plan = plans[ins.tobytes()] = dpsgd_round(
+                    ins, world.latency, dim=world.spec.dim, compute_seconds=compute_secs, **links
+                )
+            t_end = ledger.final_time_s + plan.duration_s
             # Checkpoints inside this round observe the models committed before it.
             while at is not None and at <= t_end:
                 log.checkpoint(at, k - 1, models, ledger)
                 at = next(checkpoints, None)
             if t_end > cfg.stop.max_virtual_s:
                 break
+            models = plan.mix([log.train("train", nid, k, m) for nid, m in zip(node_ids, models)], log.average)
             ledger.final_time_s = t_end
-            models = res.models
-            ledger.bytes_total += res.bytes
-            ledger.train_seconds_total += res.train_seconds
-            ledger.rounds.append(RoundRecord(k, res.duration_s, n, n, 0))
+            ledger.bytes_total += plan.bytes
+            ledger.train_seconds_total += plan.train_seconds
+            ledger.rounds.append(RoundRecord(k, plan.duration_s, n, n, 0))
     ledger.counters = {"models_trained": float(n * len(ledger.rounds))}
 
 

@@ -7,6 +7,7 @@ never checks code against itself.
 
 from __future__ import annotations
 
+import hashlib
 from collections import defaultdict
 from functools import partial
 
@@ -15,6 +16,17 @@ import numpy as np
 from plexsim.core import derive_rng, model_size_bytes
 from plexsim.sampler import node_rank_key
 from plexsim.simnet import SimulationError, TransferRateRecompute
+
+
+# --------------------------------------------------------- rng reference --
+
+
+def derive_rng_reference(root_seed: int, *keys: object) -> np.random.Generator:
+    """``derive_rng`` as first written: ``default_rng`` of the first 16
+    bytes of the key's SHA-256 digest, read as a little-endian int."""
+    material = "|".join([str(root_seed), *(str(k) for k in keys)]).encode()
+    digest = hashlib.sha256(material).digest()
+    return np.random.default_rng(int.from_bytes(digest[:16], "little"))
 
 
 # ------------------------------------------------------ sample reference --

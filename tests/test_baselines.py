@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plexsim.baselines import (
-    FlRoundResult,
     GossipNode,
     OnePeerExponential,
     dpsgd_round,
@@ -169,83 +168,44 @@ def fixed_select(*ids):
     return lambda s: tuple(ids)
 
 
+def plan_fl(select_fn, s=3, sf=1.0):
+    return fl_round(fl_membership(), 10, s, sf, select_fn=select_fn, compute_seconds=lambda nid: 1.0)
+
+
 def test_fl_round_full_participation_timing_and_bytes():
-    m = fl_membership()
-    model = ModelParameters(np.zeros(10))
-    res = fl_round(
-        model,
-        m,
-        k=1,
-        s=3,
-        sf=1.0,
-        select_fn=fixed_select("n000", "n001", "n002"),
-        train_fn=lambda nid, k, theta: theta.with_values(theta.values + 1.0),
-        average_fn=average_models,
-        compute_seconds=lambda nid: 1.0,
-    )
+    res = plan_fl(fixed_select("n000", "n001", "n002"))
     assert res.duration_s == pytest.approx(9.0)
     assert res.bytes == 2 * 3 * 96
     assert res.train_seconds == pytest.approx(3.0)
-    assert res.aggregated == 3 and res.late == 0
-    assert np.array_equal(res.model.values, np.ones(10))
+    assert res.trainers == res.participants == ("n000", "n001", "n002")
+    model = ModelParameters(np.zeros(10))
+    averaged = average_models([model.with_values(model.values + 1.0) for _ in res.trainers])
+    assert np.array_equal(averaged.values, np.ones(10))
 
 
 def test_fl_round_threshold_drops_stragglers_but_charges_them():
-    m = fl_membership()
-    model = ModelParameters(np.zeros(10))
-    contributions = {"n000": 3.0, "n001": 6.0, "n002": 100.0}
-    res = fl_round(
-        model,
-        m,
-        k=1,
-        s=3,
-        sf=2 / 3,
-        select_fn=fixed_select("n000", "n001", "n002"),
-        train_fn=lambda nid, k, theta: theta.with_values(theta.values + contributions[nid]),
-        average_fn=average_models,
-        compute_seconds=lambda nid: 1.0,
-    )
+    res = plan_fl(fixed_select("n000", "n001", "n002"), sf=2 / 3)
     # Fires at the 2nd fastest upload; the slowest still used bandwidth
-    # and compute but its model is excluded from the average.
+    # and compute but its model is neither trained nor averaged.
     assert res.duration_s == pytest.approx(5.0)
-    assert res.aggregated == 2 and res.late == 1
+    assert res.trainers == ("n000", "n001") and len(res.participants) == 3
     assert res.bytes == 2 * 3 * 96
     assert res.train_seconds == pytest.approx(3.0)
+    contributions = {"n000": 3.0, "n001": 6.0, "n002": 100.0}
+    averaged = average_models([flat(*[contributions[nid]] * 10) for nid in res.trainers])
     want = average_reference([np.full(10, 3.0), np.full(10, 6.0)])
-    assert np.array_equal(res.model.values, want)
+    assert np.array_equal(averaged.values, want)
 
 
 def test_fl_round_threshold_follows_actual_selection_size():
-    m = fl_membership()
-    res = fl_round(
-        ModelParameters(np.zeros(10)),
-        m,
-        k=1,
-        s=5,
-        sf=0.5,
-        select_fn=fixed_select("n000", "n001", "n002"),  # only 3 showed up
-        train_fn=lambda nid, k, theta: theta,
-        average_fn=average_models,
-        compute_seconds=lambda nid: 1.0,
-    )
-    assert res.aggregated == 1  # floor(3 * 0.5)
-    assert res.late == 2
+    res = plan_fl(fixed_select("n000", "n001", "n002"), s=5, sf=0.5)  # only 3 showed up
+    assert len(res.trainers) == 1  # floor(3 * 0.5)
+    assert len(res.participants) - len(res.trainers) == 2
 
 
 def test_fl_round_requires_candidates():
-    m = fl_membership()
     with pytest.raises(ValueError, match="no candidates"):
-        fl_round(
-            ModelParameters(np.zeros(10)),
-            m,
-            k=1,
-            s=3,
-            sf=1.0,
-            select_fn=lambda s: (),
-            train_fn=lambda nid, k, theta: theta,
-            average_fn=average_models,
-            compute_seconds=lambda nid: 1.0,
-        )
+        plan_fl(lambda s: ())
 
 
 def test_uniform_selector_draws_without_replacement():
@@ -272,14 +232,6 @@ def models_of(*rows):
     return [ModelParameters(np.array(row, dtype=np.float64)) for row in rows]
 
 
-def zeros(n, dim):
-    return [ModelParameters(np.zeros(dim))] * n
-
-
-def keep(i, k, model):
-    return model
-
-
 def node_arrays(m, compute_seconds):
     """The per-node keyword arguments of ``dpsgd_round`` for membership m."""
     profiles = [m.profile(nid) for nid in m.nodes]
@@ -291,19 +243,23 @@ def node_arrays(m, compute_seconds):
     }
 
 
+def plan_dpsgd(topology, m, compute_seconds, k=1, latency=None, dim=10):
+    """``dpsgd_round`` of round k's table of ``topology``."""
+    return dpsgd_round(
+        topology.in_neighbors(k), latency or LatencyMatrix.zero(), dim=dim, **node_arrays(m, compute_seconds)
+    )
+
+
 def test_dpsgd_mixing_on_complete_graph_reaches_consensus():
     m = make_membership(3, uplink=96.0, downlink=96.0, step=1.0)
-    models = models_of([0.0], [3.0], [6.0])
-    res = dpsgd_round(
-        models, k3_topology(), k=1, latency=LatencyMatrix.zero(),
-        train_fn=keep, average_fn=average_models, **node_arrays(m, [1.0, 1.0, 1.0]),
-    )
-    for mixed in res.models:
+    plan = plan_dpsgd(k3_topology(), m, [1.0, 1.0, 1.0], dim=1)
+    mixed_models = plan.mix(models_of([0.0], [3.0], [6.0]), average_models)
+    for mixed in mixed_models:
         assert np.array_equal(mixed.values, [3.0])  # mean of 0, 3, 6
     # Everyone ships 2 models of 24 bytes (dim 1).
-    assert res.bytes == 3 * 2 * 24
-    assert res.train_seconds == pytest.approx(3.0)
-    assert not any(mixed.values.flags.writeable for mixed in res.models)
+    assert plan.bytes == 3 * 2 * 24
+    assert plan.train_seconds == pytest.approx(3.0)
+    assert not any(mixed.values.flags.writeable for mixed in mixed_models)
 
 
 def test_dpsgd_duration_uniform_hand_case():
@@ -312,11 +268,7 @@ def test_dpsgd_duration_uniform_hand_case():
     # 1 s for both arrivals after the earliest sender finished at 1 s:
     # the receive bound max(3, 1 + 1) = 3. Duration 3.
     m = make_membership(3, uplink=96.0, downlink=192.0, step=1.0)
-    res = dpsgd_round(
-        zeros(3, 10), k3_topology(), k=1, latency=LatencyMatrix.zero(),
-        train_fn=keep, average_fn=average_models, **node_arrays(m, [1.0, 1.0, 1.0]),
-    )
-    assert res.duration_s == pytest.approx(3.0)
+    assert plan_dpsgd(k3_topology(), m, [1.0, 1.0, 1.0]).duration_s == pytest.approx(3.0)
 
 
 def test_dpsgd_duration_heterogeneous_two_nodes():
@@ -325,57 +277,42 @@ def test_dpsgd_duration_heterogeneous_two_nodes():
     # at 96 B/s -> send done at 2 s. No latency; wide downlinks. The round
     # must wait for the slowest leg: 4 s.
     m = make_membership(2, uplink=[48.0, 96.0], downlink=[9600.0, 9600.0])
-    res = dpsgd_round(
-        zeros(2, 10), OnePeerExponential(2), k=1, latency=LatencyMatrix.zero(),
-        train_fn=keep, average_fn=average_models, **node_arrays(m, [2.0, 1.0]),
-    )
-    assert res.duration_s == pytest.approx(4.0)
-    assert res.bytes == 2 * 96
+    plan = plan_dpsgd(OnePeerExponential(2), m, [2.0, 1.0])
+    assert plan.duration_s == pytest.approx(4.0)
+    assert plan.bytes == 2 * 96
 
 
 def test_dpsgd_latency_delays_arrivals():
     m = make_membership(2, uplink=96.0, downlink=9600.0, cities=2)
     lat = LatencyMatrix(("a", "b"), np.array([[0.0, 100.0], [100.0, 0.0]]))
-    res = dpsgd_round(
-        zeros(2, 10), OnePeerExponential(2), k=1, latency=lat,
-        train_fn=keep, average_fn=average_models, **node_arrays(m, [1.0, 1.0]),
-    )
     # send done at 2 s, plus 50 ms one-way.
-    assert res.duration_s == pytest.approx(2.05)
+    assert plan_dpsgd(OnePeerExponential(2), m, [1.0, 1.0], latency=lat).duration_s == pytest.approx(2.05)
 
 
 def test_dpsgd_one_peer_mixes_pairwise():
     m = make_membership(4, uplink=9600.0, downlink=9600.0)
     models = models_of([0.0], [1.0], [2.0], [3.0])
-    res = dpsgd_round(
-        models, OnePeerExponential(4), k=1,  # offset 1: i receives from i-1
-        latency=LatencyMatrix.zero(), train_fn=keep, average_fn=average_models, **node_arrays(m, [0.0] * 4),
-    )
+    # Round 1, offset 1: i receives from i-1.
+    mixed = plan_dpsgd(OnePeerExponential(4), m, [0.0] * 4, dim=1).mix(models, average_models)
     for i in range(4):
         want = (models[i].values + models[(i - 1) % 4].values) / 2.0
-        assert np.array_equal(res.models[i].values, want)
+        assert np.array_equal(mixed[i].values, want)
 
 
 def test_dpsgd_round_varies_with_one_peer_round_number():
     m = make_membership(4, uplink=9600.0, downlink=9600.0)
     models = models_of([0.0], [1.0], [2.0], [3.0])
     r1, r2 = (
-        dpsgd_round(
-            models, OnePeerExponential(4), k=k, latency=LatencyMatrix.zero(),
-            train_fn=keep, average_fn=average_models, **node_arrays(m, [0.0] * 4),
-        )
-        for k in (1, 2)
+        plan_dpsgd(OnePeerExponential(4), m, [0.0] * 4, k=k, dim=1).mix(models, average_models) for k in (1, 2)
     )
-    assert [a.values.tolist() for a in r1.models] != [b.values.tolist() for b in r2.models]
+    assert [a.values.tolist() for a in r1] != [b.values.tolist() for b in r2]
 
 
 def test_dpsgd_round_rejects_a_mix_that_overflows():
     m = make_membership(3, uplink=96.0, downlink=96.0)
+    plan = plan_dpsgd(k3_topology(), m, [1.0] * 3, dim=1)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        dpsgd_round(
-            models_of([1e308], [1e308], [1e308]), k3_topology(), k=1, latency=LatencyMatrix.zero(),
-            train_fn=keep, average_fn=average_models, **node_arrays(m, [1.0] * 3),
-        )
+        plan.mix(models_of([1e308], [1e308], [1e308]), average_models)
 
 
 @st.composite
@@ -411,20 +348,30 @@ def dpsgd_rounds(draw):
     )
 
 
+LINKS = ("uplink_bps", "downlink_bps", "city_index", "compute_seconds")
+
+
 @settings(max_examples=200, deadline=None)
 @given(dpsgd_rounds())
 def test_dpsgd_round_matches_the_per_node_reference(case):
+    # The plan times the round and its mix averages each node's own trained
+    # model and then its neighbours', in table order, bit for bit as the
+    # reference does.
     def train(i, k, model):
         return ModelParameters(model.values * 0.5 + k)
 
-    res = dpsgd_round(train_fn=train, average_fn=average_models, **case)
-    models, duration, nbytes, train_seconds = dpsgd_round_reference(train_fn=train, **case)
-    assert res.duration_s == duration
-    assert res.bytes == nbytes
-    assert res.train_seconds == train_seconds
-    assert len(res.models) == len(models)
-    for got, want in zip(res.models, models):
-        assert got.values.tobytes() == want.tobytes()
+    k, models = case["k"], case["models"]
+    plan = dpsgd_round(
+        case["topology"].in_neighbors(k), case["latency"], dim=models[0].dim, **{key: case[key] for key in LINKS}
+    )
+    mixed = plan.mix([train(i, k, model) for i, model in enumerate(models)], average_models)
+    want, duration, nbytes, train_seconds = dpsgd_round_reference(train_fn=train, **case)
+    assert plan.duration_s == duration
+    assert plan.bytes == nbytes
+    assert plan.train_seconds == train_seconds
+    assert len(mixed) == len(want)
+    for got, expected in zip(mixed, want):
+        assert got.values.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- gossip --

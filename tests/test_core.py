@@ -1,3 +1,6 @@
+import hashlib
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from plexsim.core import (
     validate_node_id,
 )
 
-from oracles import average_reference
+from oracles import average_reference, derive_rng_reference
 
 
 def vec(*vals):
@@ -112,6 +115,14 @@ def test_membership_rejects_duplicates_and_missing_profiles():
         Membership([], {})
 
 
+def test_membership_indexes_its_members_and_refuses_an_unknown_id():
+    p = DeviceProfile(1.0, 1.0, 1.0)
+    m = Membership(["c", "a", "b"], {"a": p, "b": p, "c": p})
+    assert [m.index_of(nid) for nid in m.nodes] == [0, 1, 2]
+    with pytest.raises(ValueError, match="'d' is not a member"):
+        m.index_of("d")
+
+
 # ------------------------------------------------------------- averaging --
 
 
@@ -176,3 +187,29 @@ def test_derive_rng_deterministic_and_keyed():
     c = derive_rng(1, "x", 3).normal(size=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def assert_same_streams(got, want):
+    assert got.random(8).tobytes() == want.random(8).tobytes()
+    assert np.array_equal(got.choice(1000, size=20, replace=False), want.choice(1000, size=20, replace=False))
+
+
+KEYS = st.one_of(st.integers(), st.text(st.characters(exclude_categories=("Cs",))), st.floats(allow_nan=False))
+
+
+@given(st.integers(0, 2**64), st.lists(KEYS, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_derive_rng_gives_the_streams_of_its_reference(root_seed, keys):
+    assert_same_streams(derive_rng(root_seed, *keys), derive_rng_reference(root_seed, *keys))
+
+
+@pytest.mark.parametrize(
+    "words",
+    [(1, 2, 3, 0), (7, 9, 0, 0), (5, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 2**31), (2**32 - 1, 0, 2**32 - 1, 0)],
+)
+def test_derive_rng_keeps_the_stream_of_a_digest_with_zero_high_words(monkeypatch, words):
+    # An int with zero high words has fewer than four; SeedSequence pads
+    # both seeds' words with zeros to four, so they fill one pool.
+    digest = np.array(words, dtype="<u4").tobytes() + bytes(16)
+    monkeypatch.setattr(hashlib, "sha256", lambda material: types.SimpleNamespace(digest=lambda: digest))
+    assert_same_streams(derive_rng(1, "x"), derive_rng_reference(1, "x"))

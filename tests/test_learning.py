@@ -280,7 +280,7 @@ def test_train_steps_matches_the_reference_model_by_model(
     thetas.flags.writeable = False
     cfg = TrainerConfig(eta=0.05, momentum=momentum, batch_size=batch_size, local_steps=local_steps)
     batches = [draw_batches(part, cfg, derive_rng(seed, "sgd", i)) for i, part in enumerate(parts)]
-    trained = train_steps(thetas, spec, parts, cfg, batches)
+    trained = train_steps(thetas, spec, X, y, cfg, batches)
     assert trained.shape == thetas.shape
     for i, (model, part, got) in enumerate(zip(models, parts, trained)):
         want = local_train_reference(model, spec, whole(X[part.rows], y[part.rows]), cfg, derive_rng(seed, "sgd", i))

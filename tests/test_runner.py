@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import sys
 import threading
 from dataclasses import replace
@@ -17,6 +18,7 @@ from plexsim.config import (
     TracesConfig,
     load_config,
 )
+from plexsim.baselines import OnePeerExponential, dpsgd_round, make_regular_topology
 from plexsim.core import ModelParameters, derive_rng
 from plexsim import learning, runner, simnet
 from plexsim.learning import (
@@ -38,7 +40,7 @@ from plexsim.sampler import sample
 from plexsim.simnet import maxmin_rates
 
 from conftest import child_pids
-from oracles import fedavg_reference
+from oracles import dpsgd_round_reference, fedavg_reference
 
 
 def tiny_cfg(algorithm="plexus", **kw):
@@ -192,16 +194,17 @@ def _replay_inline(monkeypatch) -> None:
 
 
 def _draw_stream(r, stream, nid, key):
-    """``_Repetition.draw`` that hands on the training's stream itself."""
-    return r.rng(stream, nid, key)
+    """``_Repetition.draw`` that hands on the training's shard and stream
+    themselves."""
+    return r.shards[nid], r.rng(stream, nid, key)
 
 
-def _train_at_once(thetas, spec, parts, cfg, rngs):
-    """``train_steps`` of ``_draw_stream``'s streams, without stacking: one
-    ``local_train`` call per model."""
+def _train_at_once(thetas, spec, X, y, cfg, draws):
+    """``train_steps`` of ``_draw_stream``'s shards and streams, without
+    stacking: one ``local_train`` call per model."""
     return [
         local_train(ModelParameters(theta), spec, part, cfg, rng).values
-        for theta, part, rng in zip(thetas, parts, rngs)
+        for theta, (part, rng) in zip(thetas, draws)
     ]
 
 
@@ -212,9 +215,9 @@ def _count_training(monkeypatch) -> list[int]:
     batches = []
     train = runner.train_steps
 
-    def counting(thetas, spec, parts, cfg, rows):
+    def counting(thetas, *args):
         batches.append(len(thetas))
-        return train(thetas, spec, parts, cfg, rows)
+        return train(thetas, *args)
 
     monkeypatch.setattr(runner, "train_steps", counting)
     return batches
@@ -292,7 +295,7 @@ def test_the_replay_trains_its_queue_in_chunks_and_before_a_read(monkeypatch):
 
     def train(out):
         nid, key = keys[out]
-        return (runner._TRAIN, out, 0, nid, r.draw("train", nid, key))
+        return (runner._TRAIN, out, 0, r.draw("train", nid, key))
 
     scored = []
     replay.run([(runner._INIT, 0, None)] + [train(i) for i in range(1, learning._TRAIN_CHUNK)], scored.append)
@@ -422,6 +425,54 @@ def test_a_simulation_error_stops_the_worker(monkeypatch, algorithm):
     assert isinstance(err, simnet.SimulationError) and str(err) == "rates failed"
 
 
+def test_a_killed_worker_makes_the_run_raise(monkeypatch):
+    # The worker is killed while it waits for the batch that holds the
+    # first checkpoint, so it dies between two reads and never mid-stack.
+    if not hasattr(os, "fork"):
+        pytest.skip("runs replay inline where os.fork is missing")
+    send = runner._Worker.send
+    killed = []
+
+    def killing(self, records):
+        if not killed and any(record[0] == runner._SCORE for record in records):
+            os.kill(self.pid, signal.SIGKILL)
+            killed.append(self.pid)
+        return send(self, records)
+
+    monkeypatch.setattr(runner._Worker, "send", killing)
+    cfg = QUEUE_CFGS["gl"]()
+    err = _run_leaving_nothing_behind(cfg, build_world(cfg))
+    assert killed
+    assert isinstance(err, RuntimeError) and str(err) == "the replay worker ended without a word"
+
+
+def test_a_failed_fork_closes_every_pipe_end(monkeypatch):
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to count open files in")
+    cfg = QUEUE_CFGS["gl"]()
+    world = build_world(cfg)
+    opened = []
+    pipe = os.pipe
+
+    def recording_pipe():
+        ends = pipe()
+        opened.extend(ends)
+        return ends
+
+    def failing_fork():
+        raise OSError("fork failed")
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    before = len(list(fds.iterdir()))
+    with pytest.raises(OSError, match="fork failed"):
+        run_single(cfg, world, 0)
+    assert len(opened) == 4
+    assert len(list(fds.iterdir())) == before
+    assert not any((fds / str(fd)).exists() for fd in opened)
+
+
 def test_the_stack_pipe_holds_a_megabyte_where_linux_allows():
     fcntl = pytest.importorskip("fcntl")
     limit = Path("/proc/sys/fs/pipe-max-size")
@@ -437,7 +488,7 @@ def test_the_stack_pipe_holds_a_megabyte_where_linux_allows():
 
 
 # Work budgets: the rate solves, the flows they solve and the ``train_steps``
-# calls of three small runs, replayed inline so that the calls are counted
+# calls of small runs, replayed inline so that the calls are counted
 # here. A change that lowers one updates it here; a change that
 # raises one must say why.
 WORK_BUDGETS = {
@@ -469,6 +520,23 @@ WORK_BUDGETS = {
             algorithm="dpsgd", topology=TopologyConfig(kind="regular", degree=4, seed=1),
         ),
         {"maxmin_calls": 0, "flows_solved": 0, "train_calls": 40, "models_trained": 400},
+    ),
+    # fl-small and dpsgd-small with room for 1000 rounds, cut by a 600 s
+    # budget: the round that would cross it is planned but never trained.
+    "fl-cut": (
+        lambda: replace(
+            load_config(CONFIGS / "plexus-small.yaml"), algorithm="fl", sample_size=12, success_fraction=1.0,
+            stop=StopConfig(max_rounds=1000, max_virtual_s=600.0),
+        ),
+        {"maxmin_calls": 0, "flows_solved": 0, "train_calls": 614, "models_trained": 3684},
+    ),
+    "dpsgd-cut": (
+        lambda: replace(
+            load_config(CONFIGS / "plexus-small.yaml"),
+            algorithm="dpsgd", topology=TopologyConfig(kind="regular", degree=4, seed=1),
+            stop=StopConfig(max_rounds=1000, max_virtual_s=600.0),
+        ),
+        {"maxmin_calls": 0, "flows_solved": 0, "train_calls": 476, "models_trained": 4760},
     ),
 }
 
@@ -571,6 +639,59 @@ def test_run_dpsgd_regular_ledger_shape():
     # Eval rows appear on the virtual clock, not at round boundaries.
     assert all(p.time_s % 20.0 == 0 for p in led.accuracy)
     assert all(p.accuracy_std >= 0 for p in led.accuracy)
+
+
+PLAN_CFGS = {
+    # A regular graph hands out one table: one plan for all 20 rounds.
+    "dpsgd-small": (lambda: WORK_BUDGETS["dpsgd-small"][0](), 1),
+    # One-peer on 12 nodes cycles through ceil(log2 12) = 4 tables in 10 rounds.
+    "one-peer": (
+        lambda: tiny_cfg(
+            algorithm="dpsgd", n=12, topology=TopologyConfig(kind="one_peer_exp"),
+            stop=StopConfig(max_rounds=10, max_virtual_s=1e7),
+        ),
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_CFGS))
+def test_dpsgd_plans_each_neighbour_table_once(monkeypatch, name):
+    make_cfg, want_plans = PLAN_CFGS[name]
+    tables = []
+
+    def planning(ins, *args, **kwargs):
+        tables.append(ins.tobytes())
+        return dpsgd_round(ins, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "dpsgd_round", planning)
+    cfg = make_cfg()
+    world = build_world(cfg, CONFIGS)
+    led = run_single(cfg, world, 0)
+    assert len(tables) == len(set(tables)) == want_plans < len(led.rounds) == cfg.stop.max_rounds
+    # Each round costs what the per-node reference gives for its table.
+    if cfg.topology.kind == "regular":
+        topology = make_regular_topology(cfg.n, cfg.topology.degree, cfg.topology.seed)
+    else:
+        topology = OnePeerExponential(cfg.n)
+    profiles = [world.membership.profile(nid) for nid in world.membership.nodes]
+    compute_s = runner._Repetition(cfg, world, 0).compute_s
+    nodes = dict(
+        uplink_bps=[p.uplink_bps for p in profiles],
+        downlink_bps=[p.downlink_bps for p in profiles],
+        city_index=[p.city_index for p in profiles],
+        compute_seconds=[compute_s[nid] for nid in world.membership.nodes],
+    )
+    models = [ModelParameters(np.zeros(world.spec.dim))] * cfg.n
+    bytes_total, train_seconds_total = 0, 0.0
+    for rec in led.rounds:
+        _, duration, nbytes, train_seconds = dpsgd_round_reference(
+            models, topology, rec.round, world.latency, train_fn=lambda i, k, model: model, **nodes
+        )
+        assert rec.duration_s == duration
+        bytes_total += nbytes
+        train_seconds_total += train_seconds
+    assert (led.bytes_total, led.train_seconds_total) == (bytes_total, train_seconds_total)
 
 
 def test_run_dpsgd_one_peer_bytes():
