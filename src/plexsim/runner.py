@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import pickle
-import queue
 import signal
 import threading
 from collections import Counter
@@ -182,15 +181,15 @@ _BATCH_RECORDS = 256
 
 class _ModelRef:
     """A model of a logged run as the simulating process holds it: its
-    ``age`` and ``dim``, and the ``id`` under which the replay holds its
-    values. A node, a message in flight or a pending compute may hold it;
-    when the last reference goes, the log tells the replay to drop the
-    values."""
+    ``dim``, which sizes it on the wire, and the ``id`` under which the
+    replay holds its values. A node, a message in flight or a pending
+    compute may hold it; when the last reference goes, the log tells the
+    replay to drop the values."""
 
-    __slots__ = ("id", "age", "dim", "_log")
+    __slots__ = ("id", "dim", "_log")
 
-    def __init__(self, log: _OpLog, age: int, dim: int):
-        self.id, self.age, self.dim, self._log = next(log.ids), age, dim, log
+    def __init__(self, log: _OpLog, dim: int):
+        self.id, self.dim, self._log = next(log.ids), dim, log
 
     def __del__(self) -> None:
         self._log.records.append((_DROP, self.id))
@@ -198,8 +197,8 @@ class _ModelRef:
 
 class _OpLog:
     """The model operations of one run, logged for a host that replays
-    them. Each returns a ``_ModelRef`` with the age and dim that the
-    operation gives; the nodes take them as their ``init_model``,
+    them. Each returns a ``_ModelRef`` of the model that the operation
+    gives; the nodes take them as their ``init_model``,
     ``train_fn``, ``merge_fn`` and ``average_fn``, and FL's and D-PSGD's
     round loops call them once a round's plan fits the budget."""
 
@@ -208,25 +207,24 @@ class _OpLog:
         self.ids = itertools.count()
         self.records: list[tuple] = []
 
-    def _new(self, age: int, dim: int, kind: int, *args) -> _ModelRef:
-        ref = _ModelRef(self, age, dim)
+    def _new(self, dim: int, kind: int, *args) -> _ModelRef:
+        ref = _ModelRef(self, dim)
         self.records.append((kind, ref.id, *args))
         if len(self.records) >= _BATCH_RECORDS:
             self.send()
         return ref
 
     def init(self, nid: Optional[str]) -> _ModelRef:
-        return self._new(0, self.r.world.spec.dim, _INIT, nid)
+        return self._new(self.r.world.spec.dim, _INIT, nid)
 
     def train(self, stream: str, nid: str, key: int, model: _ModelRef) -> _ModelRef:
-        age = model.age + self.r.cfg.trainer.local_steps
-        return self._new(age, model.dim, _TRAIN, model.id, self.r.draw(stream, nid, key))
+        return self._new(model.dim, _TRAIN, model.id, self.r.draw(stream, nid, key))
 
     def merge(self, left: _ModelRef, right: _ModelRef) -> _ModelRef:
-        return self._new(max(left.age, right.age), left.dim, _MERGE, left.id, right.id)
+        return self._new(left.dim, _MERGE, left.id, right.id)
 
     def average(self, models: list[_ModelRef]) -> _ModelRef:
-        return self._new(0, models[0].dim, _AVERAGE, *[m.id for m in models])
+        return self._new(models[0].dim, _AVERAGE, *[m.id for m in models])
 
     def checkpoint(
         self, at: float, round_no: int, models: list[_ModelRef], totals: MetricsLedger | Engine
@@ -326,12 +324,14 @@ class _InlineHost:
 
 class _Worker:
     """A ``_Replay`` in a forked worker process. The simulating process
-    writes batches of records to one pipe; the worker reads them ahead on a
-    thread, replays them, and writes each checkpoint's stack and then its
-    outcome, ``("done",)`` or ``("error", exc)``, to the other. A thread of
-    the simulating process reads that pipe and scores each stack. As each
-    side drains the pipe it reads on a thread, neither deadlocks on a full
-    one.
+    writes batches of records to one pipe; the worker replays each batch as
+    it reads it, on its one thread, and writes each checkpoint's stack and
+    then its outcome, ``("done",)`` or ``("error", exc)``, to the other. A
+    thread of the simulating process reads that pipe and scores each stack,
+    so the worker's writes always drain, and the simulating process waits
+    on a full op pipe only while the worker replays. When scoring fails,
+    that thread kills the worker, so a write to the op pipe fails instead of
+    waiting for ever.
 
     Build it before the run starts any thread: ``fork`` copies only the
     calling thread. The worker always leaves through ``os._exit``."""
@@ -340,6 +340,7 @@ class _Worker:
         self.r = r
         ops_read, ops_write = os.pipe()
         results_read, results_write = os.pipe()
+        _widen_pipe(ops_write)
         _widen_pipe(results_write)
         try:
             self.pid = os.fork()
@@ -376,6 +377,7 @@ class _Worker:
             self._outcome = RuntimeError("the replay worker ended without a word")
         except Exception as exc:  # scoring failed: the run raises it
             self._outcome = exc
+            os.kill(self.pid, signal.SIGKILL)  # no one reads its stacks now
 
     def _raise_outcome(self) -> None:
         self._reader.join()
@@ -383,12 +385,10 @@ class _Worker:
             raise self._outcome
 
     def send(self, records: list[tuple]) -> None:
-        if not self._reader.is_alive():  # the worker failed, or scoring did
-            self._raise_outcome()
         try:
             pickle.dump(records, self._ops, protocol=pickle.HIGHEST_PROTOCOL)
             self._ops.flush()
-        except BrokenPipeError:  # the worker failed
+        except BrokenPipeError:  # the worker ended: it failed, or scoring did
             self._raise_outcome()
             raise
 
@@ -419,8 +419,11 @@ def _widen_pipe(fd: int) -> None:
     most an unprivileged process may ask by default). The parent's reading
     thread waits for the interpreter lock once per read, so on gl-n500 the
     worker spent a median of 0.18 s a run writing its two 10 MB stacks
-    through 64 KB pipes, and 0.04 s through 1 MB ones (6 runs each on a
-    2-core machine). Elsewhere the pipe keeps its size."""
+    through 64 KB pipes, and 0.04 s through 1 MB ones. The op pipe has no
+    reading thread: through 64 KB, gl-n500's 4.1 MB of records left the
+    parent waiting on the worker, and ``run_single`` took a median of
+    1.07 s against 0.95 s through 1 MB (5 runs each, 2-core machine).
+    Elsewhere the pipe keeps its size."""
     import fcntl  # POSIX, as os.fork is
 
     set_size = getattr(fcntl, "F_SETPIPE_SZ", None)
@@ -434,32 +437,22 @@ def _widen_pipe(fd: int) -> None:
 
 def _serve(replay: _Replay, ops_fd: int, results_fd: int) -> None:
     """The worker's main: replay each batch of records from ``ops_fd`` as it
-    arrives, then train what is still queued; send each checkpoint's stack,
-    then the outcome, to ``results_fd``. A thread reads ahead, so that the
-    simulating process never waits on a full pipe."""
-    batches: queue.SimpleQueue = queue.SimpleQueue()
-
-    def read_ahead() -> None:
-        with open(ops_fd, "rb") as ops:
-            while True:
-                try:
-                    batches.put(pickle.load(ops))
-                except Exception as exc:  # EOFError when the simulation is done
-                    batches.put(exc)
-                    return
-
-    threading.Thread(target=read_ahead, daemon=True).start()
-    with open(results_fd, "wb") as out:
+    arrives, until the simulating process closes the pipe, then train what
+    is still queued; send each checkpoint's stack, then the outcome, to
+    ``results_fd``."""
+    with open(ops_fd, "rb") as ops, open(results_fd, "wb") as out:
 
         def write(*msg) -> None:
             pickle.dump(msg, out, protocol=pickle.HIGHEST_PROTOCOL)
             out.flush()
 
         try:
-            while not isinstance(records := batches.get(), Exception):
+            while True:
+                try:
+                    records = pickle.load(ops)
+                except EOFError:  # the simulation is done
+                    break
                 replay.run(records, partial(write, "stack"))
-            if not isinstance(records, EOFError):
-                raise records
             replay.flush()
             outcome: tuple = ("done",)
         except Exception as exc:

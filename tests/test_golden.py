@@ -1,7 +1,8 @@
 """The four desk configs write the bytes recorded in ``golden_desk.json``
 (on the machine it names) and, on any machine and BLAS kernel, those of
-``golden_portable.json``; no output depends on the string hash seed,
-although node ids are strings kept in sets and dicts."""
+``golden_portable.json``, whose op-log digests pin the model operations
+as well; no output depends on the string hash seed, although node ids are
+strings kept in sets and dicts."""
 
 import json
 import os
@@ -10,8 +11,8 @@ import sys
 
 import pytest
 
-from golden_desk import GOLDEN, ROOT, digests, fingerprint, run_desk
-from golden_portable import PORTABLE, portable_digests
+from golden_desk import GOLDEN, ROOT, digests, fingerprint
+from golden_portable import PORTABLE, portable_digests, run_desk_op_logs
 
 HASH_SEED_CONFIGS = ("plexus-desk", "gl-desk")
 _PATH = os.pathsep.join([str(ROOT / "src"), str(GOLDEN.parent)])
@@ -25,9 +26,9 @@ RERUN = (
 
 @pytest.fixture(scope="module")
 def desk_runs(tmp_path_factory):
-    """The directory and the digests of the four desk runs made in this
-    process, and the digests of plexus-desk and gl-desk rerun in a
-    subprocess under another PYTHONHASHSEED. The two overlap."""
+    """The directory, the digests and the op-log digests of the four desk
+    runs made in this process, and the digests of plexus-desk and gl-desk
+    rerun in a subprocess under another PYTHONHASHSEED. The two overlap."""
     here, there = tmp_path_factory.mktemp("in_process"), tmp_path_factory.mktemp("subprocess")
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     # One BLAS thread, so that the two processes do not fight for the cores.
@@ -38,11 +39,11 @@ def desk_runs(tmp_path_factory):
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     try:
-        ours = run_desk(here)
+        op_logs = run_desk_op_logs(here)
     finally:
         _, err = proc.communicate(timeout=600)
     assert proc.returncode == 0, err.decode()
-    return here, ours, digests(there)
+    return here, digests(here), digests(there), op_logs
 
 
 def test_desk_outputs_match_the_golden_digests(desk_runs):
@@ -62,8 +63,15 @@ def test_desk_outputs_match_the_portable_digests(desk_runs):
     assert not changed, f"outputs differ from tests/golden_portable.json: {changed}"
 
 
+def test_desk_op_logs_match_the_portable_digests(desk_runs):
+    golden = json.loads(PORTABLE.read_text())["op_logs"]
+    ours = desk_runs[3]
+    changed = sorted(c for c in golden.keys() | ours.keys() if golden.get(c) != ours.get(c))
+    assert not changed, f"op logs differ from tests/golden_portable.json: {changed}"
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(desk_runs):
-    _, ours, rerun = desk_runs
+    _, ours, rerun, _ = desk_runs
     assert rerun and rerun == {f: h for f, h in ours.items() if f.split("/")[0] in HASH_SEED_CONFIGS}
 
 

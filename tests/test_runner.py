@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -242,30 +243,23 @@ QUEUE_CFGS = {
 }
 
 
-_CHECKPOINT = runner._OpLog.checkpoint
 _SCORE = runner._Repetition.score
 
 
 def _run_scoring(monkeypatch, cfg, world):
-    """``run_single`` replayed inline, the (age, values) of the models of
-    every checkpoint, and the size of every ``train_steps`` call."""
-    ages, values = [], []
-
-    def checkpointing(self, at, round_no, models, totals):
-        ages.append([m.age for m in models])
-        return _CHECKPOINT(self, at, round_no, models, totals)
+    """``run_single`` replayed inline, the values of the models of every
+    checkpoint, and the size of every ``train_steps`` call."""
+    values = []
 
     def scoring(self, at, round_no, thetas, bytes_total, train_seconds_total):
         values.append([np.array(theta) for theta in thetas])
         return _SCORE(self, at, round_no, thetas, bytes_total, train_seconds_total)
 
     _replay_inline(monkeypatch)
-    monkeypatch.setattr(runner._OpLog, "checkpoint", checkpointing)
     monkeypatch.setattr(runner._Repetition, "score", scoring)
     batches = _count_training(monkeypatch)
     led = run_single(cfg, world, 0)
-    assert len(ages) == len(values)
-    return led, [list(zip(a, v)) for a, v in zip(ages, values)], batches
+    return led, values, batches
 
 
 @pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
@@ -280,8 +274,8 @@ def test_queued_training_matches_training_each_model_at_once(monkeypatch, algori
     assert queued == alone
     assert len(queued_models) == len(alone_models) >= 2
     for got, want in zip(queued_models, alone_models):
-        assert [age for age, _ in got] == [age for age, _ in want]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_the_replay_trains_its_queue_in_chunks_and_before_a_read(monkeypatch):
@@ -332,8 +326,14 @@ def test_a_diverging_queued_run_raises(algorithm):
 # ------------------------------------------------------------ replay worker --
 
 
-@pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
-def test_a_forked_replay_matches_an_inline_one(monkeypatch, algorithm):
+@pytest.mark.parametrize(
+    "algorithm, widen",
+    [pytest.param(a, True, id=a) for a in sorted(QUEUE_CFGS)]
+    + [pytest.param(a, False, id=f"{a}-default-pipes") for a in sorted(QUEUE_CFGS)],
+)
+def test_a_forked_replay_matches_an_inline_one(monkeypatch, algorithm, widen):
+    if not widen:  # 64 KB pipes on Linux, so that a side may wait on a full one
+        monkeypatch.setattr(runner, "_widen_pipe", lambda fd: None)
     cfg = QUEUE_CFGS[algorithm]()
     world = build_world(cfg)
     forks = []
@@ -356,6 +356,26 @@ def test_a_forked_replay_matches_an_inline_one(monkeypatch, algorithm):
     inline = run_single(cfg, world, 0)
     assert len(forked.accuracy) >= 2
     assert forked == inline
+
+
+@pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
+def test_the_worker_runs_one_thread(monkeypatch, algorithm):
+    # Counted while the worker waits for records after a checkpoint: it
+    # replays them on the thread that reads them.
+    if not hasattr(os, "fork") or not Path("/proc/self/task").is_dir():
+        pytest.skip("needs os.fork, and /proc to count a process's threads")
+    send = runner._Worker.send
+    threads = []
+
+    def counting(self, records):
+        send(self, records)
+        if any(record[0] == runner._SCORE for record in records):
+            threads.append(len(list(Path(f"/proc/{self.pid}/task").iterdir())))
+
+    monkeypatch.setattr(runner._Worker, "send", counting)
+    cfg = QUEUE_CFGS[algorithm]()
+    led = run_single(cfg, build_world(cfg), 0)
+    assert threads == [1] * len(led.accuracy)
 
 
 def _run_leaving_nothing_behind(cfg, world):
@@ -444,6 +464,57 @@ def test_a_killed_worker_makes_the_run_raise(monkeypatch):
     err = _run_leaving_nothing_behind(cfg, build_world(cfg))
     assert killed
     assert isinstance(err, RuntimeError) and str(err) == "the replay worker ended without a word"
+
+
+# dpsgd-desk for 8 rounds through default pipes, scored every 10 virtual s,
+# with scoring failing at its 2nd call: each of its 100-model stacks (2 MB)
+# and each round's records (80 KB) overfills a 64 KB pipe. It prints the
+# error the run raised, then whether a child process is left.
+STALLED_SCORER = """
+import os, sys
+from dataclasses import replace
+from plexsim import runner
+from plexsim.config import load_config
+
+cfg = load_config(sys.argv[1])
+cfg = replace(cfg, stop=replace(cfg.stop, max_rounds=8), eval=replace(cfg.eval, every_seconds=10.0))
+evaluate_many, calls = runner.evaluate_many, []
+
+def failing(*args):
+    calls.append(args)
+    if len(calls) == 2:
+        raise RuntimeError("scoring failed")
+    return evaluate_many(*args)
+
+runner.evaluate_many = failing
+runner._widen_pipe = lambda fd: None
+try:
+    runner.run_single(cfg, runner.build_world(cfg), 0)
+except RuntimeError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child is left")
+"""
+
+
+def test_a_scoring_error_ends_a_run_that_waits_on_full_pipes():
+    # Once scoring fails, nothing drains the worker's stacks, so the worker
+    # waits to write one, and the simulation to write records. Killing the
+    # worker ends both waits. Run apart, so that a hang fails the test
+    # instead of the suite.
+    if not hasattr(os, "fork"):
+        pytest.skip("runs replay inline where os.fork is missing")
+    src = Path(runner.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", STALLED_SCORER, str(CONFIGS / "dpsgd-desk.yaml")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["scoring failed", "no child is left"]
 
 
 def test_a_failed_fork_closes_every_pipe_end(monkeypatch):
