@@ -155,25 +155,23 @@ class FlRoundPlan:
 
 
 def fl_round(
+    participants: tuple[NodeId, ...],
     membership: Membership,
     dim: int,
-    s: int,
     sf: float,
     *,
-    select_fn: Callable[[int], tuple[NodeId, ...]],
     compute_seconds: Callable[[NodeId], float],
 ) -> FlRoundPlan:
     """The plan of one synchronous FedAvg round of a ``dim``-parameter model
     against an unconstrained server.
 
-    The server pushes the model to s sampled clients (download limited by
-    each client's downlink only), every client trains, and the round fires
-    at the floor(s*sf)-th completed upload (upload limited by the client's
-    uplink only). Slow clients still consume bandwidth and compute; their
-    models are simply not aggregated, so only the counted ones, the plan's
-    ``trainers``, need training.
+    The server pushes the model to the s sampled ``participants`` (download
+    limited by each client's downlink only), every client trains, and the
+    round fires at the floor(s*sf)-th completed upload (upload limited by
+    the client's uplink only). Slow clients still consume bandwidth and
+    compute; their models are simply not aggregated, so only the counted
+    ones, the plan's ``trainers``, need training.
     """
-    participants = tuple(select_fn(s))
     if not participants:
         raise ValueError("no candidates")
     threshold = success_threshold(len(participants), sf)
@@ -193,18 +191,6 @@ def fl_round(
         bytes=2 * len(participants) * nbytes,
         train_seconds=train_seconds,
     )
-
-
-def uniform_selector(membership: Membership, rng: np.random.Generator):
-    """Server-side sampling: uniform without replacement, independent of the
-    deterministic hash sampler."""
-
-    def select(s: int) -> tuple[NodeId, ...]:
-        n = len(membership)
-        idx = rng.choice(n, size=min(s, n), replace=False)
-        return tuple(membership.nodes[int(i)] for i in idx)
-
-    return select
 
 
 # -------------------------------------------------------- dpsgd baseline --
@@ -322,9 +308,6 @@ class GossipNode:
         self.merges = 0
         self.drops = 0
         self._my_index = membership.index_of(me)
-
-    def initial_effects(self, stagger_s: float) -> list[Effect]:
-        return [SetTimer(stagger_s)]
 
     def _pick_peer(self) -> NodeId:
         n = len(self.membership)

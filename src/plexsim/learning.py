@@ -351,14 +351,6 @@ def local_train(
     return ModelParameters(values, age=model.age + cfg.local_steps)
 
 
-# Models that one stacked SGD step trains together. On the dpsgd-desk shapes
-# (batch 32, 256 inputs, 10 classes, 3 steps) a model took the least CPU
-# time in chunks of 10: 143 us, against 150 in chunks of 5, 165 in 20, 175
-# in 50 and 204 in 100. A chunk's buffers, and peak memory with them, grow
-# with its size; 10 models gather 655 KB of rows a step.
-_TRAIN_CHUNK = 10
-
-
 def draw_batches(part: DataPartition, cfg: TrainerConfig, rng: np.random.Generator) -> np.ndarray:
     """The dataset rows of the ``local_steps`` minibatches that local SGD on
     ``part`` draws from ``rng``, one (steps, batch_size) row per step, in the
@@ -387,19 +379,12 @@ def train_steps(
 ) -> np.ndarray:
     """A new (models, dim) stack: row i of ``thetas`` after ``local_steps``
     SGD steps, step s on the rows ``batches[i][s]`` of X, y that
-    ``draw_batches`` drew. Each step moves a chunk of ``_TRAIN_CHUNK`` rows
-    as one stack, whose gradient makes the same products and sums per model
-    as one model's."""
-    trained = np.array(thetas, dtype=np.float64)
-    for lo in range(0, len(trained), _TRAIN_CHUNK):
-        hi = lo + _TRAIN_CHUNK
-        _step_chunk(trained[lo:hi], spec, X, y, cfg, np.stack(batches[lo:hi]))
-    return trained
-
-
-def _step_chunk(theta, spec, X, y, cfg, rows) -> None:
-    """``train_steps`` of at most ``_TRAIN_CHUNK`` rows, in place, on the
-    (models, steps, batch) dataset rows ``rows``."""
+    ``draw_batches`` drew. Each step moves the whole stack at once, and its
+    gradient makes the same products and sums per model as one model's; a
+    caller that trains many models bounds the stack's buffers by the size
+    of the stack it passes."""
+    theta = np.array(thetas, dtype=np.float64)
+    rows = np.stack(batches)
     labels = y[rows]
     velocity = np.zeros_like(theta)
     step = np.empty_like(theta)
@@ -415,6 +400,7 @@ def _step_chunk(theta, spec, X, y, cfg, rows) -> None:
         theta -= step
     if not np.isfinite(theta).all():
         raise ValueError("divergence: reduce eta")
+    return theta
 
 
 class EvalSplit:

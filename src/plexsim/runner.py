@@ -33,12 +33,10 @@ from .baselines import (
     fl_round,
     gl_merge,
     make_regular_topology,
-    uniform_selector,
 )
 from .config import ExperimentConfig, resolve_trace_path
-from .core import Membership, ModelParameters, average_models, derive_rng
+from .core import Membership, ModelParameters, SetTimer, average_models, derive_rng
 from .learning import (
-    _TRAIN_CHUNK,
     DataPartition,
     Dataset,
     EvalSplit,
@@ -113,12 +111,6 @@ def deal_shards(cfg: ExperimentConfig, world: World, rep: int) -> list[DataParti
     return partition(world.dataset, cfg.n, cfg.partition, cfg.protocol_seed * 1_000_003 + rep)
 
 
-def _init_model(cfg: ExperimentConfig, spec: ModelSpec, rep: int, nid: Optional[str]) -> ModelParameters:
-    if cfg.shared_init or nid is None:
-        return spec.init_model(derive_rng(cfg.init_seed, "init", rep))
-    return spec.init_model(derive_rng(cfg.init_seed, "init", rep, nid))
-
-
 def _should_eval(cfg: ExperimentConfig, k: int) -> bool:
     return k % cfg.eval.every_rounds == 0 or k == cfg.stop.max_rounds
 
@@ -138,25 +130,26 @@ class _Repetition:
         self.compute_s = {nid: compute_time(world.membership.profile(nid), steps) for nid in nodes}
         self.ledger = MetricsLedger()
 
-    def rng(self, stream: str, nid: str, key: int) -> np.random.Generator:
-        return derive_rng(self.cfg.protocol_seed, stream, self.rep, nid, key)
-
     def draw(self, stream: str, nid: str, key: int) -> np.ndarray:
         """The batch rows of node ``nid``'s training ``key`` on ``stream``."""
-        return draw_batches(self.shards[nid], self.cfg.trainer, self.rng(stream, nid, key))
+        rng = derive_rng(self.cfg.protocol_seed, stream, self.rep, nid, key)
+        return draw_batches(self.shards[nid], self.cfg.trainer, rng)
 
     def init(self, nid: Optional[str]) -> ModelParameters:
-        return _init_model(self.cfg, self.world.spec, self.rep, nid)
+        """Node ``nid``'s initial model: the repetition's shared one when
+        ``shared_init`` is set or ``nid`` is None."""
+        if self.cfg.shared_init or nid is None:
+            return self.world.spec.init_model(derive_rng(self.cfg.init_seed, "init", self.rep))
+        return self.world.spec.init_model(derive_rng(self.cfg.init_seed, "init", self.rep, nid))
 
-    def score(
-        self, at: float, round_no: int, thetas: Sequence[np.ndarray], bytes_total: int, train_seconds_total: float
-    ) -> AccuracyPoint:
-        """The mean and std accuracy of the parameter vectors ``thetas``,
-        with the byte and training-second totals given."""
+    def record(self, point: tuple, thetas: Sequence[np.ndarray]) -> None:
+        """Append the mean and std accuracy of the parameter vectors
+        ``thetas`` at ``point``: (time, round, byte total, training-second
+        total)."""
+        at, round_no, bytes_total, train_seconds_total = point
         accs = evaluate_many(thetas, self.world.spec, self.test)
-        return AccuracyPoint(
-            at, round_no, float(np.mean(accs)), float(np.std(accs)), bytes_total, train_seconds_total,
-        )
+        mean, std = float(np.mean(accs)), float(np.std(accs))
+        self.ledger.accuracy.append(AccuracyPoint(at, round_no, mean, std, bytes_total, train_seconds_total))
 
 
 # ----------------------------------------------------------------- op log --
@@ -168,15 +161,23 @@ class _Repetition:
 # the records in order with the model values: the training queue,
 # ``gl_merge``, ``average_models`` and every ``ModelParameters`` check.
 # Where ``os.fork`` exists the replay runs in a forked worker process
-# (``_Worker``), so the simulation never waits on a model; elsewhere it runs
-# inline (``_InlineHost``). Either way a checkpoint's (models, dim) stack is
-# scored in this process.
+# (``_Worker``), so the simulation never waits on a model; elsewhere the
+# log sends its records to a ``_Replay`` in this process. Either way a
+# checkpoint's (models, dim) stack is scored in this process.
 
 _INIT, _TRAIN, _MERGE, _AVERAGE, _SCORE, _DROP = range(6)
 
 # Records per message to the worker. A larger batch costs fewer writes and
 # a longer wait before the worker starts on it.
 _BATCH_RECORDS = 256
+
+# Models that one stacked SGD step trains together: the replay trains its
+# queue when it holds this many. On the dpsgd-desk shapes (batch 32, 256
+# inputs, 10 classes, 3 steps) a model took the least CPU time in chunks of
+# 10: 143 us, against 150 in chunks of 5, 165 in 20, 175 in 50 and 204 in
+# 100. A chunk's buffers, and peak memory with them, grow with its size; 10
+# models gather 655 KB of rows a step.
+_TRAIN_CHUNK = 10
 
 
 class _ModelRef:
@@ -202,7 +203,7 @@ class _OpLog:
     ``train_fn``, ``merge_fn`` and ``average_fn``, and FL's and D-PSGD's
     round loops call them once a round's plan fits the budget."""
 
-    def __init__(self, r: _Repetition, host: _Worker | _InlineHost):
+    def __init__(self, r: _Repetition, host: _Worker | _Replay):
         self.r, self.host = r, host
         self.ids = itertools.count()
         self.records: list[tuple] = []
@@ -242,7 +243,8 @@ class _OpLog:
 
 class _Replay:
     """The model values of a run: it applies an ``_OpLog``'s records in
-    order and hands each checkpoint's stack to ``emit(point, stack)``.
+    order and hands each checkpoint's stack to ``emit(point, stack)``. It is
+    the log's host where ``os.fork`` is missing, and the tests' reference.
 
     A training joins a queue, which ``flush`` trains with one
     ``train_steps`` call: when it holds ``_TRAIN_CHUNK`` models, before a
@@ -252,13 +254,13 @@ class _Replay:
     that is dropped still trains, so that a diverging run raises, but its
     values are not kept."""
 
-    def __init__(self, r: _Repetition):
-        self.r = r
+    def __init__(self, r: _Repetition, emit: Callable[[tuple, np.ndarray], None]):
+        self.r, self.emit = r, emit
         self.models: dict[int, ModelParameters] = {}
         self._queue: list[tuple[int, ModelParameters, np.ndarray]] = []
         self._queued: set[int] = set()  # the ids in the queue, less the dropped ones
 
-    def run(self, records: list[tuple], emit: Callable[[tuple, np.ndarray], None]) -> None:
+    def send(self, records: list[tuple]) -> None:
         models, queued = self.models, self._queued
         for kind, out, *args in records:
             if kind == _DROP:
@@ -283,7 +285,7 @@ class _Replay:
             elif kind == _AVERAGE:
                 models[out] = average_models([models[i] for i in args])
             else:  # _SCORE: ``out`` is the checkpoint's point
-                emit(out, np.stack([models[i].values for i in args]))
+                self.emit(out, np.stack([models[i].values for i in args]))
 
     def flush(self) -> None:
         """Train every queued model with one ``train_steps`` call."""
@@ -299,27 +301,10 @@ class _Replay:
                 self.models[out] = ModelParameters(row, model.age + cfg.trainer.local_steps)
         self._queued.clear()
 
-
-def _record_score(r: _Repetition, point: tuple, stack: np.ndarray) -> None:
-    at, round_no, bytes_total, train_seconds_total = point
-    r.ledger.accuracy.append(r.score(at, round_no, stack, bytes_total, train_seconds_total))
-
-
-class _InlineHost:
-    """A ``_Replay`` in the simulating process: where ``os.fork`` is
-    missing, and as the tests' reference."""
-
-    def __init__(self, r: _Repetition):
-        self.replay = _Replay(r)
-
-    def send(self, records: list[tuple]) -> None:
-        self.replay.run(records, partial(_record_score, self.replay.r))
-
-    def finish(self) -> None:
-        self.replay.flush()
+    finish = flush  # the end of the log trains what is still queued
 
     def close(self, failed: bool) -> None:
-        pass
+        """Nothing to stop: the replay runs in this process."""
 
 
 class _Worker:
@@ -331,7 +316,8 @@ class _Worker:
     so the worker's writes always drain, and the simulating process waits
     on a full op pipe only while the worker replays. When scoring fails,
     that thread kills the worker, so a write to the op pipe fails instead of
-    waiting for ever.
+    waiting for ever. When the worker ends without an outcome, that thread
+    reaps it and names how it ended.
 
     Build it before the run starts any thread: ``fork`` copies only the
     calling thread. The worker always leaves through ``os._exit``."""
@@ -353,7 +339,7 @@ class _Worker:
             try:
                 os.close(ops_write)
                 os.close(results_read)
-                _serve(_Replay(r), ops_read, results_write)
+                _serve(r, ops_read, results_write)
                 status = 0
             finally:
                 os._exit(status)
@@ -362,19 +348,31 @@ class _Worker:
         self._ops = open(ops_write, "wb")
         self._results = open(results_read, "rb")
         self._outcome: Optional[BaseException] = None
+        self._reaped = False
+        self._reaping = threading.Lock()  # so that no signal goes to a reaped pid
         self._reader = threading.Thread(target=self._read_results, name="plexsim-scorer")
-        self._reader.start()
+        try:
+            self._reader.start()
+        except BaseException:
+            os.kill(self.pid, signal.SIGKILL)
+            self._ops.close()
+            self._results.close()
+            os.waitpid(self.pid, 0)
+            raise
 
     def _read_results(self) -> None:
         """Score each stack the worker sends, in order, until its outcome."""
         try:
             while (msg := pickle.load(self._results))[0] == "stack":
-                _record_score(self.r, *msg[1:])
+                self.r.record(*msg[1:])
                 del msg  # before the next stack loads
             if msg[0] == "error":
                 self._outcome = msg[1]
-        except EOFError:
-            self._outcome = RuntimeError("the replay worker ended without a word")
+        except EOFError:  # the worker ended without an outcome
+            with self._reaping:
+                _, status = os.waitpid(self.pid, 0)
+                self._reaped = True
+            self._outcome = RuntimeError(f"the replay worker {_ended(status)}")
         except Exception as exc:  # scoring failed: the run raises it
             self._outcome = exc
             os.kill(self.pid, signal.SIGKILL)  # no one reads its stacks now
@@ -400,9 +398,10 @@ class _Worker:
 
     def close(self, failed: bool) -> None:
         """Stop the worker (killed first if the run is ``failed``), join the
-        reader and reap the worker."""
-        if failed:
-            os.kill(self.pid, signal.SIGKILL)
+        reader and reap the worker, unless the reader has."""
+        with self._reaping:
+            if failed and not self._reaped:
+                os.kill(self.pid, signal.SIGKILL)
         try:
             try:
                 self._ops.close()
@@ -411,7 +410,19 @@ class _Worker:
             self._reader.join()
             self._results.close()
         finally:
-            os.waitpid(self.pid, 0)
+            if not self._reaped:
+                os.waitpid(self.pid, 0)
+
+
+def _ended(status: int) -> str:
+    """How a process that ended with wait status ``status`` ended."""
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        return f"exited with code {code} without a word"
+    try:
+        return f"was killed by {signal.Signals(-code).name}"
+    except ValueError:  # a signal with no name here
+        return f"was killed by signal {-code}"
 
 
 def _widen_pipe(fd: int) -> None:
@@ -435,7 +446,7 @@ def _widen_pipe(fd: int) -> None:
         pass
 
 
-def _serve(replay: _Replay, ops_fd: int, results_fd: int) -> None:
+def _serve(r: _Repetition, ops_fd: int, results_fd: int) -> None:
     """The worker's main: replay each batch of records from ``ops_fd`` as it
     arrives, until the simulating process closes the pipe, then train what
     is still queued; send each checkpoint's stack, then the outcome, to
@@ -447,13 +458,14 @@ def _serve(replay: _Replay, ops_fd: int, results_fd: int) -> None:
             out.flush()
 
         try:
+            replay = _Replay(r, partial(write, "stack"))
             while True:
                 try:
                     records = pickle.load(ops)
                 except EOFError:  # the simulation is done
                     break
-                replay.run(records, partial(write, "stack"))
-            replay.flush()
+                replay.send(records)
+            replay.finish()
             outcome: tuple = ("done",)
         except Exception as exc:
             outcome = ("error", exc)
@@ -466,7 +478,7 @@ def _op_log(r: _Repetition) -> Iterator[_OpLog]:
     ``os.fork`` exists and inline elsewhere. On a normal exit it waits for
     the replay, so every checkpoint is in the ledger; on any exit it stops
     the worker, killing it first if the run raised."""
-    host = _Worker(r) if hasattr(os, "fork") else _InlineHost(r)
+    host = _Worker(r) if hasattr(os, "fork") else _Replay(r, r.record)
     failed = True
     try:
         log = _OpLog(r, host)
@@ -551,16 +563,18 @@ def _run_plexus(r: _Repetition) -> None:
 
 def _run_fl(r: _Repetition) -> None:
     cfg, world, ledger = r.cfg, r.world, r.ledger
-    select = uniform_selector(world.membership, derive_rng(cfg.protocol_seed, "fl-select", r.rep))
+    nodes = world.membership.nodes
+    # The server samples uniformly without replacement, apart from the hash sampler.
+    select = derive_rng(cfg.protocol_seed, "fl-select", r.rep)
     with _op_log(r) as log:
         model = log.init(None)
         for k in range(1, cfg.stop.max_rounds + 1):
+            picks = select.choice(len(nodes), size=cfg.sample_size, replace=False)
             plan = fl_round(
+                tuple(nodes[i] for i in picks),
                 world.membership,
                 world.spec.dim,
-                cfg.sample_size,
                 cfg.success_fraction,
-                select_fn=select,
                 compute_seconds=r.compute_s.__getitem__,
             )
             if ledger.final_time_s + plan.duration_s > cfg.stop.max_virtual_s:
@@ -632,7 +646,7 @@ def _run_gl(r: _Repetition) -> None:
         stagger = float(
             derive_rng(cfg.protocol_seed, "gl-stagger", r.rep, node.me).uniform(0.0, cfg.gl_timeout_s)
         )
-        return node.initial_effects(stagger)
+        return [SetTimer(stagger)]
 
     with _op_log(r) as log:
         nodes = [

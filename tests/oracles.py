@@ -2,7 +2,9 @@
 
 Nothing in here imports the simulator's bandwidth or aggregation code paths:
 each oracle recomputes the expected answer from first principles so a test
-never checks code against itself.
+never checks code against itself. The one exception is ``replay_reference``,
+which checks the order in which the op-log replay applies its records, and
+so reuses the per-model training and merge that other tests check.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from functools import partial
 
 import numpy as np
 
-from plexsim.core import derive_rng, model_size_bytes
+from plexsim.baselines import gl_merge
+from plexsim.core import ModelParameters, derive_rng, model_size_bytes
+from plexsim.learning import train_steps
+from plexsim.runner import _AVERAGE, _DROP, _INIT, _MERGE, _SCORE, _TRAIN
 from plexsim.sampler import node_rank_key
 from plexsim.simnet import SimulationError, TransferRateRecompute
 
@@ -198,6 +203,37 @@ def average_reference(vectors: list) -> np.ndarray:
     for v in vectors[1:]:
         acc = acc + v
     return acc / len(vectors)
+
+
+# ------------------------------------------------------ op-log replay --
+
+
+def replay_reference(records, init, spec, X, y, cfg):
+    """An op log's records applied one by one, each at once, as
+    ``runner._Replay`` must apply them with its training queue: a training
+    trains its model alone, through ``train_steps`` of one row; a merge is
+    ``gl_merge``; an average is ``average_reference`` at age 0; a drop
+    deletes the model; ``init(nid)`` gives an initial model. Returns the
+    (point, stack) of every checkpoint and the models left, by id."""
+    models, checkpoints = {}, []
+    for kind, out, *args in records:
+        if kind == _INIT:
+            models[out] = init(*args)
+        elif kind == _TRAIN:
+            model, rows = models[args[0]], args[1]
+            (values,) = train_steps([model.values], spec, X, y, cfg, [rows])
+            models[out] = ModelParameters(values, model.age + cfg.local_steps)
+        elif kind == _MERGE:
+            models[out] = gl_merge(models[args[0]], models[args[1]])
+        elif kind == _AVERAGE:
+            models[out] = ModelParameters(average_reference([models[i].values for i in args]))
+        elif kind == _SCORE:
+            checkpoints.append((out, np.stack([models[i].values for i in args])))
+        elif kind == _DROP:
+            del models[out]
+        else:
+            raise ValueError(f"unknown record kind {kind}")
+    return checkpoints, models
 
 
 # -------------------------------------------------------- dpsgd reference --

@@ -10,7 +10,6 @@ from plexsim.baselines import (
     fl_round,
     gl_merge,
     make_regular_topology,
-    uniform_selector,
 )
 from plexsim.core import GossipModel, ModelParameters, Send, SetTimer, average_models
 from plexsim.simnet import Engine, LatencyMatrix
@@ -164,16 +163,12 @@ def fl_membership():
     )
 
 
-def fixed_select(*ids):
-    return lambda s: tuple(ids)
-
-
-def plan_fl(select_fn, s=3, sf=1.0):
-    return fl_round(fl_membership(), 10, s, sf, select_fn=select_fn, compute_seconds=lambda nid: 1.0)
+def plan_fl(participants, sf=1.0):
+    return fl_round(participants, fl_membership(), 10, sf, compute_seconds=lambda nid: 1.0)
 
 
 def test_fl_round_full_participation_timing_and_bytes():
-    res = plan_fl(fixed_select("n000", "n001", "n002"))
+    res = plan_fl(("n000", "n001", "n002"))
     assert res.duration_s == pytest.approx(9.0)
     assert res.bytes == 2 * 3 * 96
     assert res.train_seconds == pytest.approx(3.0)
@@ -184,7 +179,7 @@ def test_fl_round_full_participation_timing_and_bytes():
 
 
 def test_fl_round_threshold_drops_stragglers_but_charges_them():
-    res = plan_fl(fixed_select("n000", "n001", "n002"), sf=2 / 3)
+    res = plan_fl(("n000", "n001", "n002"), sf=2 / 3)
     # Fires at the 2nd fastest upload; the slowest still used bandwidth
     # and compute but its model is neither trained nor averaged.
     assert res.duration_s == pytest.approx(5.0)
@@ -198,26 +193,14 @@ def test_fl_round_threshold_drops_stragglers_but_charges_them():
 
 
 def test_fl_round_threshold_follows_actual_selection_size():
-    res = plan_fl(fixed_select("n000", "n001", "n002"), s=5, sf=0.5)  # only 3 showed up
+    res = plan_fl(("n000", "n001", "n002"), sf=0.5)
     assert len(res.trainers) == 1  # floor(3 * 0.5)
     assert len(res.participants) - len(res.trainers) == 2
 
 
 def test_fl_round_requires_candidates():
     with pytest.raises(ValueError, match="no candidates"):
-        plan_fl(lambda s: ())
-
-
-def test_uniform_selector_draws_without_replacement():
-    m = make_membership(20)
-    select = uniform_selector(m, np.random.default_rng(0))
-    seen = set()
-    for _ in range(200):
-        draw = select(5)
-        assert len(draw) == 5
-        assert len(set(draw)) == 5
-        seen.update(draw)
-    assert seen == set(m.nodes)  # every node eventually sampled
+        plan_fl(())
 
 
 # ------------------------------------------------------------------ dpsgd --
@@ -492,7 +475,7 @@ def run_gossip(n=4, timeout=10.0, compute=1.0, horizon=200.0, seed=1, record_del
     for i, nid in enumerate(m.nodes):
         nodes[nid] = gossip_node(nid, m, timeout=timeout, compute=compute, seed=seed + i)
         eng.register(nid, nodes[nid])
-        eng.inject(0.0, nid, nodes[nid].initial_effects(float(stag.uniform(0, timeout))))
+        eng.inject(0.0, nid, [SetTimer(float(stag.uniform(0, timeout)))])
     eng.run(until=horizon)
     return eng, nodes
 

@@ -1,4 +1,5 @@
-"""No plexsim module imports a name it never uses.
+"""No plexsim module imports a name it never uses, or a name that another
+plexsim module keeps private.
 
 ``__init__.py`` is exempt: its imports are the package's public names.
 """
@@ -31,3 +32,16 @@ def test_module_uses_every_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_name(path):
+    tree = ast.parse(path.read_text())
+    private = [
+        f"{alias.name} from .{node.module} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"{path.name} imports private names: {private}"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plexsim import learning
+from plexsim import learning, runner
 from plexsim.core import ModelParameters, derive_rng
 from plexsim.learning import (
     DataPartition,
@@ -257,13 +257,16 @@ def test_local_train_matches_the_reference_bit_for_bit(
 @given(
     family=st.sampled_from(["linear", "mlp", "squared"]),
     momentum=st.sampled_from([0.0, 0.9]),
-    shards=st.lists(st.integers(1, 12), min_size=1, max_size=2 * learning._TRAIN_CHUNK + 3),
+    shards=st.lists(st.integers(1, 12), min_size=1, max_size=2 * runner._TRAIN_CHUNK + 3),
     batch_size=st.integers(1, 8),
     local_steps=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(family="linear", momentum=0.9, shards=[2, 12] * learning._TRAIN_CHUNK + [5],
+@example(family="linear", momentum=0.9, shards=[2, 12] * runner._TRAIN_CHUNK + [5],
          batch_size=4, local_steps=3, seed=1)
+# A stack of more than two of the replay's chunks, trained in one pass.
+@example(family="mlp", momentum=0.9, shards=([3, 12, 7, 1] * runner._TRAIN_CHUNK)[: 2 * runner._TRAIN_CHUNK + 3],
+         batch_size=8, local_steps=3, seed=2)
 @settings(max_examples=80, deadline=None)
 def test_train_steps_matches_the_reference_model_by_model(
     family, momentum, shards, batch_size, local_steps, seed

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import os
 import signal
@@ -6,9 +8,12 @@ import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plexsim.config import (
     DatasetConfig,
@@ -21,7 +26,7 @@ from plexsim.config import (
 )
 from plexsim.baselines import OnePeerExponential, dpsgd_round, make_regular_topology
 from plexsim.core import ModelParameters, derive_rng
-from plexsim import learning, runner, simnet
+from plexsim import runner, simnet
 from plexsim.learning import (
     EvalSplit,
     PartitionScheme,
@@ -31,7 +36,6 @@ from plexsim.learning import (
     partition,
 )
 from plexsim.runner import (
-    _init_model,
     build_membership_from_config,
     build_world,
     run_experiment,
@@ -41,7 +45,7 @@ from plexsim.sampler import sample
 from plexsim.simnet import maxmin_rates
 
 from conftest import child_pids
-from oracles import dpsgd_round_reference, fedavg_reference
+from oracles import dpsgd_round_reference, fedavg_reference, replay_reference
 
 
 def tiny_cfg(algorithm="plexus", **kw):
@@ -100,15 +104,15 @@ def test_profile_count_must_match_n(tmp_path):
 def test_init_model_shared_vs_per_node():
     cfg = tiny_cfg(shared_init=True)
     world = build_world(cfg)
-    a = _init_model(cfg, world.spec, 0, "n0000")
-    b = _init_model(cfg, world.spec, 0, "n0001")
+    a = runner._Repetition(cfg, world, 0).init("n0000")
+    b = runner._Repetition(cfg, world, 0).init("n0001")
     assert np.array_equal(a.values, b.values)
     cfg2 = tiny_cfg(shared_init=False)
-    c = _init_model(cfg2, world.spec, 0, "n0000")
-    d = _init_model(cfg2, world.spec, 0, "n0001")
+    c = runner._Repetition(cfg2, world, 0).init("n0000")
+    d = runner._Repetition(cfg2, world, 0).init("n0001")
     assert not np.array_equal(c.values, d.values)
     # Different repetitions draw different shared inits.
-    e = _init_model(cfg, world.spec, 1, "n0000")
+    e = runner._Repetition(cfg, world, 1).init("n0000")
     assert not np.array_equal(a.values, e.values)
 
 
@@ -197,7 +201,7 @@ def _replay_inline(monkeypatch) -> None:
 def _draw_stream(r, stream, nid, key):
     """``_Repetition.draw`` that hands on the training's shard and stream
     themselves."""
-    return r.shards[nid], r.rng(stream, nid, key)
+    return r.shards[nid], derive_rng(r.cfg.protocol_seed, stream, r.rep, nid, key)
 
 
 def _train_at_once(thetas, spec, X, y, cfg, draws):
@@ -243,7 +247,7 @@ QUEUE_CFGS = {
 }
 
 
-_SCORE = runner._Repetition.score
+_RECORD = runner._Repetition.record
 
 
 def _run_scoring(monkeypatch, cfg, world):
@@ -251,12 +255,12 @@ def _run_scoring(monkeypatch, cfg, world):
     checkpoint, and the size of every ``train_steps`` call."""
     values = []
 
-    def scoring(self, at, round_no, thetas, bytes_total, train_seconds_total):
+    def scoring(self, point, thetas):
         values.append([np.array(theta) for theta in thetas])
-        return _SCORE(self, at, round_no, thetas, bytes_total, train_seconds_total)
+        return _RECORD(self, point, thetas)
 
     _replay_inline(monkeypatch)
-    monkeypatch.setattr(runner._Repetition, "score", scoring)
+    monkeypatch.setattr(runner._Repetition, "record", scoring)
     batches = _count_training(monkeypatch)
     led = run_single(cfg, world, 0)
     return led, values, batches
@@ -283,37 +287,121 @@ def test_the_replay_trains_its_queue_in_chunks_and_before_a_read(monkeypatch):
     cfg = tiny_cfg()
     world = build_world(cfg)
     r = runner._Repetition(cfg, world, 0)
-    replay = runner._Replay(r)
+    scored = []
+    replay = runner._Replay(r, lambda point, stack: scored.append((point, stack)))
     nodes = world.membership.nodes
-    keys = {i: (nodes[i % len(nodes)], i) for i in range(1, learning._TRAIN_CHUNK + 3)}
+    keys = {i: (nodes[i % len(nodes)], i) for i in range(1, runner._TRAIN_CHUNK + 3)}
 
     def train(out):
         nid, key = keys[out]
         return (runner._TRAIN, out, 0, r.draw("train", nid, key))
 
-    scored = []
-    replay.run([(runner._INIT, 0, None)] + [train(i) for i in range(1, learning._TRAIN_CHUNK)], scored.append)
+    replay.send([(runner._INIT, 0, None)] + [train(i) for i in range(1, runner._TRAIN_CHUNK)])
     assert batches == [] and list(replay.models) == [0]
     # The chunk's last model trains the queue.
-    replay.run([train(learning._TRAIN_CHUNK)], scored.append)
-    assert batches == [learning._TRAIN_CHUNK]
+    replay.send([train(runner._TRAIN_CHUNK)])
+    assert batches == [runner._TRAIN_CHUNK]
     # A read trains what is left, a queued model dropped before it too,
     # which leaves no values behind.
-    last, dropped = learning._TRAIN_CHUNK + 1, learning._TRAIN_CHUNK + 2
-    replay.run(
-        [train(last), train(dropped), (runner._DROP, dropped), (runner._SCORE, "point", last)],
-        lambda point, stack: scored.append((point, stack)),
-    )
-    assert batches == [learning._TRAIN_CHUNK, 2]
+    last, dropped = runner._TRAIN_CHUNK + 1, runner._TRAIN_CHUNK + 2
+    replay.send([train(last), train(dropped), (runner._DROP, dropped), (runner._SCORE, "point", last)])
+    assert batches == [runner._TRAIN_CHUNK, 2]
     assert sorted(replay.models) == list(range(dropped))
     model = r.init(None)
     for out in range(1, dropped):
         nid, key = keys[out]
-        want = local_train(model, world.spec, r.shards[nid], cfg.trainer, r.rng("train", nid, key))
+        rng = derive_rng(cfg.protocol_seed, "train", 0, nid, key)
+        want = local_train(model, world.spec, r.shards[nid], cfg.trainer, rng)
         assert replay.models[out].age == want.age == cfg.trainer.local_steps
         assert np.array_equal(replay.models[out].values, want.values)
     [(point, stack)] = scored
     assert point == "point" and np.array_equal(stack, [replay.models[last].values])
+
+
+@functools.cache
+def _per_node_repetition():
+    cfg = tiny_cfg(shared_init=False)
+    return runner._Repetition(cfg, build_world(cfg), 0)
+
+
+# Model operations on the live models, which the draws name by index
+# modulo their count: inits (shared or per node), trainings, runs of
+# trainings longer than a chunk, merges, averages, checkpoints and drops.
+_PICK = st.integers(0, 99)
+LOG_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("init"), st.booleans(), _PICK),
+        st.tuples(st.just("train"), _PICK),
+        st.tuples(st.just("run"), st.integers(runner._TRAIN_CHUNK + 1, 2 * runner._TRAIN_CHUNK + 5)),
+        st.tuples(st.just("merge"), _PICK, _PICK),
+        st.tuples(st.just("average"), st.lists(_PICK, min_size=1, max_size=12)),
+        st.tuples(st.just("checkpoint"), st.lists(_PICK, min_size=1, max_size=4)),
+        st.tuples(st.just("drop"), _PICK),
+    ),
+    max_size=40,
+)
+
+
+@given(ops=LOG_OPS)
+@settings(max_examples=200, deadline=None)
+def test_the_replay_matches_applying_each_record_at_once(ops):
+    r = _per_node_repetition()
+    nodes = r.world.membership.nodes
+    records, emitted, batches = [], [], []
+
+    class Recording:
+        """The inline replay as the log's host, keeping every record."""
+
+        def send(self, batch):
+            records.extend(batch)
+            replay.send(batch)
+
+    train_steps = runner.train_steps
+
+    def counting(thetas, *args):
+        batches.append(len(thetas))
+        return train_steps(thetas, *args)
+
+    replay = runner._Replay(r, lambda point, stack: emitted.append((point, stack)))
+    log = runner._OpLog(r, Recording())
+    live, keys = [], itertools.count()
+
+    def at(i):
+        return live[i % len(live)]
+
+    def trained(model):
+        key = next(keys)
+        return log.train("train", nodes[key % len(nodes)], key, model)
+
+    with mock.patch.object(runner, "train_steps", counting):
+        for step, (op, *args) in enumerate(ops):
+            if op == "init" or not live:
+                shared, pick = args if op == "init" else (True, 0)
+                live.append(log.init(None if shared else nodes[pick % len(nodes)]))
+            elif op == "train":
+                live.append(trained(at(args[0])))
+            elif op == "run":  # no record of the run reads a model it trains
+                live.extend([trained(at(i)) for i in range(args[0])])
+            elif op == "merge":
+                live.append(log.merge(at(args[0]), at(args[1])))
+            elif op == "average":
+                live.append(log.average([at(i) for i in args[0]]))
+            elif op == "checkpoint":
+                log.checkpoint(float(step), step, [at(i) for i in args[0]], r.ledger)
+            else:  # the last reference goes, so the log records the drop
+                del live[args[0] % len(live)]
+        log.send()
+        replay.finish()
+    want, models = replay_reference(records, r.init, r.world.spec, r.world.dataset.X, r.world.dataset.y, r.cfg.trainer)
+    assert [point for point, _ in emitted] == [point for point, _ in want]
+    assert all(got.tobytes() == stack.tobytes() for (_, got), (_, stack) in zip(emitted, want))
+    # Every training ran once, dropped ones too, in chunks of at most _TRAIN_CHUNK.
+    assert sum(batches) == sum(record[0] == runner._TRAIN for record in records)
+    assert max(batches, default=0) <= runner._TRAIN_CHUNK
+    assert set(replay.models) == set(models) == {model.id for model in live}
+    for i, want_model in models.items():
+        assert replay.models[i].values.tobytes() == want_model.values.tobytes()
+        assert replay.models[i].age == want_model.age
 
 
 @pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
@@ -463,7 +551,7 @@ def test_a_killed_worker_makes_the_run_raise(monkeypatch):
     cfg = QUEUE_CFGS["gl"]()
     err = _run_leaving_nothing_behind(cfg, build_world(cfg))
     assert killed
-    assert isinstance(err, RuntimeError) and str(err) == "the replay worker ended without a word"
+    assert isinstance(err, RuntimeError) and str(err) == "the replay worker was killed by SIGKILL"
 
 
 # dpsgd-desk for 8 rounds through default pipes, scored every 10 virtual s,
@@ -542,6 +630,28 @@ def test_a_failed_fork_closes_every_pipe_end(monkeypatch):
     assert len(opened) == 4
     assert len(list(fds.iterdir())) == before
     assert not any((fds / str(fd)).exists() for fd in opened)
+
+
+def test_a_scorer_that_fails_to_start_ends_its_worker(monkeypatch):
+    # The worker is forked before its scoring thread starts; if the thread
+    # cannot start, the run raises and leaves no worker and no pipe end.
+    fds = Path("/proc/self/fd")
+    if not hasattr(os, "fork") or not fds.is_dir():
+        pytest.skip("needs os.fork, and /proc/self/fd to count open files in")
+    start = threading.Thread.start
+
+    def failing_start(self):
+        if self.name == "plexsim-scorer":
+            raise RuntimeError("can't start new thread")
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    cfg = QUEUE_CFGS["plexus"]()
+    world = build_world(cfg)
+    before = len(list(fds.iterdir()))
+    err = _run_leaving_nothing_behind(cfg, world)
+    assert isinstance(err, RuntimeError) and str(err) == "can't start new thread"
+    assert len(list(fds.iterdir())) == before
 
 
 def test_the_stack_pipe_holds_a_megabyte_where_linux_allows():
@@ -662,7 +772,7 @@ def test_run_plexus_matches_fedavg_oracle_exactly():
         rng = derive_rng(cfg.protocol_seed, "train", 0, nid, k)
         return local_train(theta, world.spec, parts[index_of[nid]], cfg.trainer, rng)
 
-    theta0 = _init_model(cfg, world.spec, 0, None)
+    theta0 = runner._Repetition(cfg, world, 0).init(None)
     history = fedavg_reference(
         theta0,
         cfg.stop.max_rounds,
@@ -685,6 +795,26 @@ def test_run_fl_ledger_shape():
     assert [p.round for p in led.accuracy] == [2, 4]
     assert led.counters["models_trained"] == 12.0
     assert led.final_time_s == pytest.approx(sum(r.duration_s for r in led.rounds))
+
+
+def test_run_fl_draws_distinct_participants_that_cover_every_node(monkeypatch):
+    # The server draws each round's participants uniformly without
+    # replacement, so a round names no node twice, and over the rounds
+    # every node takes part.
+    drawn = []
+    plan = runner.fl_round
+
+    def recording(participants, *args, **kw):
+        drawn.append(participants)
+        return plan(participants, *args, **kw)
+
+    monkeypatch.setattr(runner, "fl_round", recording)
+    cfg = tiny_cfg(algorithm="fl", n=20, sample_size=5, stop=StopConfig(max_rounds=40, max_virtual_s=1e7))
+    world = build_world(cfg)
+    led = run_single(cfg, world, 0)
+    assert len(drawn) == len(led.rounds) == 40
+    assert all(len(set(participants)) == len(participants) == 5 for participants in drawn)
+    assert set().union(*drawn) == set(world.membership.nodes)
 
 
 def test_run_fl_respects_time_budget():
