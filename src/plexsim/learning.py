@@ -434,6 +434,13 @@ _EVAL_ROWS = 512
 _EVAL_COLS = 512
 
 
+def models_per_block(spec: ModelSpec) -> int:
+    """The models that ``evaluate_many`` scores together in one block: as
+    many linear models as fill _EVAL_COLS weight rows (51 on the desk
+    shapes), and one MLP model, which is scored alone."""
+    return max(1, _EVAL_COLS // spec.classes) if spec.family == "linear" else 1
+
+
 def evaluate_many(thetas: Sequence[np.ndarray], spec: ModelSpec, split: EvalSplit) -> list[float]:
     """Top-1 accuracy on ``split`` of each parameter vector (or stack row) in
     ``thetas``, equal float for float to scoring each alone with ``logits``
@@ -475,7 +482,7 @@ def evaluate_many(thetas: Sequence[np.ndarray], spec: ModelSpec, split: EvalSpli
         X, y = split.X[split.rows], split.y[split.rows]
         return [_count_correct(spec, theta, X, y) / y.size for theta in thetas]
     c, N = spec.classes, labels.size
-    per_block = max(1, _EVAL_COLS // c)
+    per_block = models_per_block(spec)
     accs: list[float] = []
     for first in range(0, len(thetas), per_block):
         block = np.stack(thetas[first : first + per_block])

@@ -43,6 +43,7 @@ from .learning import (
     ModelSpec,
     draw_batches,
     evaluate_many,
+    models_per_block,
     partition,
     synth_dataset,
     train_steps,
@@ -129,6 +130,8 @@ class _Repetition:
         steps = cfg.trainer.local_steps
         self.compute_s = {nid: compute_time(world.membership.profile(nid), steps) for nid in nodes}
         self.ledger = MetricsLedger()
+        self._unscored: list[tuple[tuple, Sequence[np.ndarray]]] = []
+        self._block = models_per_block(world.spec)
 
     def draw(self, stream: str, nid: str, key: int) -> np.ndarray:
         """The batch rows of node ``nid``'s training ``key`` on ``stream``."""
@@ -143,13 +146,29 @@ class _Repetition:
         return self.world.spec.init_model(derive_rng(self.cfg.init_seed, "init", self.rep, nid))
 
     def record(self, point: tuple, thetas: Sequence[np.ndarray]) -> None:
-        """Append the mean and std accuracy of the parameter vectors
-        ``thetas`` at ``point``: (time, round, byte total, training-second
-        total)."""
-        at, round_no, bytes_total, train_seconds_total = point
-        accs = evaluate_many(thetas, self.world.spec, self.test)
-        mean, std = float(np.mean(accs)), float(np.std(accs))
-        self.ledger.accuracy.append(AccuracyPoint(at, round_no, mean, std, bytes_total, train_seconds_total))
+        """Queue the parameter vectors ``thetas`` of the checkpoint at
+        ``point``: (time, round, byte total, training-second total). Once the
+        queue holds a full ``evaluate_many`` block of models, score it."""
+        self._unscored.append((point, thetas))
+        if sum(len(thetas) for _, thetas in self._unscored) >= self._block:
+            self.score()
+
+    def score(self) -> None:
+        """Score every queued checkpoint with one ``evaluate_many`` call and
+        append the mean and std accuracy of each, in order. Scoring is exact
+        per model, so each row is the one its checkpoint gets scored alone,
+        and one-model checkpoints (Plexus, FL) wait for a block instead of
+        taking the interpreter lock from the simulation one by one."""
+        queued, self._unscored = self._unscored, []
+        if not queued:
+            return
+        accs = evaluate_many([theta for _, thetas in queued for theta in thetas], self.world.spec, self.test)
+        first = 0
+        for (at, round_no, bytes_total, train_seconds_total), thetas in queued:
+            mine = accs[first : first + len(thetas)]
+            first += len(thetas)
+            mean, std = float(np.mean(mine)), float(np.std(mine))
+            self.ledger.accuracy.append(AccuracyPoint(at, round_no, mean, std, bytes_total, train_seconds_total))
 
 
 # ----------------------------------------------------------------- op log --
@@ -319,19 +338,25 @@ class _Worker:
     waiting for ever. When the worker ends without an outcome, that thread
     reaps it and names how it ended.
 
+    The worker leaves the CPU that the simulating thread runs on when it is
+    forked, where it can (see ``_leave_cpu``).
+
     Build it before the run starts any thread: ``fork`` copies only the
     calling thread. The worker always leaves through ``os._exit``."""
 
     def __init__(self, r: _Repetition):
         self.r = r
-        ops_read, ops_write = os.pipe()
-        results_read, results_write = os.pipe()
-        _widen_pipe(ops_write)
-        _widen_pipe(results_write)
+        cpu = _current_cpu()
+        fds: list[int] = []  # what to close if the worker cannot start
         try:
+            fds += os.pipe()
+            fds += os.pipe()
+            ops_read, ops_write, results_read, results_write = fds
+            _widen_pipe(ops_write)
+            _widen_pipe(results_write)
             self.pid = os.fork()
         except OSError:
-            for fd in (ops_read, ops_write, results_read, results_write):
+            for fd in fds:
                 os.close(fd)
             raise
         if self.pid == 0:
@@ -339,6 +364,7 @@ class _Worker:
             try:
                 os.close(ops_write)
                 os.close(results_read)
+                _leave_cpu(cpu)
                 _serve(r, ops_read, results_write)
                 status = 0
             finally:
@@ -446,6 +472,36 @@ def _widen_pipe(fd: int) -> None:
         pass
 
 
+def _current_cpu() -> Optional[int]:
+    """The CPU that the calling thread runs on: field 39 of
+    ``/proc/thread-self/stat``, counted after the command name's closing
+    parenthesis. None where that file is missing."""
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _leave_cpu(cpu: Optional[int]) -> None:
+    """Take the calling process (the forked worker, one thread) off ``cpu``,
+    if another CPU of its mask is left. A pipe write wakes the idle worker,
+    and Linux places a woken reader on the writer's CPU, where it preempted
+    the simulating thread for as long as it replayed: on plexus-n1000 a
+    run's 21 op writes took 20-48 ms of wall time in all, against 3-4 ms in
+    most runs with the worker off that CPU, and the median ``run_single``
+    fell from 0.165 to 0.097 s (2-core machine, 10 runs each). Elsewhere,
+    or if a call fails, the worker keeps its mask."""
+    if cpu is None or not hasattr(os, "sched_getaffinity") or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        rest = os.sched_getaffinity(0) - {cpu}
+        if rest:
+            os.sched_setaffinity(0, rest)
+    except OSError:
+        pass
+
+
 def _serve(r: _Repetition, ops_fd: int, results_fd: int) -> None:
     """The worker's main: replay each batch of records from ``ops_fd`` as it
     arrives, until the simulating process closes the pipe, then train what
@@ -485,6 +541,7 @@ def _op_log(r: _Repetition) -> Iterator[_OpLog]:
         yield log
         log.send()
         host.finish()
+        r.score()  # the checkpoints short of a full block
         failed = False
     finally:
         host.close(failed)

@@ -18,6 +18,7 @@ import numpy as np
 from plexsim.baselines import gl_merge
 from plexsim.core import ModelParameters, derive_rng, model_size_bytes
 from plexsim.learning import train_steps
+from plexsim.metrics import AccuracyPoint
 from plexsim.runner import _AVERAGE, _DROP, _INIT, _MERGE, _SCORE, _TRAIN
 from plexsim.sampler import node_rank_key
 from plexsim.simnet import SimulationError, TransferRateRecompute
@@ -336,6 +337,17 @@ def evaluate_reference(thetas, spec, X, y) -> list:
             raise ValueError("squared family has no class logits")
         accs.append(float(np.mean(z.argmax(axis=1) == y)))
     return accs
+
+
+def accuracy_rows_reference(checkpoints, spec, X, y) -> list:
+    """The accuracy row of each checkpoint, a (point, stack) pair, scored
+    alone: ``evaluate_reference`` of its models, then their mean and std,
+    with the point's (time, round, byte total, training-second total)."""
+    rows = []
+    for (at, round_no, bytes_total, train_seconds_total), stack in checkpoints:
+        accs = evaluate_reference(stack, spec, X, y)
+        rows.append(AccuracyPoint(at, round_no, float(np.mean(accs)), float(np.std(accs)), bytes_total, train_seconds_total))
+    return rows
 
 
 # --------------------------------------------------------------- training --

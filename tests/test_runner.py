@@ -1,3 +1,4 @@
+import errno
 import functools
 import itertools
 import json
@@ -33,6 +34,7 @@ from plexsim.learning import (
     TrainerConfig,
     evaluate_many,
     local_train,
+    models_per_block,
     partition,
 )
 from plexsim.runner import (
@@ -45,7 +47,7 @@ from plexsim.sampler import sample
 from plexsim.simnet import maxmin_rates
 
 from conftest import child_pids
-from oracles import dpsgd_round_reference, fedavg_reference, replay_reference
+from oracles import accuracy_rows_reference, dpsgd_round_reference, fedavg_reference, replay_reference
 
 
 def tiny_cfg(algorithm="plexus", **kw):
@@ -156,37 +158,62 @@ def test_run_plexus_samples_each_round_once(monkeypatch):
     assert sorted(calls) == list(range(1, rounds + 2))
 
 
-@pytest.mark.parametrize("algorithm", ["dpsgd", "gl"])
+# The tiny configs with 32 classes, so that 16 linear models fill an
+# ``evaluate_many`` block: Plexus and FL score 40 one-model checkpoints in
+# blocks of 16, D-PSGD two 12-model checkpoints a block, and each 16-model
+# GL checkpoint fills a block of its own, so that the scoring thread
+# scores it while the worker replays.
+_BLOCK_DATA = DatasetConfig(seed=5, n_samples=320, d_in=4, classes=32, class_sep=3.0)
+_BLOCK_ROUNDS = StopConfig(max_rounds=40, max_virtual_s=1e7)
+BLOCK_CFGS = {
+    "plexus": lambda: tiny_cfg(dataset=_BLOCK_DATA, stop=_BLOCK_ROUNDS, eval=EvalConfig(every_rounds=1)),
+    "fl": lambda: tiny_cfg(algorithm="fl", dataset=_BLOCK_DATA, stop=_BLOCK_ROUNDS, eval=EvalConfig(every_rounds=1)),
+    "dpsgd": lambda: tiny_cfg(
+        algorithm="dpsgd", n=12, dataset=_BLOCK_DATA, topology=TopologyConfig(kind="regular", degree=2, seed=1),
+        stop=StopConfig(max_rounds=8, max_virtual_s=1e7), eval=EvalConfig(every_seconds=1.0),
+    ),
+    "gl": lambda: tiny_cfg(
+        algorithm="gl", n=16, dataset=_BLOCK_DATA, gl_timeout_s=5.0,
+        stop=StopConfig(max_rounds=1, max_virtual_s=130.0), eval=EvalConfig(every_seconds=25.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(BLOCK_CFGS))
 def test_runners_score_all_models_of_a_checkpoint_in_one_call(monkeypatch, algorithm):
-    # Every checkpoint scores all n models with one evaluate_many call,
-    # against the one test split the repetition prepared.
-    batches, splits = [], []
+    # Every model of every checkpoint reaches evaluate_many once, against
+    # the one test split, in calls that never split a checkpoint and, but
+    # for the last, hold at least one block; the rows are those of scoring
+    # each checkpoint alone.
+    checkpoints, calls = [], []
+
+    def recording(self, point, thetas):
+        checkpoints.append((point, np.array(thetas)))
+        return _RECORD(self, point, thetas)
 
     def counting(models, spec, split):
-        batches.append(len(models))
-        splits.append(split)
+        calls.append(([np.array(m) for m in models], split))
         return evaluate_many(models, spec, split)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("plexsim") and getattr(mod, "evaluate_many", None) is evaluate_many:
-            monkeypatch.setattr(mod, "evaluate_many", counting)
-    if algorithm == "dpsgd":
-        cfg = tiny_cfg(
-            algorithm="dpsgd",
-            topology=TopologyConfig(kind="regular", degree=2, seed=1),
-            eval=EvalConfig(every_rounds=2, every_seconds=1.0),
-        )
-    else:
-        cfg = tiny_cfg(
-            algorithm="gl",
-            gl_timeout_s=30.0,
-            stop=StopConfig(max_rounds=4, max_virtual_s=300.0),
-            eval=EvalConfig(every_rounds=2, every_seconds=100.0),
-        )
-    led = run_single(cfg, build_world(cfg), 0)
-    assert len(led.accuracy) >= 3
-    assert batches == [cfg.n] * len(led.accuracy)
-    assert all(split is splits[0] for split in splits)
+    monkeypatch.setattr(runner._Repetition, "record", recording)
+    monkeypatch.setattr(runner, "evaluate_many", counting)
+    cfg = BLOCK_CFGS[algorithm]()
+    world = build_world(cfg)
+    block = models_per_block(world.spec)
+    led = run_single(cfg, world, 0)
+    sizes = [len(models) for models, _ in calls]
+    assert block == 16 and len(sizes) >= 2
+    scored = [m for models, _ in calls for m in models]
+    sent = [m for _, stack in checkpoints for m in stack]
+    assert len(scored) == len(sent)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(scored, sent))
+    assert all(split is calls[0][1] for _, split in calls)
+    assert set(itertools.accumulate(sizes)) <= set(itertools.accumulate(len(stack) for _, stack in checkpoints))
+    assert all(size >= block for size in sizes[:-1])
+    # The queue never holds more than one block short of full plus one checkpoint.
+    assert max(sizes) < block + max(len(stack) for _, stack in checkpoints)
+    ds = world.dataset
+    assert led.accuracy == accuracy_rows_reference(checkpoints, world.spec, ds.X[ds.test], ds.y[ds.test])
 
 
 # ------------------------------------------------------------ training queue --
@@ -342,28 +369,10 @@ LOG_OPS = st.lists(
 )
 
 
-@given(ops=LOG_OPS)
-@settings(max_examples=200, deadline=None)
-def test_the_replay_matches_applying_each_record_at_once(ops):
-    r = _per_node_repetition()
+def _log_ops(ops, log, r) -> list:
+    """Apply the drawn ``ops`` through ``log``, for repetition ``r``, and
+    return the references to the models left live."""
     nodes = r.world.membership.nodes
-    records, emitted, batches = [], [], []
-
-    class Recording:
-        """The inline replay as the log's host, keeping every record."""
-
-        def send(self, batch):
-            records.extend(batch)
-            replay.send(batch)
-
-    train_steps = runner.train_steps
-
-    def counting(thetas, *args):
-        batches.append(len(thetas))
-        return train_steps(thetas, *args)
-
-    replay = runner._Replay(r, lambda point, stack: emitted.append((point, stack)))
-    log = runner._OpLog(r, Recording())
     live, keys = [], itertools.count()
 
     def at(i):
@@ -373,35 +382,95 @@ def test_the_replay_matches_applying_each_record_at_once(ops):
         key = next(keys)
         return log.train("train", nodes[key % len(nodes)], key, model)
 
+    for step, (op, *args) in enumerate(ops):
+        if op == "init" or not live:
+            shared, pick = args if op == "init" else (True, 0)
+            live.append(log.init(None if shared else nodes[pick % len(nodes)]))
+        elif op == "train":
+            live.append(trained(at(args[0])))
+        elif op == "run":  # no record of the run reads a model it trains
+            live.extend([trained(at(i)) for i in range(args[0])])
+        elif op == "merge":
+            live.append(log.merge(at(args[0]), at(args[1])))
+        elif op == "average":
+            live.append(log.average([at(i) for i in args[0]]))
+        elif op == "checkpoint":
+            log.checkpoint(float(step), step, [at(i) for i in args[0]], r.ledger)
+        else:  # the last reference goes, so the log records the drop
+            del live[args[0] % len(live)]
+    log.send()
+    return live
+
+
+class _Recording:
+    """An op log's host that keeps every record and hands it on to ``host``."""
+
+    def __init__(self, host):
+        self.host, self.records = host, []
+
+    def send(self, batch):
+        self.records.extend(batch)
+        self.host.send(batch)
+
+
+def _replayed(r, records):
+    """``replay_reference`` of ``records`` for repetition ``r``."""
+    return replay_reference(records, r.init, r.world.spec, r.world.dataset.X, r.world.dataset.y, r.cfg.trainer)
+
+
+@given(ops=LOG_OPS)
+@settings(max_examples=200, deadline=None)
+def test_the_replay_matches_applying_each_record_at_once(ops):
+    r = _per_node_repetition()
+    emitted, batches = [], []
+    train_steps = runner.train_steps
+
+    def counting(thetas, *args):
+        batches.append(len(thetas))
+        return train_steps(thetas, *args)
+
+    replay = runner._Replay(r, lambda point, stack: emitted.append((point, stack)))
+    host = _Recording(replay)
     with mock.patch.object(runner, "train_steps", counting):
-        for step, (op, *args) in enumerate(ops):
-            if op == "init" or not live:
-                shared, pick = args if op == "init" else (True, 0)
-                live.append(log.init(None if shared else nodes[pick % len(nodes)]))
-            elif op == "train":
-                live.append(trained(at(args[0])))
-            elif op == "run":  # no record of the run reads a model it trains
-                live.extend([trained(at(i)) for i in range(args[0])])
-            elif op == "merge":
-                live.append(log.merge(at(args[0]), at(args[1])))
-            elif op == "average":
-                live.append(log.average([at(i) for i in args[0]]))
-            elif op == "checkpoint":
-                log.checkpoint(float(step), step, [at(i) for i in args[0]], r.ledger)
-            else:  # the last reference goes, so the log records the drop
-                del live[args[0] % len(live)]
-        log.send()
+        live = _log_ops(ops, runner._OpLog(r, host), r)
         replay.finish()
-    want, models = replay_reference(records, r.init, r.world.spec, r.world.dataset.X, r.world.dataset.y, r.cfg.trainer)
+    want, models = _replayed(r, host.records)
     assert [point for point, _ in emitted] == [point for point, _ in want]
     assert all(got.tobytes() == stack.tobytes() for (_, got), (_, stack) in zip(emitted, want))
     # Every training ran once, dropped ones too, in chunks of at most _TRAIN_CHUNK.
-    assert sum(batches) == sum(record[0] == runner._TRAIN for record in records)
+    assert sum(batches) == sum(record[0] == runner._TRAIN for record in host.records)
     assert max(batches, default=0) <= runner._TRAIN_CHUNK
     assert set(replay.models) == set(models) == {model.id for model in live}
     for i, want_model in models.items():
         assert replay.models[i].values.tobytes() == want_model.values.tobytes()
         assert replay.models[i].age == want_model.age
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="runs replay inline where os.fork is missing")
+@given(ops=LOG_OPS)
+@settings(max_examples=10, deadline=None)
+def test_a_forked_worker_sends_the_stacks_of_applying_each_record_at_once(ops):
+    # The same op sequences through a forked worker: its scoring thread
+    # receives each checkpoint's stack bit for bit.
+    r = _per_node_repetition()
+    received = []
+
+    def receiving(point, stack):
+        received.append((threading.current_thread().name, point, stack))
+
+    with mock.patch.object(r, "record", receiving):
+        worker = runner._Worker(r)
+        failed = True
+        try:
+            host = _Recording(worker)
+            _log_ops(ops, runner._OpLog(r, host), r)
+            worker.finish()
+            failed = False
+        finally:
+            worker.close(failed)
+    want, _ = _replayed(r, host.records)
+    assert [(name, point) for name, point, _ in received] == [("plexsim-scorer", point) for point, _ in want]
+    assert all(got.tobytes() == stack.tobytes() for (_, _, got), (_, stack) in zip(received, want))
 
 
 @pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
@@ -414,15 +483,20 @@ def test_a_diverging_queued_run_raises(algorithm):
 # ------------------------------------------------------------ replay worker --
 
 
+# The queue configs, and GL with checkpoints that each fill a block, so that
+# scoring interleaves with the simulation.
+FORK_CFGS = {**QUEUE_CFGS, "gl-blocks": BLOCK_CFGS["gl"]}
+
+
 @pytest.mark.parametrize(
     "algorithm, widen",
-    [pytest.param(a, True, id=a) for a in sorted(QUEUE_CFGS)]
-    + [pytest.param(a, False, id=f"{a}-default-pipes") for a in sorted(QUEUE_CFGS)],
+    [pytest.param(a, True, id=a) for a in sorted(FORK_CFGS)]
+    + [pytest.param(a, False, id=f"{a}-default-pipes") for a in sorted(FORK_CFGS)],
 )
 def test_a_forked_replay_matches_an_inline_one(monkeypatch, algorithm, widen):
     if not widen:  # 64 KB pipes on Linux, so that a side may wait on a full one
         monkeypatch.setattr(runner, "_widen_pipe", lambda fd: None)
-    cfg = QUEUE_CFGS[algorithm]()
+    cfg = FORK_CFGS[algorithm]()
     world = build_world(cfg)
     forks = []
     fork = os.fork
@@ -500,21 +574,55 @@ def test_a_worker_error_is_raised_as_it_would_be_inline(monkeypatch, algorithm):
 
 @pytest.mark.parametrize("algorithm", sorted(QUEUE_CFGS))
 def test_a_scoring_error_reaches_the_caller_and_ends_the_worker(monkeypatch, algorithm):
-    # Scoring runs on the thread that reads the worker's stacks; its error
-    # ends the run as the worker's own would.
+    # Scoring fails at its first call: D-PSGD's on the thread that reads
+    # the worker's stacks, once its checkpoints fill a block; the others'
+    # after the worker has ended, since their checkpoints fill none. Either
+    # way the error ends the run as the worker's own would.
     calls = []
 
     def failing(models, spec, split):
         calls.append(len(models))
-        if len(calls) == 2:
-            raise RuntimeError("scoring failed")
-        return evaluate_many(models, spec, split)
+        raise RuntimeError("scoring failed")
 
     monkeypatch.setattr(runner, "evaluate_many", failing)
     cfg = QUEUE_CFGS[algorithm]()
     err = _run_leaving_nothing_behind(cfg, build_world(cfg))
     assert isinstance(err, RuntimeError) and str(err) == "scoring failed"
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_a_scoring_error_in_mid_run_reaches_the_caller_and_ends_the_worker(monkeypatch):
+    # Each checkpoint of this GL run fills a block, so the scoring thread
+    # scores the first one, and fails, while the worker still waits for
+    # records. The run waits at that checkpoint until it has.
+    if not hasattr(os, "fork"):
+        pytest.skip("runs replay inline where os.fork is missing")
+    workers, failures = [], []
+    scored = threading.Event()
+    init, send = runner._Worker.__init__, runner._Worker.send
+
+    def keeping(self, r):
+        init(self, r)
+        workers.append(self)
+
+    def waiting(self, records):
+        send(self, records)
+        if any(record[0] == runner._SCORE for record in records):
+            scored.wait(timeout=60)
+
+    def failing(models, spec, split):
+        (worker,) = workers
+        failures.append((threading.current_thread().name, worker._ops.closed, len(models)))
+        scored.set()
+        raise RuntimeError("scoring failed")
+
+    monkeypatch.setattr(runner._Worker, "__init__", keeping)
+    monkeypatch.setattr(runner._Worker, "send", waiting)
+    monkeypatch.setattr(runner, "evaluate_many", failing)
+    cfg = BLOCK_CFGS["gl"]()
+    err = _run_leaving_nothing_behind(cfg, build_world(cfg))
+    assert isinstance(err, RuntimeError) and str(err) == "scoring failed"
+    assert failures == [("plexsim-scorer", False, cfg.n)]
 
 
 @pytest.mark.parametrize("algorithm", ["plexus", "gl"])
@@ -632,6 +740,31 @@ def test_a_failed_fork_closes_every_pipe_end(monkeypatch):
     assert not any((fds / str(fd)).exists() for fd in opened)
 
 
+def test_a_failed_second_pipe_closes_the_first(monkeypatch):
+    fds = Path("/proc/self/fd")
+    if not hasattr(os, "fork") or not fds.is_dir():
+        pytest.skip("needs os.fork, and /proc/self/fd to count open files in")
+    cfg = QUEUE_CFGS["gl"]()
+    world = build_world(cfg)
+    opened = []
+    pipe = os.pipe
+
+    def failing_pipe():
+        if opened:
+            raise OSError(errno.EMFILE, "Too many open files")
+        ends = pipe()
+        opened.extend(ends)
+        return ends
+
+    monkeypatch.setattr(os, "pipe", failing_pipe)
+    before = len(list(fds.iterdir()))
+    with pytest.raises(OSError, match="Too many open files"):
+        run_single(cfg, world, 0)
+    assert len(opened) == 2
+    assert len(list(fds.iterdir())) == before
+    assert not any((fds / str(fd)).exists() for fd in opened)
+
+
 def test_a_scorer_that_fails_to_start_ends_its_worker(monkeypatch):
     # The worker is forked before its scoring thread starts; if the thread
     # cannot start, the run raises and leaves no worker and no pipe end.
@@ -666,6 +799,50 @@ def test_the_stack_pipe_holds_a_megabyte_where_linux_allows():
     finally:
         os.close(read)
         os.close(write)
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or not Path("/proc/thread-self").exists(),
+    reason="needs os.fork, CPU affinity and /proc/thread-self",
+)
+
+
+def _worker_mask(monkeypatch, tmp_path, cpu):
+    """The CPU mask of a small GL run's worker as it starts to serve, with
+    the probe reporting that the simulating thread runs on ``cpu``."""
+    monkeypatch.setattr(runner, "_current_cpu", lambda: cpu)
+    serve, out = runner._serve, tmp_path / "mask"
+
+    def reporting(r, ops_fd, results_fd):
+        out.write_text(" ".join(str(c) for c in sorted(os.sched_getaffinity(0))))
+        serve(r, ops_fd, results_fd)
+
+    monkeypatch.setattr(runner, "_serve", reporting)
+    cfg = QUEUE_CFGS["gl"]()
+    assert run_single(cfg, build_world(cfg), 0).accuracy
+    return {int(c) for c in out.read_text().split()}
+
+
+@needs_affinity
+def test_the_worker_leaves_the_simulating_threads_cpu(monkeypatch, tmp_path):
+    mask = os.sched_getaffinity(0)
+    assert runner._current_cpu() in mask
+    if len(mask) < 2:
+        pytest.skip("needs two CPUs")
+    cpu = max(mask)
+    assert _worker_mask(monkeypatch, tmp_path, cpu) == mask - {cpu}
+    assert os.sched_getaffinity(0) == mask  # the calling thread keeps its own
+
+
+@needs_affinity
+def test_a_worker_with_one_cpu_keeps_it(monkeypatch, tmp_path):
+    mask = os.sched_getaffinity(0)
+    cpu = min(mask)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        assert _worker_mask(monkeypatch, tmp_path, cpu) == {cpu}
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 # Work budgets: the rate solves, the flows they solve and the ``train_steps``
