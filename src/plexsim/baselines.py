@@ -282,7 +282,9 @@ class GossipNode:
 
     ``merge_fn(mine, received)`` merges, as ``gl_merge`` does.
     ``train_fn(count, model)`` trains; ``count`` is ``merges`` after the merge
-    it follows, so a dropped model does not advance it and training j gets j."""
+    it follows, so a dropped model does not advance it and training j gets j.
+    The node reads nothing of a model but its ``dim``, which sizes messages:
+    a run passes ``runner._ModelRef``s, the tests ``ModelParameters``."""
 
     def __init__(
         self,

@@ -73,11 +73,13 @@ class PlexusNode:
     The node is wired to its surroundings by these arguments so the state
     machine stays independent of the learning stack and the clock:
 
-    * ``init_model() -> ModelParameters`` builds this node's round-1 model.
-    * ``train_fn(k, theta) -> ModelParameters`` runs local training.
-    * ``average_fn(models) -> ModelParameters`` aggregates, as
-      ``average_models`` does.
+    * ``init_model()`` gives this node's round-1 model.
+    * ``train_fn(k, theta)`` gives ``theta`` after local training.
+    * ``average_fn(models)`` aggregates, as ``average_models`` does.
     * ``compute_seconds`` is the virtual duration of one training invocation.
+
+    The node reads nothing of a model but its ``dim``, which sizes messages:
+    a run passes ``runner._ModelRef``s, the tests ``ModelParameters``.
 
     ``round_hook(k, theta_agg, now)`` is an observation-only callback fired
     on the aggregator when round k completes; it must not schedule work.

@@ -320,10 +320,10 @@ class _Replay:
                 self.models[out] = ModelParameters(row, model.age + cfg.trainer.local_steps)
         self._queued.clear()
 
-    finish = flush  # the end of the log trains what is still queued
-
     def close(self, failed: bool) -> None:
-        """Nothing to stop: the replay runs in this process."""
+        """End the log: train what is still queued, unless the run failed."""
+        if not failed:
+            self.flush()
 
 
 class _Worker:
@@ -333,10 +333,11 @@ class _Worker:
     then its outcome, ``("done",)`` or ``("error", exc)``, to the other. A
     thread of the simulating process reads that pipe and scores each stack,
     so the worker's writes always drain, and the simulating process waits
-    on a full op pipe only while the worker replays. When scoring fails,
-    that thread kills the worker, so a write to the op pipe fails instead of
-    waiting for ever. When the worker ends without an outcome, that thread
-    reaps it and names how it ended.
+    on a full op pipe only while the worker replays. When scoring fails, or
+    a read does, that thread kills the worker, so a write to the op pipe
+    fails instead of waiting for ever. Only the simulating thread reaps the
+    worker, in ``close`` and after it has joined that thread, so no signal
+    can reach a reaped pid.
 
     The worker leaves the CPU that the simulating thread runs on when it is
     forked, where it can (see ``_leave_cpu``).
@@ -373,9 +374,8 @@ class _Worker:
         os.close(results_write)
         self._ops = open(ops_write, "wb")
         self._results = open(results_read, "rb")
-        self._outcome: Optional[BaseException] = None
-        self._reaped = False
-        self._reaping = threading.Lock()  # so that no signal goes to a reaped pid
+        self._outcome: Optional[tuple] = None  # the worker's, or ("error", exc) of scoring
+        self._status: Optional[int] = None  # the wait status, once reaped
         self._reader = threading.Thread(target=self._read_results, name="plexsim-scorer")
         try:
             self._reader.start()
@@ -392,52 +392,43 @@ class _Worker:
             while (msg := pickle.load(self._results))[0] == "stack":
                 self.r.record(*msg[1:])
                 del msg  # before the next stack loads
-            if msg[0] == "error":
-                self._outcome = msg[1]
-        except EOFError:  # the worker ended without an outcome
-            with self._reaping:
-                _, status = os.waitpid(self.pid, 0)
-                self._reaped = True
-            self._outcome = RuntimeError(f"the replay worker {_ended(status)}")
+            self._outcome = msg
+        except (EOFError, pickle.UnpicklingError):  # the worker ended without an outcome
+            os.kill(self.pid, signal.SIGKILL)  # if it lives on; an ended one keeps its status
         except Exception as exc:  # scoring failed: the run raises it
-            self._outcome = exc
+            self._outcome = ("error", exc)
             os.kill(self.pid, signal.SIGKILL)  # no one reads its stacks now
-
-    def _raise_outcome(self) -> None:
-        self._reader.join()
-        if self._outcome is not None:
-            raise self._outcome
 
     def send(self, records: list[tuple]) -> None:
         try:
             pickle.dump(records, self._ops, protocol=pickle.HIGHEST_PROTOCOL)
             self._ops.flush()
         except BrokenPipeError:  # the worker ended: it failed, or scoring did
-            self._raise_outcome()
+            self.close(failed=False)
             raise
 
-    def finish(self) -> None:
-        """Wait for the worker to train what it still queues and end, and
-        raise its error, or a scoring error, if there was one."""
-        self._ops.close()
-        self._raise_outcome()
-
     def close(self, failed: bool) -> None:
-        """Stop the worker (killed first if the run is ``failed``), join the
-        reader and reap the worker, unless the reader has."""
-        with self._reaping:
-            if failed and not self._reaped:
-                os.kill(self.pid, signal.SIGKILL)
+        """Kill the worker if the run ``failed``, close the op pipe, join the
+        scoring thread, close the stack pipe and reap the worker. Unless the
+        run failed, raise the worker's error, or a scoring error, or say how
+        a worker that sent no outcome ended. Once the worker is reaped, a
+        call does nothing; one that an exception cut short leaves the rest."""
+        if self._status is not None:
+            return
+        if failed:
+            os.kill(self.pid, signal.SIGKILL)
         try:
-            try:
-                self._ops.close()
-            except BrokenPipeError:
-                pass
-            self._reader.join()
-            self._results.close()
-        finally:
-            if not self._reaped:
-                os.waitpid(self.pid, 0)
+            self._ops.close()
+        except BrokenPipeError:  # records the worker will never read
+            pass
+        self._reader.join()
+        self._results.close()
+        _, self._status = os.waitpid(self.pid, 0)
+        if failed or self._outcome == ("done",):
+            return
+        if self._outcome is None:
+            raise RuntimeError(f"the replay worker {_ended(self._status)}")
+        raise self._outcome[1]
 
 
 def _ended(status: int) -> str:
@@ -521,7 +512,7 @@ def _serve(r: _Repetition, ops_fd: int, results_fd: int) -> None:
                 except EOFError:  # the simulation is done
                     break
                 replay.send(records)
-            replay.finish()
+            replay.close(failed=False)
             outcome: tuple = ("done",)
         except Exception as exc:
             outcome = ("error", exc)
@@ -532,19 +523,18 @@ def _serve(r: _Repetition, ops_fd: int, results_fd: int) -> None:
 def _op_log(r: _Repetition) -> Iterator[_OpLog]:
     """An ``_OpLog`` for one run, replayed by a forked worker where
     ``os.fork`` exists and inline elsewhere. On a normal exit it waits for
-    the replay, so every checkpoint is in the ledger; on any exit it stops
-    the worker, killing it first if the run raised."""
+    the replay, so every checkpoint is in the ledger; on any exception,
+    one that ending the replay raises too, it ends the host as failed."""
     host = _Worker(r) if hasattr(os, "fork") else _Replay(r, r.record)
-    failed = True
     try:
         log = _OpLog(r, host)
         yield log
         log.send()
-        host.finish()
-        r.score()  # the checkpoints short of a full block
-        failed = False
-    finally:
-        host.close(failed)
+        host.close(failed=False)
+    except BaseException:
+        host.close(failed=True)
+        raise
+    r.score()  # the checkpoints short of a full block
 
 
 def _run_on_engine(r: _Repetition, engine: Engine, nodes: list, start: Callable, checkpoint=None) -> None:

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -433,7 +434,7 @@ def test_the_replay_matches_applying_each_record_at_once(ops):
     host = _Recording(replay)
     with mock.patch.object(runner, "train_steps", counting):
         live = _log_ops(ops, runner._OpLog(r, host), r)
-        replay.finish()
+        replay.close(failed=False)
     want, models = _replayed(r, host.records)
     assert [point for point, _ in emitted] == [point for point, _ in want]
     assert all(got.tobytes() == stack.tobytes() for (_, got), (_, stack) in zip(emitted, want))
@@ -460,14 +461,13 @@ def test_a_forked_worker_sends_the_stacks_of_applying_each_record_at_once(ops):
 
     with mock.patch.object(r, "record", receiving):
         worker = runner._Worker(r)
-        failed = True
         try:
             host = _Recording(worker)
             _log_ops(ops, runner._OpLog(r, host), r)
-            worker.finish()
-            failed = False
-        finally:
-            worker.close(failed)
+            worker.close(failed=False)
+        except BaseException:
+            worker.close(failed=True)
+            raise
     want, _ = _replayed(r, host.records)
     assert [(name, point) for name, point, _ in received] == [("plexsim-scorer", point) for point, _ in want]
     assert all(got.tobytes() == stack.tobytes() for (_, _, got), (_, stack) in zip(received, want))
@@ -660,6 +660,128 @@ def test_a_killed_worker_makes_the_run_raise(monkeypatch):
     err = _run_leaving_nothing_behind(cfg, build_world(cfg))
     assert killed
     assert isinstance(err, RuntimeError) and str(err) == "the replay worker was killed by SIGKILL"
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+needs_fork_and_proc = pytest.mark.skipif(
+    not hasattr(os, "fork") or not Path("/proc/self/fd").is_dir() or child_pids() is None,
+    reason="needs os.fork, and /proc to count child processes and open files",
+)
+
+
+@needs_fork_and_proc
+def test_a_worker_killed_mid_stack_makes_the_run_raise(monkeypatch):
+    # The worker dies halfway through writing a stack, as it would if the
+    # OOM killer picked it, so the scoring thread reads a truncated pickle.
+    def dying(r, ops_fd, results_fd):
+        msg = pickle.dumps(("stack", (0.0, 0, 0, 0.0), np.zeros((4, r.world.spec.dim))))
+        os.write(results_fd, msg[: len(msg) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(runner, "_serve", dying)
+    cfg = QUEUE_CFGS["gl"]()
+    world = build_world(cfg)
+    fds = _open_fds()
+    err = _run_leaving_nothing_behind(cfg, world)
+    assert isinstance(err, RuntimeError) and str(err) == "the replay worker was killed by SIGKILL"
+    assert _open_fds() == fds
+
+
+@functools.cache
+def _fault_points(algorithm):
+    """The config and world of ``QUEUE_CFGS[algorithm]``, and how many
+    times its forked run calls each function that the fault test below
+    makes fail."""
+    cfg = QUEUE_CFGS[algorithm]()
+    world = build_world(cfg)
+    calls = dict.fromkeys(["rates", "scoring", "kill"], 0)
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    with mock.patch.object(simnet, "maxmin_rates", counting("rates", simnet.maxmin_rates)), \
+            mock.patch.object(runner, "evaluate_many", counting("scoring", runner.evaluate_many)), \
+            mock.patch.object(runner._Worker, "send", counting("kill", runner._Worker.send)):
+        run_single(cfg, world, 0)
+    return cfg, world, calls
+
+
+# How a forked run is made to end early, and what it then raises.
+FAULTS = {
+    "rates": (simnet.SimulationError, "rates failed"),
+    "scoring": (RuntimeError, "scoring failed"),
+    "kill": (RuntimeError, "the replay worker was killed by SIGKILL"),
+    "interrupt": (KeyboardInterrupt, "interrupted"),
+}
+
+
+@st.composite
+def _faults(draw):
+    """An algorithm, a fault, and the call at which it strikes."""
+    fault = draw(st.sampled_from(sorted(FAULTS)))
+    algorithm = draw(st.sampled_from(["gl", "plexus"] if fault == "rates" else sorted(QUEUE_CFGS)))
+    calls = _fault_points(algorithm)[2]
+    return algorithm, fault, draw(st.integers(1, calls.get(fault, 1)))
+
+
+@needs_fork_and_proc
+@given(case=_faults())
+@settings(max_examples=25, deadline=None)
+def test_a_forked_run_ended_at_any_point_raises_and_leaves_nothing_behind(case):
+    # A rate solve or a scoring fails at its j-th call, the worker is killed
+    # before the j-th batch of records, or the simulating thread is
+    # interrupted while it waits for the scoring thread at the end.
+    algorithm, fault, j = case
+    cfg, world, _ = _fault_points(algorithm)
+    kind, message = FAULTS[fault]
+    send, join = runner._Worker.send, threading.Thread.join
+    calls = []
+
+    def failing(f):
+        def fails(*args):
+            calls.append(args)
+            if len(calls) == j:
+                raise kind(message)
+            return f(*args)
+
+        return fails
+
+    def killing(self, records):
+        calls.append(records)
+        if len(calls) == j:
+            os.kill(self.pid, signal.SIGKILL)
+        return send(self, records)
+
+    def interrupting(self, *args, **kw):
+        if self.name == "plexsim-scorer" and not calls:
+            calls.append(self)
+            raise kind(message)
+        return join(self, *args, **kw)
+
+    target, name, patched = {
+        "rates": (simnet, "maxmin_rates", failing(simnet.maxmin_rates)),
+        "scoring": (runner, "evaluate_many", failing(runner.evaluate_many)),
+        "kill": (runner._Worker, "send", killing),
+        "interrupt": (threading.Thread, "join", interrupting),
+    }[fault]
+    children, fds = child_pids(), _open_fds()
+    with mock.patch.object(target, name, patched):
+        try:
+            run_single(cfg, world, 0)
+            err = None
+        except BaseException as exc:
+            err = exc
+    assert type(err) is kind and str(err) == message
+    assert child_pids() == children
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("plexsim-")]
+    assert _open_fds() == fds
 
 
 # dpsgd-desk for 8 rounds through default pipes, scored every 10 virtual s,
