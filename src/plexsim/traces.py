@@ -38,7 +38,7 @@ def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
 
 def load_latency_matrix(path: str | Path) -> LatencyMatrix:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ValueError(f"latency trace not found: {path}")
     rows = _read_rows(path)
     if not rows:
@@ -93,7 +93,7 @@ def load_device_profiles(path: str | Path) -> list[tuple[NodeId, DeviceProfile]]
     """Profiles in file order. City assignment happens later, from the
     membership index, so the file stays independent of the latency trace."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ValueError(f"device profile trace not found: {path}")
     rows = _read_rows(path)
     if not rows:

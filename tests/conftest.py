@@ -21,6 +21,33 @@ def make_membership(n, uplink=None, downlink=None, step=None, cities=1):
     return Membership(nodes, profiles)
 
 
+class _Observer:
+    """Logs each delivery to ``node`` and passes every call on to
+    ``handler``, if there is one."""
+
+    def __init__(self, node, handler, log):
+        self.node, self.handler, self.log = node, handler, log
+
+    def on_message(self, now, src, msg):
+        self.log.append((now, src, self.node, msg))
+        return self.handler.on_message(now, src, msg) if self.handler else []
+
+    def on_timer(self):
+        return self.handler.on_timer() if self.handler else []
+
+
+def observe(engine, handlers=None):
+    """Register a handler for every member of ``engine`` that passes each
+    call on to ``handlers[node]``, if given, and return the list every
+    delivery is appended to, as (time, src, dst, msg), in the order the
+    engine makes them."""
+    handlers = handlers or {}
+    log = []
+    for node in engine.membership.nodes:
+        engine.register(node, _Observer(node, handlers.get(node), log))
+    return log
+
+
 @pytest.fixture
 def small_membership():
     return make_membership(8)

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_membership
+from conftest import make_membership, observe
 from oracles import fedavg_reference, fluid_completions
 
 from plexsim.config import (
@@ -44,7 +44,7 @@ from plexsim.config import (
     TopologyConfig,
     TracesConfig,
 )
-from plexsim.core import Membership, ModelParameters, average_models, derive_rng, message_size_bytes
+from plexsim.core import Membership, ModelParameters, Send, average_models, derive_rng, message_size_bytes
 from plexsim.learning import (
     ModelSpec,
     PartitionScheme,
@@ -204,14 +204,6 @@ def test_full_protocol_matches_fedavg_reference():
 # ---------------------------------------------------------------- check 3 --
 
 
-class _Sink:
-    def on_message(self, now, src, msg):
-        return []
-
-    def on_timer(self):
-        return []
-
-
 def _random_instance(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
@@ -237,19 +229,17 @@ def test_engine_matches_fluid_oracle_on_random_instances():
     worst_over_rel = 0.0
     for seed in range(200):
         m, transfers = _random_instance(seed)
-        eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
-        for nid in m.nodes:
-            eng.register(nid, _Sink())
+        eng = Engine(m, LatencyMatrix.zero())
+        deliveries = observe(eng)
         for tid, src, dst, nbytes, start in transfers:
-            eng.send_at(start, src, dst, Train(1, ModelParameters(np.array([1.0]))), nbytes)
+            eng.inject(start, src, [Send(dst, Train(tid, ModelParameters(np.array([1.0]))), nbytes)])
         eng.run()
         up = {nid: m.profile(nid).uplink_bps for nid in m.nodes}
         down = {nid: m.profile(nid).downlink_bps for nid in m.nodes}
         want = fluid_completions(transfers, up, down)
-        by_bytes = {nb: tid for tid, _, _, nb, _ in transfers}
-        assert len(eng.delivery_log) == len(transfers)
-        for t, _, _, nb in eng.delivery_log:
-            worst_dt = max(worst_dt, abs(t - want[by_bytes[nb]]))
+        assert len(deliveries) == len(transfers)
+        for t, _, _, msg in deliveries:
+            worst_dt = max(worst_dt, abs(t - want[msg.k]))
         assert eng.bytes_total == sum(nb for _, _, _, nb, _ in transfers)
         # Capacity feasibility probed between completion instants. Byte
         # conservation inside each transfer is asserted by the engine itself

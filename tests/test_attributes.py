@@ -52,7 +52,6 @@ def test_module_reads_every_attribute_it_assigns(path):
 
 # Definitions that nothing in the package references, and what keeps each.
 KEPT_UNREFERENCED = {
-    "Engine.send_at": "the acceptance gate uses it",
     "LatencyMatrix.zero": "the acceptance gate uses it",
     "Engine.quiescent": "ROADMAP item 5 reports a drained queue with it",
     "ModelParameters.with_values": "tests/oracles.py uses it",

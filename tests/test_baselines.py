@@ -14,7 +14,7 @@ from plexsim.baselines import (
 from plexsim.core import GossipModel, ModelParameters, Send, SetTimer, average_models
 from plexsim.simnet import Engine, LatencyMatrix
 
-from conftest import make_membership
+from conftest import make_membership, observe
 from oracles import average_reference, dpsgd_round_reference
 
 
@@ -467,21 +467,23 @@ def test_gossip_rejects_foreign_messages():
         node.on_message(0.0, "n001", "not a gossip message")
 
 
-def run_gossip(n=4, timeout=10.0, compute=1.0, horizon=200.0, seed=1, record_deliveries=False):
+def run_gossip(n=4, timeout=10.0, compute=1.0, horizon=200.0, seed=1):
     m = make_membership(n, uplink=1e4, downlink=1e4)
-    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=record_deliveries)
-    nodes = {}
+    eng = Engine(m, LatencyMatrix.zero())
+    nodes = {
+        nid: gossip_node(nid, m, timeout=timeout, compute=compute, seed=seed + i)
+        for i, nid in enumerate(m.nodes)
+    }
+    deliveries = observe(eng, nodes)
     stag = np.random.default_rng(seed)
-    for i, nid in enumerate(m.nodes):
-        nodes[nid] = gossip_node(nid, m, timeout=timeout, compute=compute, seed=seed + i)
-        eng.register(nid, nodes[nid])
+    for nid in m.nodes:
         eng.inject(0.0, nid, [SetTimer(float(stag.uniform(0, timeout)))])
     eng.run(until=horizon)
-    return eng, nodes
+    return eng, nodes, deliveries
 
 
 def test_gossip_engine_run_spreads_models():
-    eng, nodes = run_gossip()
+    eng, nodes, _ = run_gossip()
     assert sum(node.merges for node in nodes.values()) > 10
     assert all(node.model.age > 0 for node in nodes.values())
     assert eng.bytes_total > 0
@@ -491,17 +493,17 @@ def test_gossip_engine_run_spreads_models():
 def test_gossip_engine_busy_drops_under_pressure():
     # Training takes almost the whole gossip period, so concurrent
     # arrivals are common and must be dropped, not queued.
-    eng, nodes = run_gossip(n=8, timeout=10.0, compute=9.5, horizon=500.0, record_deliveries=True)
+    _, nodes, deliveries = run_gossip(n=8, timeout=10.0, compute=9.5, horizon=500.0)
     drops = sum(n.drops for n in nodes.values())
     assert drops > 0
     # Every delivered model is either merged or dropped.
     merges = sum(n.merges for n in nodes.values())
-    assert len(eng.delivery_log) == merges + drops
+    assert len(deliveries) == merges + drops
 
 
 def test_gossip_engine_is_deterministic():
     def fingerprint():
-        _, nodes = run_gossip(seed=7)
+        _, nodes, _ = run_gossip(seed=7)
         return {nid: (n.model.values.tobytes(), n.model.age, n.merges) for nid, n in nodes.items()}
 
     assert fingerprint() == fingerprint()

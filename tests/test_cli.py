@@ -274,6 +274,43 @@ def test_run_missing_config(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_run_rejects_a_directory_for_the_config(tmp_path, capsys):
+    rc = main(["run", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: config not found: {tmp_path}\n"
+
+
+def test_run_validate_rejects_a_directory_for_a_trace(tmp_path, capsys):
+    (tmp_path / "lat").mkdir()
+    rc = main(["run", write_cfg(tmp_path, traces={"latency_path": "lat"}), "--validate"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: trace file not found: lat\n"
+
+
+@pytest.mark.parametrize("command", [["run", "CONFIG"], ["traces-gen", "--n", "4"]], ids=["run", "traces-gen"])
+def test_an_output_that_is_a_file_is_an_error(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("")
+    argv = [write_cfg(tmp_path) if a == "CONFIG" else a for a in command]
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out}: File exists\n"
+
+
+def test_report_names_an_output_it_cannot_write(tmp_path, capsys):
+    entry = {"tta_s_mean": 1.0, "cta_bytes_mean": 2.0, "rta_s_mean": 3.0, "not_reached": 0}
+    summary = {"algorithm": "plexus", "config_hash": "h", "reps": [], "cross_seed": {"0.5": entry}}
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    table = tmp_path / "missing" / "t.csv"
+    rc = main(["report", str(tmp_path), "--out", str(table)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("experiment,algorithm")
+    assert captured.err == f"error: {table}: No such file or directory\n"
+
+
 def test_run_executes_and_writes_summary(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out_dir = tmp_path / "results"

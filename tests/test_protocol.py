@@ -23,7 +23,7 @@ from plexsim.protocol import (
 from plexsim.sampler import SampleSchedule, aggregator, sample
 from plexsim.simnet import Engine, LatencyMatrix
 
-from conftest import make_membership
+from conftest import make_membership, observe
 from oracles import average_reference, fedavg_reference
 
 
@@ -243,7 +243,7 @@ def run_plexus(n=8, s=3, sf=1.0, rounds=5, latency=None, theta_dim=4, seed=0):
     c = ProtocolConfig(s=s, sf=sf, max_rounds=rounds)
     theta0 = flat(np.zeros(theta_dim))
     lat = latency if latency is not None else LatencyMatrix.zero()
-    eng = Engine(m, lat, record_deliveries=True)
+    eng = Engine(m, lat)
     completions = {}
 
     def train(nid):
@@ -266,15 +266,15 @@ def run_plexus(n=8, s=3, sf=1.0, rounds=5, latency=None, theta_dim=4, seed=0):
             compute_seconds=1.0,
             round_hook=(lambda k, theta, now, _nid=nid: completions.setdefault(k, (now, _nid, theta))),
         )
-        eng.register(nid, nodes[nid])
+    deliveries = observe(eng, nodes)
     for nid in m.nodes:
         eng.inject(0.0, nid, nodes[nid].bootstrap())
     eng.run()
-    return m, c, eng, nodes, completions
+    return m, c, eng, nodes, completions, deliveries
 
 
 def test_full_run_completes_every_round_exactly_once():
-    m, c, eng, nodes, completions = run_plexus(rounds=5)
+    m, c, eng, nodes, completions, _ = run_plexus(rounds=5)
     assert eng.quiescent()
     assert sorted(completions) == [1, 2, 3, 4, 5]
     assert sum(len(node.rounds_aggregated) for node in nodes.values()) == 5
@@ -288,7 +288,7 @@ def test_full_run_completes_every_round_exactly_once():
 
 
 def test_full_run_byte_ledger_matches_combinatorics():
-    m, c, eng, nodes, completions = run_plexus(rounds=6, theta_dim=10)
+    m, c, eng, nodes, completions, _ = run_plexus(rounds=6, theta_dim=10)
     nbytes = 8 * 10 + 16
     want = 0
     for k in range(1, 7):
@@ -301,7 +301,7 @@ def test_full_run_byte_ledger_matches_combinatorics():
 
 
 def test_full_run_late_model_accounting():
-    m, c, eng, nodes, completions = run_plexus(s=4, sf=0.5, rounds=5)
+    m, c, eng, nodes, completions, _ = run_plexus(s=4, sf=0.5, rounds=5)
     threshold = c.threshold
     assert threshold == 2
     late = Counter()
@@ -315,8 +315,8 @@ def test_full_run_late_model_accounting():
 
 def test_full_run_is_deterministic():
     def fingerprint():
-        _, _, eng, _, completions = run_plexus(rounds=4, latency=None)
-        log = [(repr(t), s, d, nb) for t, s, d, nb in eng.delivery_log]
+        _, _, _, _, completions, deliveries = run_plexus(rounds=4, latency=None)
+        log = [(repr(t), s, d, type(msg), msg.k, msg.model.values.tobytes()) for t, s, d, msg in deliveries]
         thetas = {k: completions[k][2].values.tobytes() for k in completions}
         return log, thetas
 

@@ -23,7 +23,7 @@ from plexsim.simnet import (
     maxmin_rates,
 )
 
-from conftest import make_membership
+from conftest import make_membership, observe
 from oracles import fluid_completions, fluid_rates, maxmin_reference, recompute_every_rate
 
 
@@ -66,6 +66,18 @@ def test_one_way_latency_is_half_rtt_in_seconds():
     lm = LatencyMatrix(("a", "b"), np.array([[2.0, 100.0], [100.0, 2.0]]))
     assert lm.one_way_s(0, 1) == pytest.approx(0.05)
     assert lm.one_way_s(0, 0) == pytest.approx(0.001)
+
+
+def test_one_way_latency_on_index_arrays_equals_the_scalar_call():
+    rng = np.random.default_rng(7)
+    rtt = rng.lognormal(np.log(80.0), 1.0, size=(6, 6))
+    lm = LatencyMatrix(tuple(f"c{i}" for i in range(6)), rtt + rtt.T)
+    a, b = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+    got = lm.one_way_s(a, b)
+    for i in range(6):
+        for j in range(6):
+            python_floats = float(lm.rtt_ms[i, j]) / 2.0 / 1000.0
+            assert got[i, j].tobytes() == lm.one_way_s(i, j).tobytes() == np.float64(python_floats).tobytes()
 
 
 # -------------------------------------------------------- max-min sharing --
@@ -302,7 +314,7 @@ def test_maxmin_infinite_capacity_raises():
 def engine_pair(rtt_ms=100.0, **kw):
     m = make_membership(2, cities=2, **kw)
     lm = LatencyMatrix(("a", "b"), np.array([[0.0, rtt_ms], [rtt_ms, 0.0]]))
-    eng = Engine(m, lm, record_deliveries=True)
+    eng = Engine(m, lm)
     return eng, m
 
 
@@ -312,7 +324,7 @@ def test_single_transfer_delivery_time():
     eng, _ = engine_pair(uplink=1e6, downlink=2e6)
     rec = Recorder()
     eng.register("n001", rec)
-    eng.send_at(0.0, "n000", "n001", ping(), 8_000_000)
+    eng.inject(0.0, "n000", [Send("n001", ping(), 8_000_000)])
     eng.run()
     assert len(rec.messages) == 1
     assert rec.messages[0][0] == pytest.approx(8.05)
@@ -323,7 +335,7 @@ def test_zero_byte_message_is_latency_only():
     eng, _ = engine_pair()
     rec = Recorder()
     eng.register("n001", rec)
-    eng.send_at(0.0, "n000", "n001", ping(), 0)
+    eng.inject(0.0, "n000", [Send("n001", ping(), 0)])
     eng.run()
     assert rec.messages[0][0] == pytest.approx(0.05)
     assert eng.bytes_total == 0
@@ -339,16 +351,26 @@ def test_self_send_is_free_and_instant():
     assert eng.bytes_total == 0
 
 
-def test_send_requires_distinct_endpoints():
-    eng, _ = engine_pair()
-    with pytest.raises(ValueError):
-        eng.send_at(0.0, "n000", "n000", ping(), 1)
-
-
 def test_send_to_unknown_node_is_an_error():
     eng, _ = engine_pair()
     eng.inject(0.0, "n000", [Send("ghost", ping(), 1)])
     with pytest.raises(SimulationError):
+        eng.run()
+
+
+def test_delivery_to_a_node_without_a_handler_is_an_error():
+    eng, _ = engine_pair()
+    eng.register("n000", Recorder())
+    eng.inject(0.0, "n000", [Send("n001", ping(), 0)])
+    with pytest.raises(SimulationError, match="n001"):
+        eng.run()
+
+
+def test_timer_of_a_node_without_a_handler_is_an_error():
+    eng, _ = engine_pair()
+    eng.register("n001", Recorder())
+    eng.inject(0.0, "n000", [SetTimer(1.0)])
+    with pytest.raises(SimulationError, match="n000"):
         eng.run()
 
 
@@ -376,21 +398,16 @@ def test_engine_matches_fluid_completion_oracle(seed):
     # engine's delivery instants must equal the independent fluid
     # integration to float accuracy (zero latency isolates bandwidth).
     m, transfers = _staggered_scenario(seed)
-    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
-    for nid in m.nodes:
-        eng.register(nid, Recorder())
+    eng = Engine(m, LatencyMatrix.zero())
+    deliveries = observe(eng)
     for tid, src, dst, nbytes, start in transfers:
-        eng.send_at(start, src, dst, ping(str(tid)), nbytes)
+        eng.inject(start, src, [Send(dst, Train(tid, ModelParameters(np.zeros(1))), nbytes)])
     eng.run()
     up = {nid: m.profile(nid).uplink_bps for nid in m.nodes}
     down = {nid: m.profile(nid).downlink_bps for nid in m.nodes}
     want = fluid_completions(transfers, up, down)
-    got = {}
-    for t, src, dst, nbytes in eng.delivery_log:
-        key = [tid for tid, s, d, nb, _ in transfers if s == src and d == dst and nb == nbytes]
-        assert key, "unexpected delivery"
-        got[key[0]] = t
-    assert len(got) == len(transfers)
+    got = {msg.k: t for t, _, _, msg in deliveries}
+    assert len(deliveries) == len(got) == len(transfers)
     for tid in want:
         assert got[tid] == pytest.approx(want[tid], rel=1e-6, abs=1e-6)
     assert eng.bytes_total == sum(nb for _, _, _, nb, _ in transfers)
@@ -401,12 +418,13 @@ def test_a_fast_transfer_late_on_the_clock_conserves_its_bytes():
     # clock's spacing there, 2.9e-11 s, which moves 0.0076 bytes at this
     # rate. That is rounding, not lost bytes, and must not raise.
     m = make_membership(2, uplink=1e9, downlink=1e9)
-    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
+    eng = Engine(m, LatencyMatrix.zero())
+    deliveries = observe(eng)
     start = 172800.0
-    eng.send_at(start, "n000", "n001", ping(), 1000)
+    eng.inject(start, "n000", [Send("n001", ping(), 1000)])
     eng.run()
-    [(at, _, _, nbytes)] = eng.delivery_log
-    assert nbytes == eng.bytes_total == 1000
+    [(at, _, _, _)] = deliveries
+    assert eng.bytes_total == 1000
     assert abs(at - (start + 1e-6)) <= np.spacing(start)
 
 
@@ -435,13 +453,11 @@ def test_bytes_are_conserved_at_any_link_speed(case):
     # plus 16 clock spacings, of the fluid oracle's completion time.
     m, transfers = case
     eng = Engine(m, LatencyMatrix.zero())
-    recorders = {nid: Recorder() for nid in m.nodes}
-    for nid, rec in recorders.items():
-        eng.register(nid, rec)
+    deliveries = observe(eng)
     for tid, src, dst, nbytes, start in transfers:
-        eng.send_at(start, src, dst, Train(tid, ModelParameters(np.zeros(1))), nbytes)
+        eng.inject(start, src, [Send(dst, Train(tid, ModelParameters(np.zeros(1))), nbytes)])
     eng.run()
-    got = {msg.k: at for rec in recorders.values() for at, _, msg in rec.messages}
+    got = {msg.k: at for at, _, _, msg in deliveries}
     up = {nid: m.profile(nid).uplink_bps for nid in m.nodes}
     down = {nid: m.profile(nid).downlink_bps for nid in m.nodes}
     want = fluid_completions(transfers, up, down)
@@ -454,13 +470,12 @@ def test_bytes_are_conserved_at_any_link_speed(case):
 def test_engine_is_deterministic():
     def run_once():
         m, transfers = _staggered_scenario(3)
-        eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
-        for nid in m.nodes:
-            eng.register(nid, Recorder())
+        eng = Engine(m, LatencyMatrix.zero())
+        deliveries = observe(eng)
         for tid, src, dst, nbytes, start in transfers:
-            eng.send_at(start, src, dst, ping(str(tid)), nbytes)
+            eng.inject(start, src, [Send(dst, tid, nbytes)])
         eng.run()
-        return [(repr(t), s, d, nb) for t, s, d, nb in eng.delivery_log]
+        return [(repr(t), s, d, tid) for t, s, d, tid in deliveries]
 
     assert run_once() == run_once()
 
@@ -470,13 +485,12 @@ def test_mid_flight_arrival_slows_first_transfer():
     # starts at t=4: the first runs alone for 4 s (4 MB done), then both
     # share 0.5 MB/s, so its last 4 MB take 8 s: done at t=12.
     m = make_membership(3, uplink=1e6, downlink=1e6)
-    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
-    for nid in m.nodes:
-        eng.register(nid, Recorder())
-    eng.send_at(0.0, "n000", "n002", ping("a"), 8_000_000)
-    eng.send_at(4.0, "n001", "n002", ping("b"), 8_000_000)
+    eng = Engine(m, LatencyMatrix.zero())
+    deliveries = observe(eng)
+    eng.inject(0.0, "n000", [Send("n002", ping("a"), 8_000_000)])
+    eng.inject(4.0, "n001", [Send("n002", ping("b"), 8_000_000)])
     eng.run()
-    times = sorted(t for t, _, _, _ in eng.delivery_log)
+    times = sorted(t for t, _, _, _ in deliveries)
     assert times[0] == pytest.approx(12.0)
     # The second moved 4 MB by t=12, then gets the downlink to itself.
     assert times[1] == pytest.approx(16.0)
@@ -519,7 +533,7 @@ def test_run_until_pauses_without_losing_events():
     eng, _ = engine_pair()
     rec = Recorder()
     eng.register("n001", rec)
-    eng.send_at(5.0, "n000", "n001", ping(), 0)
+    eng.inject(5.0, "n000", [Send("n001", ping(), 0)])
     assert eng.run(until=2.0) == 2.0
     assert rec.messages == []
     assert not eng.quiescent()
@@ -533,7 +547,7 @@ def test_checkpoints_fire_in_order_and_do_not_perturb():
     eng, _ = engine_pair(uplink=1e6, downlink=2e6)
     rec = Recorder()
     eng.register("n001", rec)
-    eng.send_at(0.0, "n000", "n001", ping(), 8_000_000)
+    eng.inject(0.0, "n000", [Send("n001", ping(), 8_000_000)])
     seen = []
     for t in (2.0, 4.0, 100.0):
         eng.run(until=t)
@@ -546,7 +560,7 @@ def test_checkpoints_fire_in_order_and_do_not_perturb():
 def test_run_until_refuses_to_move_the_clock_back():
     eng, _ = engine_pair()
     eng.register("n001", Recorder())
-    eng.send_at(5.0, "n000", "n001", ping(), 0)
+    eng.inject(5.0, "n000", [Send("n001", ping(), 0)])
     assert eng.run(until=2.0) == 2.0
     assert eng.run(until=2.0) == 2.0  # pausing again at the same time is fine
     with pytest.raises(SimulationError, match="clock"):
@@ -558,23 +572,21 @@ def test_simultaneous_completions_deliver_in_send_order():
     # Two equal transfers on disjoint ports, started at one instant, finish
     # together; the one sent first is delivered first.
     m = make_membership(4, uplink=1e6, downlink=1e6)
-    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
-    for nid in m.nodes:
-        eng.register(nid, Recorder())
+    eng = Engine(m, LatencyMatrix.zero())
+    deliveries = observe(eng)
     eng.inject(0.0, "n002", [Send("n003", ping("b"), 3_000_000)])
     eng.inject(0.0, "n000", [Send("n001", ping("a"), 3_000_000)])
     eng.run()
-    assert [(src, dst) for _, src, dst, _ in eng.delivery_log] == [("n002", "n003"), ("n000", "n001")]
-    assert [t for t, _, _, _ in eng.delivery_log] == [pytest.approx(3.0)] * 2
+    assert [(src, dst) for _, src, dst, _ in deliveries] == [("n002", "n003"), ("n000", "n001")]
+    assert [t for t, _, _, _ in deliveries] == [pytest.approx(3.0)] * 2
 
 
 def test_a_rate_solve_schedules_one_completion_event():
     # Three live transfers, one rate solve: one pending completion, for the
     # transfer that finishes first.
     m = make_membership(4, uplink=1e6, downlink=1e6)
-    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
-    for nid in m.nodes:
-        eng.register(nid, Recorder())
+    eng = Engine(m, LatencyMatrix.zero())
+    deliveries = observe(eng)
     eng.inject(0.0, "n000", [
         Send("n001", ping("a"), 3_000_000),
         Send("n002", ping("b"), 1_000_000),
@@ -584,8 +596,8 @@ def test_a_rate_solve_schedules_one_completion_event():
     assert len(eng._transfers) == 3
     assert [t for t, _, _ in eng._heap] == [pytest.approx(3.0)]  # 1 MB at a third of 1 MB/s
     eng.run()
-    assert [dst for _, _, dst, _ in eng.delivery_log] == ["n002", "n003", "n001"]
-    assert [t for t, _, _, _ in eng.delivery_log] == [
+    assert [dst for _, _, dst, _ in deliveries] == ["n002", "n003", "n001"]
+    assert [t for t, _, _, _ in deliveries] == [
         pytest.approx(3.0), pytest.approx(5.0), pytest.approx(6.0)
     ]
 
@@ -594,26 +606,21 @@ def _replying_run(membership, latency, transfers):
     """Run ``transfers`` (src, dst, bytes, start, reply bytes) on a fresh
     engine: the ones with one start and sender are sent together, and a
     receiver answers a transfer with a nonzero reply by sending that many
-    bytes back. Returns the delivery log, times in hex, and the byte total."""
-    eng = Engine(membership, latency, record_deliveries=True)
+    bytes back. Returns the deliveries, times in hex, and the byte total."""
+    eng = Engine(membership, latency)
 
-    class Replier:
-        def on_message(self, now, src, msg):
-            reply = transfers[msg][4] if isinstance(msg, int) else 0
-            return [Send(src, ("reply", msg), reply)] if reply else []
+    def reply(now, src, msg):
+        nbytes = transfers[msg][4] if isinstance(msg, int) else 0
+        return [Send(src, ("reply", msg), nbytes)] if nbytes else []
 
-        def on_timer(self):
-            return []
-
-    for nid in membership.nodes:
-        eng.register(nid, Replier())
+    deliveries = observe(eng, {nid: Recorder(reply) for nid in membership.nodes})
     batches = defaultdict(list)
     for i, (a, b, nbytes, start, _) in enumerate(transfers):
         batches[start, a].append(Send(membership.nodes[b], i, nbytes))
     for (start, a), sends in batches.items():
         eng.inject(start, membership.nodes[a], sends)
     eng.run()
-    return [(t.hex(), src, dst, nb) for t, src, dst, nb in eng.delivery_log], eng.bytes_total
+    return [(t.hex(), src, dst, msg) for t, src, dst, msg in deliveries], eng.bytes_total
 
 
 @given(st.data())
@@ -661,21 +668,20 @@ def test_a_start_or_finish_re_solves_only_its_component(monkeypatch):
 
     monkeypatch.setattr(simnet, "maxmin_rates", counting)
     m = make_membership(4, uplink=1e6, downlink=1e6)
-    eng = Engine(m, LatencyMatrix.zero(), record_deliveries=True)
-    for nid in m.nodes:
-        eng.register(nid, Recorder())
+    eng = Engine(m, LatencyMatrix.zero())
+    deliveries = observe(eng)
     eng.inject(0.0, "n000", [Send("n001", ping("a"), 3_000_000)])
     eng.inject(0.0, "n002", [Send("n003", ping("b"), 1_000_000)])
     eng.run()
     assert solved == [[0], [1]]
     assert eng._solves == 3  # the finish at t=1 still schedules the next completion
-    assert [(t, dst) for t, _, dst, _ in eng.delivery_log] == [(1.0, "n003"), (3.0, "n001")]
+    assert [(t, dst) for t, _, dst, _ in deliveries] == [(1.0, "n003"), (3.0, "n001")]
 
 
 def test_past_scheduling_is_rejected():
     eng, _ = engine_pair()
     eng.register("n001", Recorder())
-    eng.send_at(10.0, "n000", "n001", ping(), 0)
+    eng.inject(10.0, "n000", [Send("n001", ping(), 0)])
     eng.run()
     with pytest.raises(SimulationError, match="past"):
         eng.inject(1.0, "n000", [])
