@@ -37,12 +37,11 @@ from .learning import (
 )
 from .baselines import (
     GossipNode,
-    OnePeerExponential,
-    RegularTopology,
     dpsgd_round,
     fl_round,
     gl_merge,
     make_regular_topology,
+    one_peer_topology,
 )
 from .metrics import MetricsLedger, cta, round_duration_stats, rta, tta
 from .config import ExperimentConfig, load_config

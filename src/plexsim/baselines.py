@@ -35,38 +35,26 @@ from .simnet import LatencyMatrix
 
 # ------------------------------------------------------------ topologies --
 
-
-@dataclass(frozen=True)
-class RegularTopology:
-    """A connected random d-regular graph; the same neighbors every round."""
-
-    adjacency: tuple[tuple[int, ...], ...]
-
-    def in_neighbors(self, k: int) -> np.ndarray:
-        """Row i of the (n, d) table lists i's neighbors, in ascending order."""
-        return np.array(self.adjacency, dtype=np.intp)
+# A topology is its in-neighbour tables: read-only (n, d) intp arrays whose
+# row i lists the nodes i receives from. Round k uses table (k - 1) mod the
+# number of tables.
 
 
-@dataclass(frozen=True)
-class OnePeerExponential:
-    """Each node talks to exactly one peer per round, at distance
-    2^((k-1) mod ceil(log2 n)) around a ring."""
-
-    n: int
-
-    def in_neighbors(self, k: int) -> np.ndarray:
-        """Row i of the (n, 1) table holds the node i receives from in round
-        k. The offset is the same for every node, so a round is a permutation."""
-        if self.n < 2:
-            raise ValueError("one-peer topology needs n >= 2")
-        if k < 1:
-            raise ValueError("round number must be >= 1")
-        offset = 1 << ((k - 1) % math.ceil(math.log2(self.n)))
-        return ((np.arange(self.n, dtype=np.intp) - offset) % self.n)[:, None]
+def one_peer_topology(n: int) -> tuple[np.ndarray, ...]:
+    """The one-peer exponential graph (Ying et al., NeurIPS 2021): ceil(log2 n)
+    one-column tables, in table j node i receiving from (i - 2^j) mod n. The
+    offset is the same for every node, so each table is a permutation."""
+    if n < 2:
+        raise ValueError("one-peer topology needs n >= 2")
+    offsets = 1 << np.arange(math.ceil(math.log2(n)), dtype=np.intp)
+    tables = (np.arange(n, dtype=np.intp) - offsets[:, None]) % n
+    tables.flags.writeable = False
+    return tuple(table[:, None] for table in tables)
 
 
-def make_regular_topology(n: int, degree: int, seed: int) -> RegularTopology:
-    """Seeded random regular graph, re-drawn with an incremented seed until
+def make_regular_topology(n: int, degree: int, seed: int) -> tuple[np.ndarray]:
+    """A seeded random regular graph as its one table, row i listing i's
+    neighbours in ascending order, re-drawn with an incremented seed until
     connected. Each draw is Steger-Wormald stub pairing (Combin. Probab.
     Comput. 1999) as NetworkX 3.x implements it, so for a seed it reproduces
     NetworkX's ``random_regular_graph(degree, n, seed)`` under the same Python
@@ -85,7 +73,9 @@ def make_regular_topology(n: int, degree: int, seed: int) -> RegularTopology:
             adjacency[a].append(b)
             adjacency[b].append(a)
         if _is_connected(adjacency):
-            return RegularTopology(tuple(tuple(sorted(neigh)) for neigh in adjacency))
+            table = np.array([sorted(neigh) for neigh in adjacency], dtype=np.intp)
+            table.flags.writeable = False
+            return (table,)
     raise ValueError(f"no connected {degree}-regular graph found from seed {seed}")
 
 
@@ -144,10 +134,9 @@ def _is_connected(adjacency: list[list[int]]) -> bool:
 
 @dataclass(frozen=True)
 class FlRoundPlan:
-    """A FedAvg round before any model moves: who takes part, whose models
-    the server averages (in id order), and what the round costs."""
+    """A FedAvg round before any model moves: whose models the server
+    averages (in id order), and what the round costs."""
 
-    participants: tuple[NodeId, ...]
     trainers: tuple[NodeId, ...]
     duration_s: float
     bytes: int
@@ -185,7 +174,6 @@ def fl_round(
         train_seconds += c
     arrivals.sort()
     return FlRoundPlan(
-        participants=participants,
         trainers=tuple(sorted(nid for _, nid in arrivals[:threshold])),
         duration_s=arrivals[threshold - 1][0],
         bytes=2 * len(participants) * nbytes,

@@ -25,15 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .baselines import (
-    DpsgdRoundPlan,
-    GossipNode,
-    OnePeerExponential,
-    dpsgd_round,
-    fl_round,
-    gl_merge,
-    make_regular_topology,
-)
+from .baselines import GossipNode, dpsgd_round, fl_round, gl_merge, make_regular_topology, one_peer_topology
 from .config import ExperimentConfig, resolve_trace_path
 from .core import Membership, ModelParameters, SetTimer, average_models, derive_rng
 from .learning import (
@@ -190,7 +182,11 @@ class _Repetition:
 _INIT, _TRAIN, _MERGE, _AVERAGE, _SCORE, _DROP = range(6)
 
 # Records per message to the worker. A larger batch costs fewer writes and
-# a longer wait before the worker starts on it.
+# a longer wait before the worker starts on it. Neither cost shows at these
+# sizes: with 64, 256 and 1024 records, run_single took 1.299, 1.208 and
+# 1.375 s on gl-n500 and 1.813, 1.859 and 1.750 s on dpsgd-desk (medians of
+# 16 alternating fresh processes per value, one BLAS thread, 2-core
+# machine), while the quartiles of each value's runs lay 0.30-0.52 s apart.
 _BATCH_RECORDS = 256
 
 # Models that one stacked SGD step trains together: the replay trains its
@@ -633,7 +629,7 @@ def _run_fl(r: _Repetition) -> None:
             ledger.final_time_s += plan.duration_s
             ledger.bytes_total += plan.bytes
             ledger.train_seconds_total += plan.train_seconds
-            drawn, counted = len(plan.participants), len(plan.trainers)
+            drawn, counted = len(picks), len(plan.trainers)
             ledger.rounds.append(RoundRecord(k, plan.duration_s, drawn, counted, drawn - counted))
             if _should_eval(cfg, k):
                 log.checkpoint(ledger.final_time_s, k, [model], ledger)
@@ -650,26 +646,24 @@ def _run_dpsgd(r: _Repetition) -> None:
     cfg, world, ledger = r.cfg, r.world, r.ledger
     n = cfg.n
     if cfg.topology.kind == "regular":
-        topology = make_regular_topology(n, cfg.topology.degree, cfg.topology.seed)
+        tables = make_regular_topology(n, cfg.topology.degree, cfg.topology.seed)
     else:
-        topology = OnePeerExponential(n)
+        tables = one_peer_topology(n)
     node_ids = world.membership.nodes
     compute_secs = [r.compute_s[nid] for nid in node_ids]
     profiles = [world.membership.profile(nid) for nid in node_ids]
     keys = ("uplink_bps", "downlink_bps", "city_index")
     links = {key: np.array([getattr(p, key) for p in profiles]) for key in keys}
-    plans: dict[bytes, DpsgdRoundPlan] = {}  # one per distinct in-neighbour table
+    # A plan reads no model, so each table is planned once, before round 1.
+    plans = [
+        dpsgd_round(ins, world.latency, dim=world.spec.dim, compute_seconds=compute_secs, **links) for ins in tables
+    ]
     checkpoints = _multiples(cfg.eval.every_seconds, cfg.stop.max_virtual_s)
     at = next(checkpoints, None)
     with _op_log(r) as log:
         models = [log.init(nid) for nid in node_ids]
         for k in range(1, cfg.stop.max_rounds + 1):
-            ins = topology.in_neighbors(k)
-            plan = plans.get(ins.tobytes())
-            if plan is None:
-                plan = plans[ins.tobytes()] = dpsgd_round(
-                    ins, world.latency, dim=world.spec.dim, compute_seconds=compute_secs, **links
-                )
+            plan = plans[(k - 1) % len(plans)]
             t_end = ledger.final_time_s + plan.duration_s
             # Checkpoints inside this round observe the models committed before it.
             while at is not None and at <= t_end:

@@ -252,10 +252,9 @@ class Engine:
         self._apply(node, self._handler(node).on_timer())
 
     def _apply(self, src: NodeId, effects: list[Effect]) -> None:
-        opened = False
         for eff in effects:
             if isinstance(eff, Send):
-                opened |= self._apply_send(src, eff)
+                self._apply_send(src, eff)
             elif isinstance(eff, ScheduleCompute):
                 if eff.duration < 0:
                     raise SimulationError("negative compute duration")
@@ -269,23 +268,23 @@ class Engine:
                     self.completed = eff.reason
             else:
                 raise SimulationError(f"unknown effect {eff!r}")
-        if opened:
+        # Only an opened transfer leaves ports touched here: a finish solves at once.
+        if self._touched:
             self._recompute_rates()
 
-    def _apply_send(self, src: NodeId, eff: Send) -> bool:
-        """Returns True if a bandwidth-occupying transfer was opened."""
+    def _apply_send(self, src: NodeId, eff: Send) -> None:
         if eff.dst not in self.membership:
             raise SimulationError(f"send to unknown node {eff.dst!r}")
         if eff.dst == src:
             # Local hand-off: free and instant, never touches the network.
             self._schedule(self.now, partial(self._deliver, eff.dst, src, eff.msg))
-            return False
+            return
         if eff.nbytes == 0:
             self._schedule(
                 self.now + self._one_way(src, eff.dst),
                 partial(self._deliver, eff.dst, src, eff.msg),
             )
-            return False
+            return
         self._advance()
         tid = self._next_tid
         self._transfers[tid] = TransferRecord(src, eff.dst, eff.msg, float(eff.nbytes))
@@ -293,7 +292,6 @@ class Engine:
         for port in (("u", src), ("d", eff.dst)):
             self._port_tids[port].add(tid)
             self._touched.add(port)
-        return True
 
     def _one_way(self, a: NodeId, b: NodeId) -> float:
         ca = self.membership.profile(a).city_index

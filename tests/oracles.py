@@ -10,6 +10,7 @@ so reuses the per-model training and merge that other tests check.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import defaultdict
 from functools import partial
 
@@ -95,7 +96,10 @@ def recompute_every_rate(engine) -> None:
     """``Engine._recompute_rates`` as it was before it re-solved only the
     components that a start or finish touched: every live flow is solved
     again, here by ``maxmin_reference``. Install it on ``Engine`` with a
-    monkeypatch; the component re-solve must give the same bits."""
+    monkeypatch; the component re-solve must give the same bits. Like the
+    engine's, it consumes the ports that starts and finishes touched, the
+    engine's signal that a solve is due."""
+    engine._touched = set()
     flows = [(tid, rec.src, rec.dst) for tid, rec in engine._transfers.items()]
     if not flows:
         return
@@ -240,15 +244,23 @@ def replay_reference(records, init, spec, X, y, cfg):
 # -------------------------------------------------------- dpsgd reference --
 
 
-def dpsgd_round_reference(models, topology, k, latency, *, train_fn, uplink_bps, downlink_bps, city_index, compute_seconds):
+def one_peer_reference(n, k):
+    """Round k's in-neighbour table of the one-peer exponential graph, as
+    first written: every node receives from the node 2^((k-1) mod
+    ceil(log2 n)) places behind it around the ring."""
+    offset = 1 << ((k - 1) % math.ceil(math.log2(n)))
+    return ((np.arange(n, dtype=np.intp) - offset) % n)[:, None]
+
+
+def dpsgd_round_reference(models, table, latency, *, train_fn, uplink_bps, downlink_bps, city_index, compute_seconds):
     """``dpsgd_round`` as first written: a loop over the nodes reads each
     row of the round's neighbour table, looks every pair's latency up with
-    ``one_way_s`` and averages each node's own model and its neighbours' in
-    turn. Returns (mixed vectors, duration, bytes, training seconds)."""
+    ``one_way_s`` and averages each node's own model, trained by
+    ``train_fn(i, model)``, and its neighbours' in turn. Returns (mixed
+    vectors, duration, bytes, training seconds)."""
     n = len(models)
     nbytes = model_size_bytes(models[0].dim)
-    trained = [train_fn(i, k, model).values for i, model in enumerate(models)]
-    table = topology.in_neighbors(k)
+    trained = [train_fn(i, model).values for i, model in enumerate(models)]
     sends = [0] * n
     for row in table:
         for j in row:

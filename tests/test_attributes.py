@@ -158,9 +158,9 @@ FUNCTIONS = [
 ]
 
 # Parameters that some definition of a method name reads. A method shares
-# its signature with every other definition of that name (a topology's
-# ``in_neighbors(k)``, a handler's ``on_message(now, src, msg)``), so one
-# implementation may ignore what another needs.
+# its signature with every other definition of that name (a handler's
+# ``on_message(now, src, msg)``), so one implementation may ignore what
+# another needs.
 READ_BY_NAME: dict = {}
 for _, fn in FUNCTIONS:
     if not isinstance(fn, ast.Lambda):

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plexsim.baselines import (
     GossipNode,
-    OnePeerExponential,
     dpsgd_round,
     fl_round,
     gl_merge,
     make_regular_topology,
+    one_peer_topology,
 )
 from plexsim.core import GossipModel, ModelParameters, Send, SetTimer, average_models
 from plexsim.simnet import Engine, LatencyMatrix
 
 from conftest import make_membership, observe
-from oracles import average_reference, dpsgd_round_reference
+from oracles import average_reference, dpsgd_round_reference, one_peer_reference
 
 
 def flat(*vals):
@@ -35,23 +35,31 @@ def is_connected(adjacency):
     return len(seen) == len(adjacency)
 
 
-def assert_connected_regular(topo, n, degree):
-    assert len(topo.adjacency) == n
-    for i, neigh in enumerate(topo.adjacency):
-        assert len(neigh) == degree
+def adjacency(tables):
+    """The rows of a regular topology's one table, as tuples."""
+    (table,) = tables
+    return tuple(tuple(row) for row in table.tolist())
+
+
+def assert_connected_regular(tables, n, degree):
+    (table,) = tables
+    assert table.shape == (n, degree) and table.dtype == np.intp
+    assert not table.flags.writeable
+    rows = adjacency(tables)
+    for i, neigh in enumerate(rows):
         assert len(set(neigh)) == degree
         assert i not in neigh
-        assert all(i in topo.adjacency[j] for j in neigh)
+        assert all(i in rows[j] for j in neigh)
         assert list(neigh) == sorted(neigh)
-    assert is_connected(topo.adjacency)
+    assert is_connected(rows)
 
 
 def test_regular_topology_is_regular_connected_and_symmetric():
     topo = make_regular_topology(20, 10, seed=4)
     assert_connected_regular(topo, 20, 10)
     # Same seed, same graph; different seed, different graph (usually).
-    assert make_regular_topology(20, 10, seed=4).adjacency == topo.adjacency
-    assert make_regular_topology(20, 10, seed=5).adjacency != topo.adjacency
+    assert adjacency(make_regular_topology(20, 10, seed=4)) == adjacency(topo)
+    assert adjacency(make_regular_topology(20, 10, seed=5)) != adjacency(topo)
 
 
 @st.composite
@@ -67,7 +75,7 @@ def test_regular_topology_property(shape):
     n, degree, seed = shape
     topo = make_regular_topology(n, degree, seed)
     assert_connected_regular(topo, n, degree)
-    assert make_regular_topology(n, degree, seed) == topo
+    assert adjacency(make_regular_topology(n, degree, seed)) == adjacency(topo)
 
 
 def networkx_topology(nx, n, degree, seed):
@@ -99,16 +107,14 @@ def test_regular_topology_equals_networkx():
             with pytest.raises(ValueError, match="no connected"):
                 make_regular_topology(n, d, seed)
         else:
-            assert make_regular_topology(n, d, seed).adjacency == expected, (n, d, seed)
+            assert adjacency(make_regular_topology(n, d, seed)) == expected, (n, d, seed)
 
 
 def test_regular_topology_neighbors_constant_over_rounds():
+    # One table, so every round of a regular graph uses the same neighbours.
     topo = make_regular_topology(12, 4, seed=0)
-    table = topo.in_neighbors(1)
-    assert table.shape == (12, 4) and table.dtype == np.intp
-    assert np.array_equal(table, topo.in_neighbors(99))
-    assert np.array_equal(table, topo.in_neighbors(7))
-    assert [tuple(row) for row in table.tolist()] == list(topo.adjacency)
+    assert len(topo) == 1
+    assert_connected_regular(topo, 12, 4)
 
 
 def test_regular_topology_validation():
@@ -118,36 +124,55 @@ def test_regular_topology_validation():
         make_regular_topology(5, 3, seed=0)
 
 
-def receivers(topo, k, sender):
-    """The nodes whose round-k row of the neighbour table names ``sender``."""
-    return tuple(np.flatnonzero((topo.in_neighbors(k) == sender).any(axis=1)).tolist())
+def one_peer_table(n, k):
+    """Round k's table of the one-peer graph on n nodes."""
+    tables = one_peer_topology(n)
+    return tables[(k - 1) % len(tables)]
+
+
+def receivers(table, sender):
+    """The nodes whose row of the neighbour table names ``sender``."""
+    return tuple(np.flatnonzero((table == sender).any(axis=1)).tolist())
 
 
 def test_one_peer_offsets_cycle_through_powers_of_two():
     # n=8: cycle length ceil(log2 8) = 3, offsets 1, 2, 4, repeating.
-    assert [receivers(OnePeerExponential(8), k, 0) for k in (1, 2, 3, 4)] == [(1,), (2,), (4,), (1,)]
-    assert receivers(OnePeerExponential(8), 1, 7) == (0,)  # wraps around the ring
-    assert OnePeerExponential(8).in_neighbors(1)[0].tolist() == [7]
+    assert len(one_peer_topology(8)) == 3
+    assert [receivers(one_peer_table(8, k), 0) for k in (1, 2, 3, 4)] == [(1,), (2,), (4,), (1,)]
+    assert receivers(one_peer_table(8, 1), 7) == (0,)  # wraps around the ring
+    assert one_peer_table(8, 1)[0].tolist() == [7]
     # n=5: offsets still 1, 2, 4 (cycle ceil(log2 5) = 3).
-    assert [receivers(OnePeerExponential(5), k, 0) for k in (1, 2, 3)] == [(1,), (2,), (4,)]
+    assert [receivers(one_peer_table(5, k), 0) for k in (1, 2, 3)] == [(1,), (2,), (4,)]
 
 
 def test_one_peer_is_a_permutation_each_round():
-    topo = OnePeerExponential(10)
-    for k in (1, 2, 3, 4, 5):
-        table = topo.in_neighbors(k)
+    tables = one_peer_topology(10)
+    assert len(tables) == 4
+    for table in tables:
         assert table.shape == (10, 1) and table.dtype == np.intp
+        assert not table.flags.writeable
         assert sorted(table[:, 0].tolist()) == list(range(10))
         for i in range(10):
-            j = int(table[i, 0])
-            assert receivers(topo, k, j) == (i,)
+            assert receivers(table, int(table[i, 0])) == (i,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 64))
+@example(2, 1)
+@example(64, 7)
+@example(65, 8)
+def test_one_peer_tables_equal_the_per_round_formula(n, k):
+    got = one_peer_table(n, k)
+    want = one_peer_reference(n, k)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable
 
 
 def test_one_peer_validation():
-    with pytest.raises(ValueError):
-        OnePeerExponential(1).in_neighbors(1)
-    with pytest.raises(ValueError):
-        OnePeerExponential(8).in_neighbors(0)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n >= 2"):
+            one_peer_topology(n)
 
 
 # ---------------------------------------------------------------- fedavg fl --
@@ -168,22 +193,24 @@ def plan_fl(participants, sf=1.0):
 
 
 def test_fl_round_full_participation_timing_and_bytes():
-    res = plan_fl(("n000", "n001", "n002"))
+    participants = ("n000", "n001", "n002")
+    res = plan_fl(participants)
     assert res.duration_s == pytest.approx(9.0)
     assert res.bytes == 2 * 3 * 96
     assert res.train_seconds == pytest.approx(3.0)
-    assert res.trainers == res.participants == ("n000", "n001", "n002")
+    assert res.trainers == participants
     model = ModelParameters(np.zeros(10))
     averaged = average_models([model.with_values(model.values + 1.0) for _ in res.trainers])
     assert np.array_equal(averaged.values, np.ones(10))
 
 
 def test_fl_round_threshold_drops_stragglers_but_charges_them():
-    res = plan_fl(("n000", "n001", "n002"), sf=2 / 3)
+    participants = ("n000", "n001", "n002")
+    res = plan_fl(participants, sf=2 / 3)
     # Fires at the 2nd fastest upload; the slowest still used bandwidth
     # and compute but its model is neither trained nor averaged.
     assert res.duration_s == pytest.approx(5.0)
-    assert res.trainers == ("n000", "n001") and len(res.participants) == 3
+    assert res.trainers == participants[:2]
     assert res.bytes == 2 * 3 * 96
     assert res.train_seconds == pytest.approx(3.0)
     contributions = {"n000": 3.0, "n001": 6.0, "n002": 100.0}
@@ -193,9 +220,10 @@ def test_fl_round_threshold_drops_stragglers_but_charges_them():
 
 
 def test_fl_round_threshold_follows_actual_selection_size():
-    res = plan_fl(("n000", "n001", "n002"), sf=0.5)
+    participants = ("n000", "n001", "n002")
+    res = plan_fl(participants, sf=0.5)
     assert len(res.trainers) == 1  # floor(3 * 0.5)
-    assert len(res.participants) - len(res.trainers) == 2
+    assert len(participants) - len(res.trainers) == 2
 
 
 def test_fl_round_requires_candidates():
@@ -226,10 +254,10 @@ def node_arrays(m, compute_seconds):
     }
 
 
-def plan_dpsgd(topology, m, compute_seconds, k=1, latency=None, dim=10):
-    """``dpsgd_round`` of round k's table of ``topology``."""
+def plan_dpsgd(tables, m, compute_seconds, k=1, latency=None, dim=10):
+    """``dpsgd_round`` of round k's table of the topology ``tables``."""
     return dpsgd_round(
-        topology.in_neighbors(k), latency or LatencyMatrix.zero(), dim=dim, **node_arrays(m, compute_seconds)
+        tables[(k - 1) % len(tables)], latency or LatencyMatrix.zero(), dim=dim, **node_arrays(m, compute_seconds)
     )
 
 
@@ -260,7 +288,7 @@ def test_dpsgd_duration_heterogeneous_two_nodes():
     # at 96 B/s -> send done at 2 s. No latency; wide downlinks. The round
     # must wait for the slowest leg: 4 s.
     m = make_membership(2, uplink=[48.0, 96.0], downlink=[9600.0, 9600.0])
-    plan = plan_dpsgd(OnePeerExponential(2), m, [2.0, 1.0])
+    plan = plan_dpsgd(one_peer_topology(2), m, [2.0, 1.0])
     assert plan.duration_s == pytest.approx(4.0)
     assert plan.bytes == 2 * 96
 
@@ -269,14 +297,14 @@ def test_dpsgd_latency_delays_arrivals():
     m = make_membership(2, uplink=96.0, downlink=9600.0, cities=2)
     lat = LatencyMatrix(("a", "b"), np.array([[0.0, 100.0], [100.0, 0.0]]))
     # send done at 2 s, plus 50 ms one-way.
-    assert plan_dpsgd(OnePeerExponential(2), m, [1.0, 1.0], latency=lat).duration_s == pytest.approx(2.05)
+    assert plan_dpsgd(one_peer_topology(2), m, [1.0, 1.0], latency=lat).duration_s == pytest.approx(2.05)
 
 
 def test_dpsgd_one_peer_mixes_pairwise():
     m = make_membership(4, uplink=9600.0, downlink=9600.0)
     models = models_of([0.0], [1.0], [2.0], [3.0])
     # Round 1, offset 1: i receives from i-1.
-    mixed = plan_dpsgd(OnePeerExponential(4), m, [0.0] * 4, dim=1).mix(models, average_models)
+    mixed = plan_dpsgd(one_peer_topology(4), m, [0.0] * 4, dim=1).mix(models, average_models)
     for i in range(4):
         want = (models[i].values + models[(i - 1) % 4].values) / 2.0
         assert np.array_equal(mixed[i].values, want)
@@ -286,7 +314,7 @@ def test_dpsgd_round_varies_with_one_peer_round_number():
     m = make_membership(4, uplink=9600.0, downlink=9600.0)
     models = models_of([0.0], [1.0], [2.0], [3.0])
     r1, r2 = (
-        plan_dpsgd(OnePeerExponential(4), m, [0.0] * 4, k=k, dim=1).mix(models, average_models) for k in (1, 2)
+        plan_dpsgd(one_peer_topology(4), m, [0.0] * 4, k=k, dim=1).mix(models, average_models) for k in (1, 2)
     )
     assert [a.values.tolist() for a in r1] != [b.values.tolist() for b in r2]
 
@@ -300,18 +328,19 @@ def test_dpsgd_round_rejects_a_mix_that_overflows():
 
 @st.composite
 def dpsgd_rounds(draw):
-    """A round's inputs: a connected regular graph or a one-peer graph on
-    2 to 24 nodes, a round number, each node's links, city and compute
-    seconds, a symmetric latency matrix and each node's model."""
+    """A round's inputs: a round number, its table of a connected regular
+    graph or a one-peer graph on 2 to 24 nodes, each node's links, city and
+    compute seconds, a symmetric latency matrix and each node's model."""
     n = draw(st.integers(2, 24))
     if draw(st.booleans()):
-        topology = OnePeerExponential(n)
+        tables = one_peer_topology(n)
     else:
         degree = draw(st.integers(1, n - 1).filter(lambda d: n * d % 2 == 0 and (d > 1 or n == 2)))
         try:
-            topology = make_regular_topology(n, degree, draw(st.integers(0, 1000)))
+            tables = make_regular_topology(n, degree, draw(st.integers(0, 1000)))
         except ValueError:
             assume(False)
+    k = draw(st.integers(1, 8))
     cities = draw(st.integers(1, 4))
     rtt = np.array(draw(st.lists(st.floats(0.0, 500.0), min_size=cities * cities, max_size=cities * cities)))
     rtt = rtt.reshape(cities, cities)
@@ -321,8 +350,8 @@ def dpsgd_rounds(draw):
     values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     return dict(
         models=[ModelParameters(np.array(draw(st.lists(values, min_size=dim, max_size=dim)))) for _ in range(n)],
-        topology=topology,
-        k=draw(st.integers(1, 8)),
+        table=tables[(k - 1) % len(tables)],
+        k=k,
         latency=LatencyMatrix(tuple(f"c{c}" for c in range(cities)), rtt + rtt.T),
         uplink_bps=np.array(draw(st.lists(rates, min_size=n, max_size=n))),
         downlink_bps=np.array(draw(st.lists(rates, min_size=n, max_size=n))),
@@ -340,15 +369,15 @@ def test_dpsgd_round_matches_the_per_node_reference(case):
     # The plan times the round and its mix averages each node's own trained
     # model and then its neighbours', in table order, bit for bit as the
     # reference does.
-    def train(i, k, model):
+    k, models, table, latency = case["k"], case["models"], case["table"], case["latency"]
+    links = {key: case[key] for key in LINKS}
+
+    def train(i, model):
         return ModelParameters(model.values * 0.5 + k)
 
-    k, models = case["k"], case["models"]
-    plan = dpsgd_round(
-        case["topology"].in_neighbors(k), case["latency"], dim=models[0].dim, **{key: case[key] for key in LINKS}
-    )
-    mixed = plan.mix([train(i, k, model) for i, model in enumerate(models)], average_models)
-    want, duration, nbytes, train_seconds = dpsgd_round_reference(train_fn=train, **case)
+    plan = dpsgd_round(table, latency, dim=models[0].dim, **links)
+    mixed = plan.mix([train(i, model) for i, model in enumerate(models)], average_models)
+    want, duration, nbytes, train_seconds = dpsgd_round_reference(models, table, latency, train_fn=train, **links)
     assert plan.duration_s == duration
     assert plan.bytes == nbytes
     assert plan.train_seconds == train_seconds

@@ -26,7 +26,7 @@ from plexsim.config import (
     TracesConfig,
     load_config,
 )
-from plexsim.baselines import OnePeerExponential, dpsgd_round, make_regular_topology
+from plexsim.baselines import dpsgd_round, make_regular_topology, one_peer_topology
 from plexsim.core import ModelParameters, derive_rng
 from plexsim import runner, simnet
 from plexsim.learning import (
@@ -48,7 +48,9 @@ from plexsim.sampler import sample
 from plexsim.simnet import maxmin_rates
 
 from conftest import child_pids
-from oracles import accuracy_rows_reference, dpsgd_round_reference, fedavg_reference, replay_reference
+from oracles import (
+    accuracy_rows_reference, dpsgd_round_reference, fedavg_reference, one_peer_reference, replay_reference,
+)
 
 
 def tiny_cfg(algorithm="plexus", **kw):
@@ -1142,7 +1144,7 @@ def test_run_dpsgd_regular_ledger_shape():
 
 
 PLAN_CFGS = {
-    # A regular graph hands out one table: one plan for all 20 rounds.
+    # A regular graph is one table: one plan for all 20 rounds.
     "dpsgd-small": (lambda: WORK_BUDGETS["dpsgd-small"][0](), 1),
     # One-peer on 12 nodes cycles through ceil(log2 12) = 4 tables in 10 rounds.
     "one-peer": (
@@ -1158,22 +1160,32 @@ PLAN_CFGS = {
 @pytest.mark.parametrize("name", sorted(PLAN_CFGS))
 def test_dpsgd_plans_each_neighbour_table_once(monkeypatch, name):
     make_cfg, want_plans = PLAN_CFGS[name]
-    tables = []
+    planned, trained = [], []
 
     def planning(ins, *args, **kwargs):
-        tables.append(ins.tobytes())
+        planned.append((len(trained), ins.tobytes()))
         return dpsgd_round(ins, *args, **kwargs)
 
+    train = runner._OpLog.train
+
+    def training(log, *args):
+        trained.append(args)
+        return train(log, *args)
+
     monkeypatch.setattr(runner, "dpsgd_round", planning)
+    monkeypatch.setattr(runner._OpLog, "train", training)
     cfg = make_cfg()
     world = build_world(cfg, CONFIGS)
     led = run_single(cfg, world, 0)
-    assert len(tables) == len(set(tables)) == want_plans < len(led.rounds) == cfg.stop.max_rounds
-    # Each round costs what the per-node reference gives for its table.
     if cfg.topology.kind == "regular":
-        topology = make_regular_topology(cfg.n, cfg.topology.degree, cfg.topology.seed)
+        tables = make_regular_topology(cfg.n, cfg.topology.degree, cfg.topology.seed)
     else:
-        topology = OnePeerExponential(cfg.n)
+        tables = one_peer_topology(cfg.n)
+    # Every table is planned once, in order, before round 1 trains a model.
+    assert planned == [(0, table.tobytes()) for table in tables]
+    assert len(tables) == len(set(planned)) == want_plans < len(led.rounds) == cfg.stop.max_rounds
+    assert len(trained) == cfg.n * len(led.rounds)
+    # Each round costs what the per-node reference gives for its table.
     profiles = [world.membership.profile(nid) for nid in world.membership.nodes]
     compute_s = runner._Repetition(cfg, world, 0).compute_s
     nodes = dict(
@@ -1185,8 +1197,12 @@ def test_dpsgd_plans_each_neighbour_table_once(monkeypatch, name):
     models = [ModelParameters(np.zeros(world.spec.dim))] * cfg.n
     bytes_total, train_seconds_total = 0, 0.0
     for rec in led.rounds:
+        if cfg.topology.kind == "regular":
+            table = tables[0]
+        else:
+            table = one_peer_reference(cfg.n, rec.round)
         _, duration, nbytes, train_seconds = dpsgd_round_reference(
-            models, topology, rec.round, world.latency, train_fn=lambda i, k, model: model, **nodes
+            models, table, world.latency, train_fn=lambda i, model: model, **nodes
         )
         assert rec.duration_s == duration
         bytes_total += nbytes
